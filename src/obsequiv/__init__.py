@@ -54,7 +54,6 @@ from .representation import (
 from .checks import (
     CheckReport,
     ObservedSystemSource,
-    ProcessSource,
     check_epsilon_congruence,
     check_invariant_union,
     check_measure_preservation,

@@ -24,12 +24,17 @@ __all__ = [
     "validate_markov_spec",
     "sample_chain",
     "sample_semi_markov",
+    "chain_codes",
+    "semi_markov_codes",
+    "sample_in_chunks",
+    "as_grid",
     "block_embedding",
     "irrationally_related",
 ]
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
+CHUNK = 8192  # paths per independently seeded chunk of sample_in_chunks
 
 
 class ProcessError(ValueError):
@@ -141,11 +146,16 @@ class MarkovChainSpec:
 
     def validate(self) -> "MarkovDiagnostics":
         # cached: samplers validate once per spec, not once per trajectory
-        diag = self.__dict__.get("_diag")
-        if diag is None:
-            diag = validate_markov_spec(self)
-            object.__setattr__(self, "_diag", diag)
-        return diag
+        return _cached(self, "_diag", lambda: validate_markov_spec(self))
+
+
+def _cached(spec, key, build):
+    """build() computed once per frozen spec and stored on it under key."""
+    value = spec.__dict__.get(key)
+    if value is None:
+        value = build()
+        object.__setattr__(spec, key, value)
+    return value
 
 
 @dataclass
@@ -257,22 +267,98 @@ def block_embedding(spec: MarkovChainSpec) -> MarkovChainSpec:
     return MarkovChainSpec(blocks, Q, order=1)
 
 
-def sample_chain(spec: MarkovChainSpec, length, seed_or_rng):
-    """Stationary sample path of the chain as a tuple of symbols."""
+# ---------------------------------------------------------------------------
+# lockstep sampling kernels
+#
+# Every kernel draws n independent paths at once from one Generator; the
+# scalar samplers are its n=1 case.  A state is drawn by inverse CDF, as the
+# first cumulative probability above u for u uniform on [0, 1).  Contexts
+# are indexed arithmetically: after ctx and state s comes ctx*k mod k^order + s.
+
+
+def sample_in_chunks(draw, n, seed):
+    """Rows of draw(m, rng) stacked over fixed-size chunks of n paths.
+
+    Chunk i of CHUNK rows (the last one possibly shorter) draws from its own
+    Generator, seeded by child i of the seed's SeedSequence (seed is an int
+    or a SeedSequence), so its rows depend only on the seed, the chunk index
+    and the chunk size, not on how or in what order chunks are drawn.
+    """
+    n = int(n)
+    if n < 1:
+        raise ProcessError("need at least one path")
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    parts = []
+    for i, lo in enumerate(range(0, n, CHUNK)):
+        child = np.random.SeedSequence(
+            ss.entropy, spawn_key=ss.spawn_key + (i,), pool_size=ss.pool_size
+        )
+        parts.append(draw(min(CHUNK, n - lo), np.random.default_rng(child)))
+    return np.concatenate(parts)
+
+
+def as_grid(grid):
+    """A time grid as a float array: nonempty, ascending and nonnegative."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ProcessError("time grid must be a nonempty sequence of times")
+    if np.any(np.diff(grid) < 0) or grid[0] < 0:
+        raise ProcessError("time grid must be ascending and nonnegative")
+    return grid
+
+
+def _inverse_cdf(p):
+    """Cumulative rows of p, set to exactly 1 from each row's last positive
+    entry on, so that rounding never selects a zero-probability outcome."""
+    p = np.atleast_2d(np.asarray(p, dtype=float))
+    cum = np.cumsum(p, axis=1)
+    for row, q in zip(cum, p):
+        row[np.flatnonzero(q > 0)[-1]:] = 1.0
+    return cum
+
+
+def _draw(cum, u):
+    """One inverse-CDF draw per u: the first entry above u in the matching
+    row of a 2-D cum, or in cum itself when it is 1-D."""
+    return (cum > u[:, None]).argmax(axis=1)
+
+
+def _chain_tables(spec: MarkovChainSpec):
+    """(cumulative stationary law over contexts, cumulative table rows)."""
     diag = spec.validate()
     if not diag.valid:
         raise ProcessError("invalid chain spec")
-    rng = _as_rng(seed_or_rng)
-    ctxs = spec.contexts()
-    start = rng.choice(len(ctxs), p=diag.stationary)
-    ctx = ctxs[start]
-    out = list(ctx[: min(length, spec.order)])
-    while len(out) < length:
-        row = spec.table[spec.context_index(ctx)]
-        s = spec.states[rng.choice(spec.n_states, p=row)]
-        out.append(s)
-        ctx = ctx[1:] + (s,) if spec.order > 1 else (s,)
-    return tuple(out[:length])
+    return _cached(
+        spec, "_tables", lambda: (_inverse_cdf(diag.stationary)[0], _inverse_cdf(spec.table))
+    )
+
+
+def _chain_lockstep(spec: MarkovChainSpec, length, n, rng):
+    """State indices (n, length) of n stationary chain paths."""
+    start, cum = _chain_tables(spec)
+    k, order = spec.n_states, spec.order
+    ctx = _draw(start, rng.random(n))
+    out = np.empty((n, length), dtype=np.intp)
+    for j in range(min(length, order)):
+        out[:, j] = ctx // k ** (order - 1 - j) % k
+    u = rng.random((max(length - order, 0), n))
+    for j in range(order, length):
+        s = _draw(cum[ctx], u[j - order])
+        ctx = ctx * k % len(cum) + s
+        out[:, j] = s
+    return out
+
+
+def chain_codes(spec: MarkovChainSpec, grid, n, rng):
+    """State indices (n, len(grid)) of n stationary paths read at floor(t)."""
+    steps = np.floor(as_grid(grid)).astype(np.intp)
+    return _chain_lockstep(spec, int(steps[-1]) + 1, n, rng)[:, steps]
+
+
+def sample_chain(spec: MarkovChainSpec, length, seed_or_rng):
+    """Stationary sample path of the chain as a tuple of symbols."""
+    codes = _chain_lockstep(spec, int(length), 1, _as_rng(seed_or_rng))[0]
+    return tuple(spec.states[c] for c in codes)
 
 
 def _as_rng(seed_or_rng):
@@ -342,6 +428,7 @@ class RealizationPath:
             raise ProcessError("need one more break than symbols")
         if any(b <= a for a, b in zip(self.breaks, self.breaks[1:])):
             raise ProcessError("jump epochs must be strictly increasing")
+        object.__setattr__(self, "_epochs", np.asarray(self.breaks))
 
     @property
     def start(self):
@@ -354,7 +441,7 @@ class RealizationPath:
     def value(self, t):
         if not (self.start <= t < self.end):
             raise ProcessError(f"path does not cover t={t}")
-        i = int(np.searchsorted(np.asarray(self.breaks), t, side="right")) - 1
+        i = int(np.searchsorted(self._epochs, t, side="right")) - 1
         return self.symbols[i]
 
     def shifted(self, h):
@@ -376,6 +463,60 @@ class RealizationPath:
         return "\n".join(lines) + "\n"
 
 
+def _semi_markov_tables(spec: SemiMarkovSpec):
+    """(cumulative length-biased context law, cumulative table rows, holding times)."""
+    _, cum = _chain_tables(spec.chain)
+
+    def build():
+        hold = np.array([spec.u(s) for s in spec.states])
+        k = spec.chain.n_states
+        # the context ending in s_i, weighted by u(s_i): length-biases only
+        # the sojourn straddling time 0
+        weights = spec.chain.validate().stationary * hold[np.arange(len(cum)) % k]
+        return _inverse_cdf(weights / weights.sum())[0], hold
+
+    start, hold = _cached(spec, "_tables", build)
+    return start, cum, hold
+
+
+def _semi_markov_lockstep(spec: SemiMarkovSpec, horizon, n, rng):
+    """Sojourns of n stationary paths, drawn until every path passes horizon.
+
+    Returns (codes, ends), both (n, J): codes[:, j] is the state index of
+    sojourn j and ends[:, j] the epoch at which it ends.  Sojourn 0
+    straddles time 0 and ends at the first-jump offset T_0.
+    """
+    start, cum, hold = _semi_markov_tables(spec)
+    k = spec.chain.n_states
+    ctx = _draw(start, rng.random(n))
+    s = ctx % k
+    t = hold[s] * (1.0 - rng.random(n))  # uniform on (0, u(S_0)]
+    codes, ends = [s], [t]
+    while (t <= horizon).any():
+        s = _draw(cum[ctx], rng.random(n))
+        ctx = ctx * k % len(cum) + s
+        t = t + hold[s]
+        codes.append(s)
+        ends.append(t)
+    return np.array(codes).T, np.array(ends).T
+
+
+def semi_markov_codes(spec: SemiMarkovSpec, grid, n, rng):
+    """State indices (n, len(grid)) of n stationary paths on the grid.
+
+    The sojourn holding at time t is the number of its path's jump epochs
+    at or before t (right-continuous at jumps), counted for all paths and
+    grid times at once from one searchsorted of the epochs into the grid.
+    """
+    grid = as_grid(grid)
+    codes, ends = _semi_markov_lockstep(spec, grid[-1], n, rng)
+    m = len(grid) + 1
+    first = np.searchsorted(grid, ends, side="left")  # first grid time >= each epoch
+    rows = np.arange(n)[:, None] * m
+    passed = np.bincount((rows + first).ravel(), minlength=n * m).reshape(n, m)
+    return np.take_along_axis(codes, passed.cumsum(axis=1)[:, :-1], axis=1)
+
+
 def sample_semi_markov(spec: SemiMarkovSpec, horizon, seed_or_rng) -> RealizationPath:
     """Stationary realization covering [0, horizon].
 
@@ -385,27 +526,8 @@ def sample_semi_markov(spec: SemiMarkovSpec, horizon, seed_or_rng) -> Realizatio
     """
     if horizon <= 0:
         raise ProcessError("horizon must be positive")
-    diag = spec.chain.validate()
-    if not diag.valid:
-        raise ProcessError("invalid embedded chain")
-    rng = _as_rng(seed_or_rng)
-    ctxs = spec.chain.contexts()
-    # context ending in s_i, weighted by u(s_i): length-biases only the
-    # sojourn straddling time 0
-    weights = diag.stationary * np.array([spec.u(c[-1]) for c in ctxs])
-    weights /= weights.sum()
-    ctx = ctxs[rng.choice(len(ctxs), p=weights)]
-    s0 = ctx[-1]
-    u0 = spec.u(s0)
-    t0 = u0 * (1.0 - rng.random())  # uniform on (0, u0]
-    breaks = [t0 - u0, t0]
-    symbols = [s0]
-    t = t0
-    while t <= horizon:
-        row = spec.chain.table[spec.chain.context_index(ctx)]
-        s = spec.chain.states[rng.choice(spec.chain.n_states, p=row)]
-        ctx = ctx[1:] + (s,) if spec.chain.order > 1 else (s,)
-        t += spec.u(s)
-        breaks.append(t)
-        symbols.append(s)
-    return RealizationPath(tuple(breaks), tuple(symbols), t0)
+    codes, ends = _semi_markov_lockstep(spec, horizon, 1, _as_rng(seed_or_rng))
+    codes, ends = codes[0], ends[0]
+    t0 = float(ends[0])
+    breaks = (t0 - spec.u(spec.states[codes[0]]),) + tuple(ends)
+    return RealizationPath(breaks, tuple(spec.states[c] for c in codes), t0)

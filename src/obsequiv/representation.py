@@ -15,9 +15,15 @@ from .processes import (
     ProcessError,
     RealizationPath,
     SemiMarkovSpec,
+    _chain_tables,
+    _draw,
+    as_grid,
     block_embedding,
+    chain_codes,
     sample_chain,
+    sample_in_chunks,
     sample_semi_markov,
+    semi_markov_codes,
 )
 from .systems import RoofFunction, SuspensionFlow
 
@@ -74,11 +80,24 @@ class ShiftRepresentation:
     def observe(r: RealizationPath):
         return observe_at_zero(r)
 
+    def sample_codes(self, grid, n, seed):
+        """Alphabet indices (n, len(grid)) of n realizations read on the grid.
+
+        Reading the t-shifted realization at time zero is reading the
+        realization at time t, so the shift is applied to the whole grid at
+        once by the process kernel.
+        """
+        return sample_in_chunks(lambda m, rng: self._codes(grid, m, rng), n, seed)
+
     def sample_path(self, grid, rng):
         """Symbols Phi_0(T_t(r)) for t in grid, for one sampled realization."""
-        horizon = max(grid) + 1.0
-        r = self.sample_realization(horizon, rng)
-        return tuple(self.observe(self.shift(r, t)) for t in grid)
+        return tuple(self.alphabet[c] for c in self._codes(grid, 1, rng)[0])
+
+    def _codes(self, grid, n, rng):
+        """State indices (n, len(grid)) from the process kernel of the spec."""
+        if isinstance(self.spec, SemiMarkovSpec):
+            return semi_markov_codes(self.spec, grid, n, rng)
+        return chain_codes(self.spec, grid, n, rng)
 
 
 def shift_representation(spec) -> ShiftRepresentation:
@@ -157,21 +176,55 @@ class SemiMarkovFlowRep(SuspensionFlow):
 
         roof = RoofFunction({b: block_holding(b) for b in blocks.states})
         super().__init__(base, roof, label=base.label)
+        self._roofs = np.array([roof(b) for b in blocks.states])
 
     @property
     def alphabet(self):
         return tuple(self.base.chain.states)
 
+    def sample_codes(self, grid, n, seed):
+        """Alphabet indices (n, len(grid)) of n flow trajectories on the grid."""
+        grid = as_grid(grid)
+        return sample_in_chunks(lambda m, rng: self._codes(grid, m, rng), n, seed)
+
     def sample_path(self, grid, rng):
         """Delta-observed symbols along one flow trajectory."""
-        state = self.sample_initial(rng)
-        out = []
+        return tuple(self.alphabet[c] for c in self._codes(as_grid(grid), 1, rng)[0])
+
+    def _codes(self, grid, n, rng):
+        """Block indices (n, len(grid)) of n flow trajectories, evolved in
+        lockstep as (block, height) arrays.
+
+        The initial point is drawn from the invariant measure: a block from
+        the block chain's stationary law, kept with probability roof/max
+        roof (length bias by rejection), then a height uniform under its
+        roof.  Along the grid the height rises at unit rate; each time it
+        reaches the roof it drops by the roof and the base shifts one block
+        forward, a step of the block chain.
+        """
+        start, cum = _chain_tables(self.base.chain)
+        roof = self._roofs
+        block = np.empty(n, dtype=np.intp)
+        todo = np.arange(n)
+        while todo.size:
+            proposed = _draw(start, rng.random(todo.size))
+            keep = rng.random(todo.size) * roof.max() < roof[proposed]
+            block[todo[keep]] = proposed[keep]
+            todo = todo[~keep]
+        height = rng.random(n) * roof[block]
+        out = np.empty((n, len(grid)), dtype=np.intp)
         t_now = 0.0
-        for t in grid:
-            state = self.evolve(state, t - t_now)
+        for j, t in enumerate(grid):
+            height += t - t_now
             t_now = t
-            out.append(self.observe(state))
-        return tuple(out)
+            while True:
+                up = np.flatnonzero(height >= roof[block])
+                if not up.size:
+                    break
+                height[up] -= roof[block[up]]
+                block[up] = _draw(cum[block[up]], rng.random(up.size))
+            out[:, j] = block
+        return out
 
 
 def semi_markov_flow_representation(spec: SemiMarkovSpec) -> SemiMarkovFlowRep:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, entropy as entropy_mod
-from .checks import CheckReport, ObservedSystemSource, ProcessSource
+from .checks import CheckReport, ObservedSystemSource
 from .fdd import estimate_fdd
 from .partitions import (
     Box,
@@ -23,9 +23,9 @@ from .partitions import (
     interval_partition,
     observation_from_partition,
 )
-from .processes import HoldingTime, MarkovChainSpec, SemiMarkovSpec
+from .processes import HoldingTime, MarkovChainSpec, ProcessError, SemiMarkovSpec
 from .representation import SemiMarkovFlowRep, ShiftRepresentation
-from .systems import baker_system, billiard_system, rotation_system, spawn_rngs
+from .systems import baker_system, billiard_system, rotation_system
 
 __all__ = ["ScenarioError", "Scenario", "run_scenario"]
 
@@ -147,17 +147,15 @@ class Scenario:
             rep = cfg.get("representation")
             if rep == "flow":
                 return SemiMarkovFlowRep(spec)
-            if rep == "shift":
+            if rep in ("shift", None):
                 return ShiftRepresentation(spec)
-            if rep is None:
-                return ProcessSource(spec)
             raise ScenarioError(f"{where}: unknown representation {rep!r}")
         if "system" in cfg:
+            if "observation" not in cfg:
+                raise ScenarioError(f"{where}: observation required")
             return ObservedSystemSource(
                 self._system(cfg["system"], where),
-                self._observation(cfg["observation"], where)
-                if "observation" in cfg
-                else _raise(ScenarioError(f"{where}: observation required")),
+                self._observation(cfg["observation"], where),
             )
         raise ScenarioError(f"{where}: side needs 'system'+'observation' or 'process'")
 
@@ -177,10 +175,6 @@ class Scenario:
         return self.processes[name]
 
 
-def _raise(exc):
-    raise exc
-
-
 # ---------------------------------------------------------------------------
 # task execution
 
@@ -194,9 +188,7 @@ def _run_task(scn: Scenario, idx, task):
     if kind == "simulate":
         src = scn.source(task, where)
         grid = _require(task, "grid", where)
-        paths = [
-            tuple(src.sample_path(grid, rng)) for rng in spawn_rngs(seed, n)
-        ]
+        paths = checks._sample_paths(src, grid, n, seed)
         fdd = estimate_fdd(paths, grid)
         return {"kind": kind, "fdd": fdd.to_json_obj()}, fdd.to_csv(), True
 
@@ -206,7 +198,7 @@ def _run_task(scn: Scenario, idx, task):
         length = int(task.get("length", 10_000))
         n_seq = int(task.get("sequences", 1))
         grid = [i * step for i in range(length)]
-        seqs = [src.sample_path(grid, rng) for rng in spawn_rngs(seed, n_seq)]
+        seqs = checks._sample_paths(src, grid, n_seq, seed)
         trend = entropy_mod.entropy_rate(seqs, int(_require(task, "L_max", where)))
         obj = {
             "kind": kind,
@@ -321,7 +313,10 @@ def run_scenario(path, out_dir="out", seed=None, jobs=1, fmt="json") -> int:
         target.mkdir(parents=True, exist_ok=True)
         all_ok = True
         for idx, task in enumerate(scn.tasks):
-            obj, csv_text, ok = _run_task(scn, idx, task)
+            try:
+                obj, csv_text, ok = _run_task(scn, idx, task)
+            except ProcessError as exc:  # e.g. a time grid the samplers reject
+                raise ScenarioError(f"tasks[{idx}]: {exc}") from exc
             all_ok = all_ok and ok
             kind = task.get("kind", "task").replace(":", "_")
             base = target / f"{idx}-{kind}"

@@ -110,6 +110,23 @@ def test_measure_preservation_rotation_passes():
     assert rep.passed
 
 
+def test_measure_preservation_false_fail_rate_is_nominal():
+    """Correct system, 6 (set, time) pairs, 200 seeds at small n.
+
+    The family-wise level is THREE_SIGMA_ALPHA (0.27%, so about 0.5 expected
+    false fails); per-pair uncorrected 3-sigma tests failed 5 of these 200.
+    """
+    sets = [("left", lambda c: c[0] < 0.5, 0.5), ("tenth", lambda c: c[0] < 0.1, 0.1)]
+    rot = rotation_system(math.sqrt(2) - 1)
+    reports = [
+        check_measure_preservation(rot, sets, [0.5, 1.7, 3.1], 200, seed)
+        for seed in range(200)
+    ]
+    assert reports[0].tolerances["k"] == 6
+    assert reports[0].tolerances["z"] == pytest.approx(3.5089, abs=1e-4)
+    assert sum(r.verdict == "fail" for r in reports) <= 3
+
+
 def test_measure_preservation_contraction_fails(contraction_map):
     sets = [("left", lambda c: c[0] < 0.5, 0.5)]
     rep = check_measure_preservation(contraction_map, sets, [2.0], 4000, 31)

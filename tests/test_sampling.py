@@ -1,0 +1,206 @@
+"""Lockstep sampling kernels: determinism, chunk layout, laws, and the
+flow kernel against the scalar flow evolution."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from obsequiv import checks
+from obsequiv.checks import _sample_paths, check_observational_equivalence
+from obsequiv.fdd import compare_fdd, estimate_fdd
+from obsequiv.processes import (
+    CHUNK,
+    HoldingTime,
+    MarkovChainSpec,
+    ProcessError,
+    RealizationPath,
+    SemiMarkovSpec,
+    sample_chain,
+    sample_semi_markov,
+)
+from obsequiv.representation import SemiMarkovFlowRep, ShiftRepresentation
+from obsequiv.systems import spawn_rngs
+
+P2 = np.array([[0.5, 0.5], [0.75, 0.25]])
+ORDER2_TABLE = np.array([[0.9, 0.1], [0.3, 0.7], [0.6, 0.4], [0.2, 0.8]])  # aa ab ba bb
+
+
+def _order2_chain():
+    return MarkovChainSpec(("a", "b"), ORDER2_TABLE, order=2)
+
+
+def _order2_semi_markov():
+    return SemiMarkovSpec(
+        _order2_chain(), {"a": HoldingTime(Fraction(1)), "b": HoldingTime(Fraction(1), 2)}
+    )
+
+
+def _sources(fair_semi_markov):
+    return [
+        ShiftRepresentation(fair_semi_markov),
+        ShiftRepresentation(MarkovChainSpec(("a", "b"), P2)),
+        SemiMarkovFlowRep(fair_semi_markov),
+    ]
+
+
+def test_same_grid_n_seed_gives_identical_codes(fair_semi_markov):
+    grid = (0.0, 0.7, 1.9, 3.0)
+    for src in _sources(fair_semi_markov):
+        a = src.sample_codes(grid, 3000, 17)
+        b = src.sample_codes(grid, 3000, 17)
+        assert a.shape == (3000, len(grid))
+        assert np.array_equal(a, b)
+        assert a.min() >= 0 and a.max() < len(src.alphabet)
+        # a SeedSequence seed is read, not consumed
+        ss = np.random.SeedSequence(17)
+        assert np.array_equal(src.sample_codes(grid, 50, ss), src.sample_codes(grid, 50, ss))
+
+
+def test_first_chunk_does_not_depend_on_later_chunks(fair_semi_markov):
+    grid = (0.0, 1.1)
+    for src in _sources(fair_semi_markov):
+        one = src.sample_codes(grid, CHUNK, 5)
+        two = src.sample_codes(grid, 2 * CHUNK, 5)
+        assert np.array_equal(two[:CHUNK], one)
+        assert not np.array_equal(two[CHUNK:], one)
+
+
+def test_scalar_sample_path_is_the_one_path_kernel(fair_semi_markov):
+    grid = (0.0, 0.5, 1.3, 4.0)
+    child = np.random.SeedSequence(23, spawn_key=(0,))
+    for src in _sources(fair_semi_markov):
+        row = src.sample_codes(grid, 1, 23)[0]
+        path = src.sample_path(grid, np.random.default_rng(child))
+        assert path == tuple(src.alphabet[c] for c in row)
+
+
+def _reference_semi_markov(spec, horizon, rng):
+    """Per-path sampler with Generator.choice, one draw per decision."""
+    chain = spec.chain
+    ctxs = chain.contexts()
+    weights = chain.validate().stationary * np.array([spec.u(c[-1]) for c in ctxs])
+    ctx = ctxs[rng.choice(len(ctxs), p=weights / weights.sum())]
+    t = spec.u(ctx[-1]) * (1.0 - rng.random())
+    breaks, symbols = [t - spec.u(ctx[-1]), t], [ctx[-1]]
+    while t <= horizon:
+        row = chain.table[chain.context_index(ctx)]
+        s = chain.states[rng.choice(chain.n_states, p=row)]
+        ctx = ctx[1:] + (s,)
+        t += spec.u(s)
+        breaks.append(t)
+        symbols.append(s)
+    return tuple(breaks), tuple(symbols)
+
+
+def test_one_path_kernels_match_per_path_reference(fair_semi_markov):
+    """For one path the kernels consume the generator as a per-path
+    sampler drawing each decision with Generator.choice does."""
+    for spec in (fair_semi_markov, _order2_semi_markov()):
+        for seed in range(5):
+            r = sample_semi_markov(spec, 12.0, np.random.default_rng(seed))
+            breaks, symbols = _reference_semi_markov(spec, 12.0, np.random.default_rng(seed))
+            assert r.symbols == symbols
+            assert r.breaks == pytest.approx(breaks, abs=1e-12)
+    spec = _order2_chain()
+    rng = np.random.default_rng(9)
+    ctx = spec.contexts()[rng.choice(4, p=spec.validate().stationary)]
+    path = list(ctx)
+    for _ in range(40):
+        s = spec.states[rng.choice(2, p=spec.table[spec.context_index(tuple(path[-2:]))])]
+        path.append(s)
+    assert sample_chain(spec, 42, np.random.default_rng(9)) == tuple(path)
+
+
+def test_order2_semi_markov_time0_marginal():
+    spec = _order2_semi_markov()
+    n = 40_000
+    codes = ShiftRepresentation(spec).sample_codes((0.0, 2.5), n, 31)
+    target = spec.time_weighted_marginal()
+    for col in codes.T:
+        for i, s in enumerate(spec.states):
+            p = target[s]
+            assert abs(np.mean(col == i) - p) <= 3 * math.sqrt(p * (1 - p) / n)
+
+
+def test_order2_chain_marginal_at_every_time():
+    spec = _order2_chain()
+    n = 40_000
+    codes = ShiftRepresentation(spec).sample_codes((0.0, 1.0, 5.0), n, 37)
+    marginal = spec.validate().marginal
+    for col in codes.T:
+        for i, s in enumerate(spec.states):
+            p = marginal[s]
+            assert abs(np.mean(col == i) - p) <= 3 * math.sqrt(p * (1 - p) / n)
+
+
+def test_chain_kernel_never_takes_a_zero_probability_step():
+    spec = MarkovChainSpec(("a", "b"), np.array([[0.0, 1.0], [0.5, 0.5]]))
+    codes = ShiftRepresentation(spec).sample_codes(np.arange(12.0), 5000, 3)
+    assert not np.any((codes[:, :-1] == 0) & (codes[:, 1:] == 0))
+
+
+def _scalar_flow_paths(flow, grid, n, seed):
+    """Reference: one scalar SuspensionFlow trajectory per generator."""
+    paths = []
+    for rng in spawn_rngs(seed, n):
+        state = flow.sample_initial(rng)
+        t_now, row = 0.0, []
+        for t in grid:
+            state = flow.evolve(state, t - t_now)
+            t_now = t
+            row.append(flow.observe(state))
+        paths.append(tuple(row))
+    return paths
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_flow_kernel_matches_scalar_flow_evolution(fair_semi_markov, order):
+    spec = fair_semi_markov if order == 1 else _order2_semi_markov()
+    flow = SemiMarkovFlowRep(spec)
+    grid = (0.0, 0.4, 1.1, 2.3)
+    n = 6000
+    batch = _sample_paths(flow, grid, n, 41)
+    scalar = _scalar_flow_paths(flow, grid, n, 43)
+    batch_symbols = {s for p in batch for s in p}
+    assert batch_symbols == {s for p in scalar for s in p}
+    assert batch_symbols <= set(flow.alphabet)
+    if order == 2:
+        assert all(isinstance(s, tuple) and len(s) == 2 for s in batch_symbols)
+    events = sorted(set(batch) | set(scalar))
+    cmp = compare_fdd(estimate_fdd(batch, grid, events), estimate_fdd(scalar, grid, events))
+    assert cmp.passed, cmp.witnesses()
+
+
+def test_kernels_reject_bad_grids(fair_semi_markov):
+    for src in _sources(fair_semi_markov):
+        for grid in ((), (1.0, 0.5), (-0.5, 1.0)):
+            with pytest.raises(ProcessError):
+                src.sample_codes(grid, 10, 1)
+        with pytest.raises(ProcessError):
+            src.sample_codes((0.0,), 0, 1)
+
+
+def test_process_checks_spawn_no_generators_and_read_no_paths(monkeypatch, fair_semi_markov):
+    calls = {"spawn_rngs": 0, "value": 0}
+    spawn, value = checks.spawn_rngs, RealizationPath.value
+
+    def counted_spawn(seed, n):
+        calls["spawn_rngs"] += 1
+        return spawn(seed, n)
+
+    def counted_value(self, t):
+        calls["value"] += 1
+        return value(self, t)
+
+    monkeypatch.setattr(checks, "spawn_rngs", counted_spawn)
+    monkeypatch.setattr(RealizationPath, "value", counted_value)
+    chain = MarkovChainSpec(("a", "b"), P2)
+    grids = [(0.0,), (0.4, 1.1, 2.3)]
+    flow = check_observational_equivalence(
+        fair_semi_markov, SemiMarkovFlowRep(fair_semi_markov), grids, 2000, 3
+    )
+    shift = check_observational_equivalence(chain, ShiftRepresentation(chain), grids, 2000, 5)
+    assert flow.passed and shift.passed
+    assert calls == {"spawn_rngs": 0, "value": 0}

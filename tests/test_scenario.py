@@ -97,6 +97,12 @@ def test_undefined_reference_exit_two(tmp_path):
     assert run_scenario(_write(tmp_path, "ref.json", doc), out_dir=tmp_path / "o") == 2
 
 
+def test_unsorted_process_grid_exit_two(tmp_path, capsys):
+    doc = dict(PASSING, tasks=[{"kind": "simulate", "process": "p", "grid": [1.0, 0.0]}])
+    assert run_scenario(_write(tmp_path, "unsorted.json", doc), out_dir=tmp_path / "o") == 2
+    assert "tasks[0]" in capsys.readouterr().out
+
+
 def test_determinism_byte_identical_json(tmp_path):
     scn = _write(tmp_path, "det.json", PASSING)
     run_scenario(scn, out_dir=tmp_path / "a")
