@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .scenario import run_scenario
@@ -18,19 +17,13 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="out", help="output directory (default: out)")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get("OBSEQUIV_JOBS", "1")),
-        help="ensemble parallelism (default: OBSEQUIV_JOBS or 1)",
-    )
-    parser.add_argument(
         "--format",
         choices=["json", "csv", "both"],
         default="json",
         help="report format (default: json)",
     )
     args = parser.parse_args(argv)
-    return run_scenario(args.scenario, args.out, args.seed, args.jobs, args.format)
+    return run_scenario(args.scenario, args.out, args.seed, args.format)
 
 
 if __name__ == "__main__":

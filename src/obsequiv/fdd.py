@@ -10,9 +10,9 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 __all__ = [
     "SymbolPath",
@@ -22,10 +22,16 @@ __all__ = [
     "compare_fdd",
     "conditional_estimate",
     "THREE_SIGMA_ALPHA",
+    "bonferroni_z",
 ]
 
 # two-sided tail mass of a 3-sigma normal interval
-THREE_SIGMA_ALPHA = 2.0 * norm.sf(3.0)
+THREE_SIGMA_ALPHA = math.erfc(3.0 / math.sqrt(2.0))
+
+
+def bonferroni_z(k):
+    """Two-sided normal quantile splitting THREE_SIGMA_ALPHA over k tests."""
+    return -NormalDist().inv_cdf(THREE_SIGMA_ALPHA / (2.0 * k))
 
 
 class FDDError(ValueError):
@@ -197,7 +203,7 @@ def compare_fdd(a: EmpiricalFDD, b: EmpiricalFDD, label="fdd") -> "FDDComparison
     if a.events != b.events:
         raise FDDError("mismatched event sets")
     k = max(len(a.events), 1)
-    z = float(norm.isf(THREE_SIGMA_ALPHA / (2.0 * k)))
+    z = bonferroni_z(k)
     items = []
     ok = True
     pa, pb = a.estimates, b.estimates

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-import networkx as nx
 import numpy as np
 
 __all__ = [
@@ -176,16 +175,16 @@ class MarkovDiagnostics:
 
 
 def _block_matrix(spec: MarkovChainSpec):
-    """Order-1 transition matrix of the context (n-block) chain."""
+    """Order-1 transition matrix of the context (n-block) chain.
+
+    Contexts are numbered lexicographically, so after context i and state s
+    comes context i*k mod m + s.
+    """
     ctxs = spec.contexts()
-    k = spec.n_states
-    m = len(ctxs)
+    k, m = spec.n_states, len(ctxs)
     P = np.zeros((m, m))
-    for i, ctx in enumerate(ctxs):
-        row = spec.table[spec.context_index(ctx)]
-        for j, s in enumerate(spec.states):
-            nxt = ctx[1:] + (s,) if spec.order > 1 else (s,)
-            P[i, ctxs.index(nxt)] += row[j]
+    rows = np.arange(m)[:, None]
+    P[rows, rows * k % m + np.arange(k)] = spec.table
     return ctxs, P
 
 
@@ -214,37 +213,49 @@ def validate_markov_spec(spec_or_matrix, order=1, states=None) -> MarkovDiagnost
         spec_or_matrix = MarkovChainSpec(states, table, order)
     spec = spec_or_matrix
     ctxs, P = _block_matrix(spec)
-    g = nx.DiGraph()
-    g.add_nodes_from(range(len(ctxs)))
-    rows, cols = np.nonzero(P > 0)
-    g.add_edges_from(zip(rows.tolist(), cols.tolist()))
-    attracting = list(nx.attracting_components(g))
-    irreducible = len(attracting) == 1
+    succ = [np.flatnonzero(row).tolist() for row in P > 0]
+    pred = [np.flatnonzero(col).tolist() for col in P.T > 0]
+    # sweep of backward searches, each from the next unseen state: the last
+    # start r cannot reach any state outside its own class, so that class
+    # is closed, and it is the only one iff every state reaches r
+    seen = [-1] * len(ctxs)
+    for u in range(len(ctxs)):
+        if seen[u] < 0:
+            r = u
+            _bfs(pred, r, seen)
+    irreducible = min(_bfs(pred, r, [-1] * len(ctxs))) >= 0
+    pi = np.zeros(len(ctxs))
     if irreducible:
-        recurrent = sorted(attracting[0])
-        sub = g.subgraph(recurrent)
-        aperiodic = nx.is_aperiodic(sub)
-        period = 1 if aperiodic else _period(sub)
-        pi_rec = _stationary_of(P[np.ix_(recurrent, recurrent)])
-        pi = np.zeros(len(ctxs))
-        pi[recurrent] = pi_rec
+        depth = _bfs(succ, r, [-1] * len(ctxs))  # reaches exactly r's class
+        recurrent = [u for u, d in enumerate(depth) if d >= 0]
+        period = 0  # gcd of the level differences along the class's edges
+        for u in recurrent:
+            for v in succ[u]:
+                period = math.gcd(period, depth[u] + 1 - depth[v])
+        aperiodic = period == 1
+        pi[recurrent] = _stationary_of(P[np.ix_(recurrent, recurrent)])
     else:
         aperiodic, period = False, 0
-        pi = np.zeros(len(ctxs))
     marginal = {s: 0.0 for s in spec.states}
     for ctx, p in zip(ctxs, pi):
         marginal[ctx[-1]] += float(p)
     return MarkovDiagnostics(irreducible, aperiodic, period, pi, marginal)
 
 
-def _period(g):
-    cycles = nx.simple_cycles(g)
-    d = 0
-    for cyc in cycles:
-        d = math.gcd(d, len(cyc))
-        if d == 1:
-            break
-    return d
+def _bfs(adj, root, depth):
+    """Breadth-first search from root through the states of depth -1,
+    setting the depth of each state it reaches; returns depth."""
+    depth[root] = 0
+    level = [root]
+    while level:
+        nxt = []
+        for u in level:
+            for v in adj[u]:
+                if depth[v] < 0:
+                    depth[v] = depth[u] + 1
+                    nxt.append(v)
+        level = nxt
+    return depth
 
 
 def block_embedding(spec: MarkovChainSpec) -> MarkovChainSpec:

@@ -298,7 +298,7 @@ def _run_check(scn, what, task, where, seed, n) -> CheckReport:
     raise ScenarioError(f"{where}: unknown check kind {what!r}")
 
 
-def run_scenario(path, out_dir="out", seed=None, jobs=1, fmt="json") -> int:
+def run_scenario(path, out_dir="out", seed=None, fmt="json") -> int:
     """Execute a scenario file; returns the process exit code.
 
     0: all checks passed; 1: at least one check failed; 2: configuration

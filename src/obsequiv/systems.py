@@ -182,19 +182,8 @@ class BilliardFlow:
                 x += vx * remaining
                 y += vy * remaining
                 break
-            x += vx * t_hit
-            y += vy * t_hit
+            x, y, vx, vy = _bounce(x, y, vx, vy, t_hit, kind, data)
             remaining -= t_hit
-            if kind == "vx":
-                vx = -vx
-            elif kind == "vy":
-                vy = -vy
-            else:
-                (cx, cy), r = data
-                nx, ny = (x - cx) / r, (y - cy) / r
-                dot = vx * nx + vy * ny
-                vx -= 2 * dot * nx
-                vy -= 2 * dot * ny
             events += 1
             if events > MAX_EVENTS:
                 raise SystemError("event cap exceeded in one evolve call")
@@ -214,18 +203,7 @@ class BilliardFlow:
             t_hit, kind, data = self._next_event(x, y, vx, vy)
             if not math.isfinite(t_hit):
                 raise SystemError("no further events from this state")
-            x += vx * t_hit
-            y += vy * t_hit
-            if kind == "vx":
-                vx = -vx
-            elif kind == "vy":
-                vy = -vy
-            else:
-                (cx, cy), r = data
-                nx, ny = (x - cx) / r, (y - cy) / r
-                dot = vx * nx + vy * ny
-                vx -= 2 * dot * nx
-                vy -= 2 * dot * ny
+            x, y, vx, vy = _bounce(x, y, vx, vy, t_hit, kind, data)
             drift = max(drift, abs(math.hypot(vx, vy) - self.speed))
         return drift
 
@@ -236,6 +214,24 @@ class BilliardFlow:
         dth = abs(a.theta - b.theta) % (2 * math.pi)
         dth = min(dth, 2 * math.pi - dth)
         return math.hypot(a.x - b.x, a.y - b.y) + self._diag * dth
+
+
+def _bounce(x, y, vx, vy, t_hit, kind, data):
+    """Advance (x, y) by t_hit to the event found by _next_event and
+    reflect the velocity there."""
+    x += vx * t_hit
+    y += vy * t_hit
+    if kind == "vx":
+        vx = -vx
+    elif kind == "vy":
+        vy = -vy
+    else:
+        (cx, cy), r = data
+        nx, ny = (x - cx) / r, (y - cy) / r
+        dot = vx * nx + vy * ny
+        vx -= 2 * dot * nx
+        vy -= 2 * dot * ny
+    return x, y, vx, vy
 
 
 def billiard_system(width, height, obstacles, speed) -> BilliardFlow:

@@ -2,12 +2,14 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from obsequiv.checks import (
     CheckError,
+    _union_violations,
     check_epsilon_congruence,
     check_invariant_union,
     check_measure_preservation,
@@ -148,6 +150,41 @@ def test_invariant_union_found_for_identity():
     rep = check_invariant_union(rotation_system(1.0), part, 1.0, 4000, 41)
     assert rep.verdict == "fail"
     assert rep.items[0]["violation_measure"] == 0.0
+
+
+def test_union_violations_match_pairwise_count():
+    rng = np.random.default_rng(5)
+    for k in range(1, 8):
+        joint = rng.integers(0, 30, size=(k, k))
+        viol = _union_violations(joint)
+        assert len(viol) == 2**k
+        for mask in range(2**k):
+            inside = [mask >> i & 1 for i in range(k)]
+            assert viol[mask] == sum(
+                joint[i, j] for i in range(k) for j in range(k) if inside[i] != inside[j]
+            )
+
+
+def test_invariant_union_witnesses_ordered_by_violation_then_mask():
+    part = interval_partition([0.0, 0.25, 0.5, 0.75, 1.0], ["a", "b", "c", "d"])
+    rep = check_invariant_union(rotation_system(1.0), part, 1.0, 400, 41)
+    assert [it["cells"] for it in rep.items] == [
+        ["a"], ["b"], ["a", "b"], ["c"], ["a", "c"], ["b", "c"], ["a", "b", "c"], ["d"]
+    ]
+    rep = check_invariant_union(rotation_system(0.1), part, 1.0, 2000, 43, tol=1.01)
+    viol = [it["violation_measure"] for it in rep.items]
+    assert len(viol) == 8 and viol == sorted(viol) and viol[0] < viol[-1]
+
+
+def test_invariant_union_twenty_cells_is_fast():
+    # rotation by one cell per step: no union but the empty and full ones
+    # is invariant; the old double pure-Python mask loop took minutes
+    part = interval_partition([i / 20 for i in range(21)], [f"c{i}" for i in range(20)])
+    t0 = time.perf_counter()
+    rep = check_invariant_union(rotation_system(0.05), part, 1.0, 400, 3)
+    assert time.perf_counter() - t0 < 5.0
+    assert rep.passed
+    assert rep.items[0]["min_violation"] > 0.01
 
 
 def test_invariant_union_rejects_huge_partitions():

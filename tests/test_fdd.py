@@ -1,6 +1,10 @@
 """Empirical finite-dimensional distributions and 3-sigma comparison."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+import obsequiv
 from obsequiv.fdd import (
     THREE_SIGMA_ALPHA,
     EmpiricalFDD,
     FDDError,
     ProbEstimate,
     SymbolPath,
+    bonferroni_z,
     compare_fdd,
     conditional_estimate,
     estimate_fdd,
@@ -24,6 +30,26 @@ def test_three_sigma_alpha_matches_normal_tail():
     assert THREE_SIGMA_ALPHA == pytest.approx(2.0 * norm.sf(3.0))
     # single-entry comparison reduces to plain 3-sigma
     assert float(norm.isf(THREE_SIGMA_ALPHA / 2.0)) == pytest.approx(3.0)
+
+
+def test_bonferroni_z_matches_scipy_quantile():
+    k = np.arange(1, 20_001)
+    ref = norm.isf(2.0 * norm.sf(3.0) / (2.0 * k))
+    z = np.array([bonferroni_z(int(i)) for i in k])
+    assert np.max(np.abs(z - ref) / ref) < 1e-14
+    assert bonferroni_z(1) == pytest.approx(3.0, rel=1e-14)
+
+
+def test_import_loads_neither_scipy_nor_networkx():
+    code = "import sys, obsequiv; print(*{m.split('.')[0] for m in sys.modules})"
+    src = str(Path(obsequiv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    loaded = set(out.split())
+    assert "obsequiv" in loaded and "numpy" in loaded
+    assert not loaded & {"scipy", "networkx"}
 
 
 def test_prob_estimate_wald_interval():

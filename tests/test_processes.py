@@ -1,6 +1,7 @@
 """Markov and semi-Markov specs, holding times, sampling."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -108,6 +109,87 @@ def test_periodic_chain_flagged():
     assert diag.irreducible
     assert not diag.aperiodic
     assert diag.period == 2
+
+
+def _reference_diagnostics(spec):
+    """(irreducible, period, recurrent contexts) of the context chain by
+    brute force: a boolean transitive closure and the gcd of return times."""
+    ctxs = spec.contexts()
+    m = len(ctxs)
+    step = np.zeros((m, m), dtype=bool)
+    for i, ctx in enumerate(ctxs):
+        for j, s in enumerate(spec.states):
+            if spec.table[i, j] > 0:
+                step[i, ctxs.index((ctx + (s,))[1:])] = True
+    reach = step | np.eye(m, dtype=bool)
+    for c in range(m):  # Warshall
+        reach |= reach[:, [c]] & reach[[c], :]
+    # a state is recurrent iff it is reached back from everything it reaches
+    recurrent = [i for i in range(m) if all(reach[j, i] for j in np.flatnonzero(reach[i]))]
+    closed = {tuple(np.flatnonzero(reach[i])) for i in recurrent}
+    if len(closed) != 1:
+        return False, 0, []
+    r = recurrent[0]
+    period, walk = 0, step.copy()
+    # for each cycle of the class, two closed walks from r of at most 3m
+    # steps differ by its length, so their gcd is the period
+    for length in range(1, 3 * m + 1):
+        if walk[r, r]:
+            period = math.gcd(period, length)
+        walk = (walk.astype(int) @ step.astype(int)) > 0
+    return True, period, recurrent
+
+
+def _random_chain(rng):
+    """A random chain spec: order 1 with 1-8 states or order 2 with 1-3,
+    sparse (often reducible) or with its states split into cyclic classes
+    that each move only to the next class (periodic when irreducible)."""
+    order = int(rng.integers(1, 3))
+    k = int(rng.integers(1, 9 if order == 1 else 4))
+    m = k**order
+    table = rng.random((m, k)) * (rng.random((m, k)) < rng.choice([0.2, 0.5, 1.0]))
+    if rng.random() < 0.4:
+        classes = rng.integers(0, int(rng.integers(1, k + 1)), size=k)
+        d = classes.max() + 1
+        for i in range(m):
+            table[i] = rng.random(k) * (classes == (classes[i % k] + 1) % d)
+    for i in range(m):
+        if table[i].sum() == 0:
+            table[i, rng.integers(0, k)] = 1.0
+    return MarkovChainSpec(tuple(f"x{i}" for i in range(k)), table / table.sum(1, keepdims=True), order)
+
+
+def test_validate_matches_brute_force_reference():
+    rng = np.random.default_rng(20_261_018)
+    seen = {"reducible": 0, "periodic": 0, "aperiodic": 0, "order2": 0, "transient": 0}
+    for _ in range(600):
+        spec = _random_chain(rng)
+        diag = validate_markov_spec(spec)
+        irreducible, period, recurrent = _reference_diagnostics(spec)
+        assert diag.irreducible == irreducible
+        assert diag.period == period
+        assert diag.aperiodic == (period == 1)
+        if irreducible:
+            # stationary mass exactly on the one closed class
+            assert np.flatnonzero(diag.stationary > 0).tolist() == recurrent
+            assert diag.stationary.sum() == pytest.approx(1.0)
+            seen["periodic" if period > 1 else "aperiodic"] += 1
+            seen["transient"] += len(recurrent) < len(spec.contexts())
+        else:
+            assert not diag.stationary.any()
+            seen["reducible"] += 1
+        seen["order2"] += spec.order == 2
+    assert min(seen.values()) >= 30, seen
+
+
+def test_period_of_complete_bipartite_chain_is_fast():
+    # K7,7: listing its simple cycles took about half a minute
+    P = np.zeros((14, 14))
+    P[:7, 7:] = P[7:, :7] = 1 / 7
+    t0 = time.perf_counter()
+    diag = validate_markov_spec(P)
+    assert time.perf_counter() - t0 < 0.5
+    assert diag.irreducible and not diag.aperiodic and diag.period == 2
 
 
 def test_validate_is_cached_on_spec():

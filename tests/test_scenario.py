@@ -188,11 +188,11 @@ def test_cli_main_runs_and_maps_exit_codes(tmp_path, monkeypatch):
     assert main([str(tmp_path / "missing.json")]) == 2
 
 
-def test_cli_jobs_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("OBSEQUIV_JOBS", "4")
-    scn = _write(tmp_path, "env.json", PASSING)
-    # env-provided parallelism must parse without affecting the verdict
-    assert main([str(scn), "--out", str(tmp_path / "o")]) == 0
+def test_cli_rejects_removed_jobs_flag(tmp_path):
+    scn = _write(tmp_path, "jobs.json", PASSING)
+    with pytest.raises(SystemExit) as exc:
+        main([str(scn), "--out", str(tmp_path / "o"), "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_cli_seed_override(tmp_path):
