@@ -29,6 +29,7 @@ from .systems import (
     baker_system,
     billiard_system,
     build_flow_under_function,
+    observe_trajectories,
     rotation_system,
     spawn_rngs,
     trajectory_symbols,

@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .fdd import ProbEstimate, bonferroni_z, compare_fdd, estimate_fdd
-from .systems import spawn_rngs, trajectory_symbols
+from .systems import observe_trajectories
 
 __all__ = [
     "CheckReport",
@@ -71,7 +71,8 @@ class CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# symbol sources: anything that yields symbols on a time grid
+# symbol sources: an alphabet and sample_codes(grid, n, seed), an int array
+# (n, len(grid)) indexing the alphabet
 
 
 class ObservedSystemSource:
@@ -83,16 +84,17 @@ class ObservedSystemSource:
 
     @property
     def alphabet(self):
-        if hasattr(self.obs, "alphabet"):
-            return tuple(self.obs.alphabet)
-        return tuple(self.system.alphabet)
+        return tuple(self.obs.alphabet)
 
-    def sample_path(self, grid, rng):
-        return trajectory_symbols(self.system, self.obs, grid, rng).symbols
+    def sample_codes(self, grid, n, seed):
+        code = {s: i for i, s in enumerate(self.alphabet)}
+        return observe_trajectories(
+            self.system, lambda m: code[self.obs(self.system.coords(m))], grid, n, seed
+        )
 
 
 def _as_source(side):
-    if hasattr(side, "sample_path") and hasattr(side, "alphabet"):
+    if hasattr(side, "sample_codes") and hasattr(side, "alphabet"):
         return side
     if isinstance(side, tuple) and len(side) == 2:
         return ObservedSystemSource(*side)
@@ -105,18 +107,17 @@ def _as_source(side):
 
 
 def _sample_paths(source, grid, n, seed):
-    """n symbol tuples of the source on the grid.
+    """n symbol tuples of the source on the grid."""
+    symbols = np.empty(len(source.alphabet), dtype=object)
+    for i, s in enumerate(source.alphabet):  # elements may be tuples
+        symbols[i] = s
+    return list(map(tuple, symbols[source.sample_codes(grid, n, seed)].tolist()))
 
-    A source with a batch kernel (sample_codes) draws all paths at once;
-    any other source draws one path per generator from spawn_rngs.
-    """
-    if hasattr(source, "sample_codes"):
-        symbols = np.empty(len(source.alphabet), dtype=object)
-        for i, s in enumerate(source.alphabet):  # elements may be tuples
-            symbols[i] = s
-        return list(map(tuple, symbols[source.sample_codes(grid, n, seed)].tolist()))
-    rngs = spawn_rngs(seed, n)
-    return [tuple(source.sample_path(grid, rng)) for rng in rngs]
+
+def _require_items(**families):
+    for name, items in families.items():
+        if len(items) == 0:
+            raise CheckError(f"{name} must be nonempty")
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +127,7 @@ def _sample_paths(source, grid, n, seed):
 def check_observational_equivalence(side_a, side_b, grids, n, seed) -> CheckReport:
     """Same outcome set and matching finite-dimensional distributions."""
     a, b = _as_source(side_a), _as_source(side_b)
+    _require_items(grids=grids)
     report = CheckReport("observational_equivalence", "pass", seed=seed, n_samples=n)
     report.tolerances = {"policy": "3sigma Wald, Bonferroni over entries"}
     if set(a.alphabet) != set(b.alphabet):
@@ -163,27 +165,27 @@ def check_nontriviality(system, obs, lags, n, seed) -> CheckReport:
     """
     if hasattr(obs, "nontrivial") and not obs.nontrivial:
         raise CheckError("trivial observation function rejected")
+    _require_items(lags=lags)
     if any(k <= 0 for k in lags):
         raise CheckError("lags must be positive")
     source = ObservedSystemSource(system, obs)
     alphabet = source.alphabet
+    a = len(alphabet)
     report = CheckReport("nontriviality", "pass", seed=seed, n_samples=n)
     report.tolerances = {"interval": "3sigma Wald strictly inside (0,1)"}
     report.notes.append("finite lag sample; not a proof over all lags")
     seeds = np.random.SeedSequence(seed).spawn(len(lags))
     for li, k in enumerate(lags):
-        paths = _sample_paths(source, (0.0, float(k)), n, seeds[li])
+        codes = source.sample_codes((0.0, float(k)), n, seeds[li])
+        pairs = np.bincount(codes[:, 0] * a + codes[:, 1], minlength=a * a).reshape(a, a)
+        den = pairs.sum(axis=1).tolist()
         witness = None
-        tried = 0
-        for oi, oj in product(alphabet, repeat=2):
-            den = sum(1 for p in paths if p[0] == oi)
-            if den == 0:
+        for i, j in product(range(a), repeat=2):
+            if den[i] == 0:
                 continue
-            tried += 1
-            num = sum(1 for p in paths if p[0] == oi and p[1] == oj)
-            est = ProbEstimate.from_counts(num, den)
+            est = ProbEstimate.from_counts(int(pairs[i, j]), den[i])
             if est.strictly_inside_unit():
-                witness = (oi, oj, est)
+                witness = (alphabet[i], alphabet[j], est)
                 break
         item = {"label": f"lag={k}", "lag": float(k), "pass": witness is not None}
         if witness is not None:
@@ -201,15 +203,14 @@ def check_nontriviality(system, obs, lags, n, seed) -> CheckReport:
             item["reason"] = "all conditional estimates consistent with {0,1}"
         report.items.append(item)
         if witness is None:
-            report.verdict = "inconclusive" if tried == 0 else "fail"
+            report.verdict = "fail"
     return report
 
 
 def check_stationarity(source, grid, shifts, n, seed) -> CheckReport:
     """FDD on the grid vs FDD on the grid shifted by h, for each shift."""
     source = _as_source(source)
-    if not grid:
-        raise CheckError("grid must be nonempty")
+    _require_items(grid=grid, shifts=shifts)
     grid = tuple(float(t) for t in grid)
     report = CheckReport("stationarity", "pass", seed=seed, n_samples=n)
     report.tolerances = {"policy": "3sigma Wald, Bonferroni over entries"}
@@ -237,8 +238,9 @@ def check_measure_preservation(system, test_sets, times, n, seed) -> CheckReport
     errors of mu(A), the standard error taken under the null,
     sqrt(mu(A)(1 - mu(A))/n).
     """
+    _require_items(test_sets=test_sets, times=times)
     times = sorted(float(t) for t in times)
-    k = max(len(test_sets) * len(times), 1)
+    k = len(test_sets) * len(times)
     z = bonferroni_z(k)
     report = CheckReport("measure_preservation", "pass", seed=seed, n_samples=n)
     report.tolerances = {
@@ -246,22 +248,12 @@ def check_measure_preservation(system, test_sets, times, n, seed) -> CheckReport
         "k": k,
         "z": z,
     }
-    rngs = spawn_rngs(seed, n)
-    hits = {(label, t): 0 for label, _, _ in test_sets for t in times}
-    for rng in rngs:
-        state = system.sample_initial(rng)
-        t_now = 0.0
-        for t in times:
-            state = system.evolve(state, t - t_now)
-            t_now = t
-            c = system.coords(state)
-            for label, member, _ in test_sets:
-                if member(c):
-                    hits[(label, t)] += 1
-    for label, _, mu_a in test_sets:
+    inside = lambda m: [bool(member(system.coords(m))) for _, member, _ in test_sets]
+    hits = observe_trajectories(system, inside, times, n, seed).sum(axis=0).tolist()
+    for si, (label, _, mu_a) in enumerate(test_sets):
         tol = z * math.sqrt(mu_a * (1.0 - mu_a) / n)
-        for t in times:
-            est = hits[(label, t)] / n
+        for ti, t in enumerate(times):
+            est = hits[ti][si] / n
             ok = abs(est - mu_a) <= tol
             report.items.append(
                 {
@@ -291,13 +283,9 @@ def check_invariant_union(system, partition, horizon, n, seed, tol=0.01) -> Chec
         raise CheckError("partition must be nontrivial")
     if k > 20:
         raise CheckError("cell count above 20 rejected (2^20 union cap)")
-    rngs = spawn_rngs(seed, n)
-    joint = np.zeros((k, k), dtype=np.int64)
-    for rng in rngs:
-        state = system.sample_initial(rng)
-        i = partition.cell_index(system.coords(state))
-        j = partition.cell_index(system.coords(system.evolve(state, horizon)))
-        joint[i, j] += 1
+    cell = lambda m: partition.cell_index(system.coords(m))
+    ij = observe_trajectories(system, cell, (0.0, horizon), n, seed)
+    joint = np.bincount(ij[:, 0] * k + ij[:, 1], minlength=k * k).reshape(k, k)
     report = CheckReport("invariant_union", "pass", seed=seed, n_samples=n)
     report.tolerances = {"symmetric_difference": tol}
     viol = _union_violations(joint)[1:-1] / n  # entry i: the union of mask i + 1
@@ -348,16 +336,10 @@ def check_epsilon_congruence(system, encoder, embed, epsilon, n, seed) -> CheckR
     """
     if epsilon <= 0:
         raise CheckError("epsilon must be positive")
-    rngs = spawn_rngs(seed, n)
-    far = 0
-    worst = 0.0
-    for rng in rngs:
-        m = system.sample_initial(rng)
-        d = system.metric(m, embed(encoder(m)))
-        worst = max(worst, d)
-        if d >= epsilon:
-            far += 1
-    est = ProbEstimate.from_counts(far, n)
+    distance = lambda m: system.metric(m, embed(encoder(m)))
+    d = observe_trajectories(system, distance, (0.0,), n, seed)[:, 0]
+    worst = float(d.max())
+    est = ProbEstimate.from_counts(int(np.count_nonzero(d >= epsilon)), n)
     ok = est.estimate + est.halfwidth < epsilon
     report = CheckReport(
         "epsilon_congruence",
@@ -397,9 +379,9 @@ def check_simulation(
         f"simulation_{mode}", "pass", seed=seed, n_samples=n,
         tolerances={"epsilon": epsilon},
     )
-    sim = (lambda c: gamma(psi(c))) if mode == "weak" else psi
+    sim = gamma if mode == "weak" else (lambda s: s)
     phi_alpha = set(phi.alphabet)
-    sim_alpha = set(gamma(s) for s in psi.alphabet) if mode == "weak" else set(psi.alphabet)
+    sim_alpha = set(map(sim, psi.alphabet))
     if sim_alpha != phi_alpha:
         report.verdict = "fail"
         report.items.append(
@@ -412,13 +394,9 @@ def check_simulation(
             }
         )
         return report
-    rngs = spawn_rngs(seed, n)
-    mismatch = 0
-    for rng in rngs:
-        c = system.coords(system.sample_initial(rng))
-        if sim(c) != phi(c):
-            mismatch += 1
-    est = ProbEstimate.from_counts(mismatch, n)
+    differ = lambda m: sim(psi(system.coords(m))) != phi(system.coords(m))
+    mismatch = observe_trajectories(system, differ, (0.0,), n, seed)
+    est = ProbEstimate.from_counts(int(np.count_nonzero(mismatch)), n)
     ok = est.estimate + est.halfwidth < epsilon
     report.items.append(
         {
@@ -431,11 +409,11 @@ def check_simulation(
     if not ok:
         report.verdict = "fail"
     # report the simulating process' FDDs on the supplied grids
-    src = ObservedSystemSource(system, sim)
+    src = ObservedSystemSource(system, psi)
     seeds = np.random.SeedSequence(seed).spawn(len(grids) + 1)
     for gi, grid in enumerate(grids):
         paths = _sample_paths(src, grid, min(n, 10_000), seeds[gi + 1])
-        fdd = estimate_fdd(paths, grid)
+        fdd = estimate_fdd([tuple(map(sim, p)) for p in paths], grid)
         report.items.append(
             {
                 "label": f"simulating_fdd_grid{gi}",

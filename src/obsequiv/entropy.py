@@ -91,24 +91,7 @@ def block_entropy(sequences, L) -> EntropyEstimate:
     Rejects undersampled requests: the total symbol count must be at least
     100 * |alphabet|^L.
     """
-    if L < 1:
-        raise EntropyError("block length must be >= 1")
-    encoded, k = _encode(sequences)
-    total = sum(len(s) for s in encoded)
-    if total < UNDERSAMPLING_FACTOR * k**L:
-        raise EntropyError(
-            f"undersampled: need >= {UNDERSAMPLING_FACTOR * k ** L} symbols "
-            f"for L={L} over {k} symbols, got {total}"
-        )
-    counts = _block_counts(encoded, k, L)
-    n = sum(counts.values())
-    # canonical summation order: relabeling the alphabet permutes the block
-    # counts, sorting makes the entropy bit-for-bit invariant under it
-    p = np.sort(np.fromiter(counts.values(), dtype=float)) / n
-    h = float(-np.sum(p * np.log2(p)))
-    h += (len(counts) - 1) / (2.0 * n * np.log(2.0))  # Miller-Madow
-    h = min(h, float(L * np.log2(k))) if k > 1 else 0.0
-    return EntropyEstimate(int(L), float(h), int(n), int(k))
+    return _block_entropies(sequences, [L])[0]
 
 
 def entropy_rate(sequences, L_max) -> EntropyTrend:
@@ -119,4 +102,29 @@ def entropy_rate(sequences, L_max) -> EntropyTrend:
     """
     if L_max < 1:
         raise EntropyError("L_max must be >= 1")
-    return EntropyTrend([block_entropy(sequences, L) for L in range(1, L_max + 1)])
+    return EntropyTrend(_block_entropies(sequences, range(1, L_max + 1)))
+
+
+def _block_entropies(sequences, lengths):
+    """block_entropy for each block length, from one encoding of the sequences."""
+    encoded, k = _encode(sequences)
+    total = sum(len(s) for s in encoded)
+    estimates = []
+    for L in lengths:
+        if L < 1:
+            raise EntropyError("block length must be >= 1")
+        if total < UNDERSAMPLING_FACTOR * k**L:
+            raise EntropyError(
+                f"undersampled: need >= {UNDERSAMPLING_FACTOR * k ** L} symbols "
+                f"for L={L} over {k} symbols, got {total}"
+            )
+        counts = _block_counts(encoded, k, L)
+        n = sum(counts.values())
+        # canonical summation order: relabeling the alphabet permutes the block
+        # counts, sorting makes the entropy bit-for-bit invariant under it
+        p = np.sort(np.fromiter(counts.values(), dtype=float)) / n
+        h = float(-np.sum(p * np.log2(p)))
+        h += (len(counts) - 1) / (2.0 * n * np.log(2.0))  # Miller-Madow
+        h = min(h, float(L * np.log2(k))) if k > 1 else 0.0
+        estimates.append(EntropyEstimate(int(L), float(h), int(n), int(k)))
+    return estimates

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, entropy as entropy_mod
-from .checks import CheckReport, ObservedSystemSource
+from .checks import REPORT_SCHEMA, CheckReport, ObservedSystemSource
 from .fdd import estimate_fdd
 from .partitions import (
     Box,
@@ -23,7 +23,7 @@ from .partitions import (
     interval_partition,
     observation_from_partition,
 )
-from .processes import HoldingTime, MarkovChainSpec, ProcessError, SemiMarkovSpec
+from .processes import HoldingTime, MarkovChainSpec, SemiMarkovSpec
 from .representation import SemiMarkovFlowRep, ShiftRepresentation
 from .systems import baker_system, billiard_system, rotation_system
 
@@ -190,7 +190,8 @@ def _run_task(scn: Scenario, idx, task):
         grid = _require(task, "grid", where)
         paths = checks._sample_paths(src, grid, n, seed)
         fdd = estimate_fdd(paths, grid)
-        return {"kind": kind, "fdd": fdd.to_json_obj()}, fdd.to_csv(), True
+        obj = {"schema": REPORT_SCHEMA, "kind": kind, "fdd": fdd.to_json_obj()}
+        return obj, fdd.to_csv(), True
 
     if kind == "entropy":
         src = scn.source(_require(task, "source", where), where)
@@ -201,6 +202,7 @@ def _run_task(scn: Scenario, idx, task):
         seqs = checks._sample_paths(src, grid, n_seq, seed)
         trend = entropy_mod.entropy_rate(seqs, int(_require(task, "L_max", where)))
         obj = {
+            "schema": REPORT_SCHEMA,
             "kind": kind,
             "step": step,
             "block_entropies": [e.bits for e in trend.estimates],
@@ -264,13 +266,19 @@ def _run_check(scn, what, task, where, seed, n) -> CheckReport:
         )
     if what == "simulation":
         mode = _require(task, "mode", where)
+        psi = scn._observation(_require(task, "psi", where), where)
         gamma_map = task.get("gamma")
-        gamma = (lambda s: gamma_map[str(s)]) if gamma_map is not None else None
+        gamma = None
+        if gamma_map is not None:
+            missing = [str(s) for s in psi.alphabet if str(s) not in gamma_map]
+            if missing:
+                raise ScenarioError(f"{where}: gamma has no image for psi symbols {missing}")
+            gamma = lambda s: gamma_map[str(s)]
         return checks.check_simulation(
             mode,
             scn._system(_require(task, "system", where), where),
             scn._observation(_require(task, "phi", where), where),
-            scn._observation(_require(task, "psi", where), where),
+            psi,
             float(_require(task, "epsilon", where)),
             task.get("grids", []),
             n,
@@ -315,8 +323,10 @@ def run_scenario(path, out_dir="out", seed=None, fmt="json") -> int:
         for idx, task in enumerate(scn.tasks):
             try:
                 obj, csv_text, ok = _run_task(scn, idx, task)
-            except ProcessError as exc:  # e.g. a time grid the samplers reject
-                raise ScenarioError(f"tasks[{idx}]: {exc}") from exc
+            except ScenarioError:
+                raise
+            except ValueError as exc:  # every package error is a ValueError
+                raise ScenarioError(f"tasks[{idx}] ({task.get('kind')}): {exc}") from exc
             all_ok = all_ok and ok
             kind = task.get("kind", "task").replace(":", "_")
             base = target / f"{idx}-{kind}"

@@ -19,6 +19,7 @@ import numpy as np
 
 from .fdd import SymbolPath
 from .partitions import Box, PhaseSpace, UNIT_INTERVAL, UNIT_SQUARE
+from .processes import _as_rng, as_grid, sample_in_chunks
 
 __all__ = [
     "rotation_system",
@@ -26,6 +27,7 @@ __all__ = [
     "baker_system",
     "build_flow_under_function",
     "trajectory_symbols",
+    "observe_trajectories",
     "spawn_rngs",
     "RotationFlow",
     "BilliardFlow",
@@ -171,6 +173,8 @@ class BilliardFlow:
         return best_t, kind, data
 
     def evolve(self, state, t):
+        if t < 0:
+            raise SystemError(f"billiard flow runs forward only, got t={t}")
         x, y = state.x, state.y
         vx = self.speed * math.cos(state.theta)
         vy = self.speed * math.sin(state.theta)
@@ -325,6 +329,8 @@ class SuspensionFlow:
         return (k, float(rng.random() * u))
 
     def evolve(self, state, t):
+        if t < 0:
+            raise SystemError(f"suspension flow runs forward only, got t={t}")
         k, v = state
         total = v + float(t)
         u = self.roof(self.label(k))
@@ -354,6 +360,34 @@ def build_flow_under_function(base, roof: RoofFunction, label=None) -> Suspensio
 # observed trajectories
 
 
+def observe_trajectories(system, f, grid, n, seed):
+    """Array (n, len(grid), ...) of f(state) along n trajectories on the grid.
+
+    The grid must be ascending and nonnegative.  Paths come in the chunks of
+    processes.sample_in_chunks: chunk i draws from child i of the seed's
+    SeedSequence, and its paths are drawn one after another, each by
+    sample_initial and then evolved by every grid increment from time 0.
+    """
+    grid = as_grid(grid).tolist()
+    return sample_in_chunks(
+        lambda m, rng: np.array(_trajectories(system, f, grid, m, rng)), n, seed
+    )
+
+
+def _trajectories(system, f, grid, m, rng):
+    """[f(state) at each grid time] for m trajectories drawn in turn from rng."""
+    rows = []
+    for _ in range(m):
+        state = system.sample_initial(rng)
+        t_now, row = 0.0, []
+        for t in grid:
+            state = system.evolve(state, t - t_now)
+            t_now = t
+            row.append(f(state))
+        rows.append(row)
+    return rows
+
+
 def trajectory_symbols(system, obs, grid, seed_or_rng) -> SymbolPath:
     """Symbols of one trajectory, sampled at the grid times.
 
@@ -361,20 +395,9 @@ def trajectory_symbols(system, obs, grid, seed_or_rng) -> SymbolPath:
     evolved incrementally along the sorted grid.
     """
     grid = [float(t) for t in grid]
-    if not grid:
-        raise SystemError("empty time grid")
-    if any(b < a for a, b in zip(grid, grid[1:])):
-        raise SystemError("grid must be sorted ascending")
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
+    if not grid or any(b < a for a, b in zip(grid, grid[1:])):
+        raise SystemError("time grid must be nonempty and sorted ascending")
+    (symbols,) = _trajectories(
+        system, lambda s: obs(system.coords(s)), grid, 1, _as_rng(seed_or_rng)
     )
-    state = system.sample_initial(rng)
-    symbols = []
-    t_now = 0.0
-    for t in grid:
-        state = system.evolve(state, t - t_now)
-        t_now = t
-        symbols.append(obs(system.coords(state)))
     return SymbolPath(tuple(grid), tuple(symbols))

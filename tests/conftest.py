@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from obsequiv.partitions import UNIT_INTERVAL
-from obsequiv.processes import HoldingTime, MarkovChainSpec, SemiMarkovSpec
+from obsequiv.processes import (
+    HoldingTime,
+    MarkovChainSpec,
+    SemiMarkovSpec,
+    as_grid,
+    sample_in_chunks,
+)
 
 
 @pytest.fixture
@@ -34,23 +40,26 @@ class DeterministicStartSource:
     def alphabet(self):
         return self.spec.states
 
-    def sample_path(self, grid, rng):
+    def sample_codes(self, grid, n, seed):
+        grid = as_grid(grid)
+        return sample_in_chunks(lambda m, rng: self._codes(grid, m, rng), n, seed)
+
+    def _codes(self, grid, m, rng):
+        """m paths in lockstep: s1 on [0, u(s1)), then each jump drawn by
+        inverse CDF from the embedded chain's row for the current context."""
         chain = self.spec.chain
-        horizon = max(grid)
-        breaks = [0.0]
-        symbols = ["s1"]
-        ctx = ("s1",) * chain.order
-        t = self.spec.u("s1")
-        breaks.append(t)
-        while t <= horizon:
-            row = chain.table[chain.context_index(ctx)]
-            s = chain.states[rng.choice(chain.n_states, p=row)]
-            ctx = ctx[1:] + (s,) if chain.order > 1 else (s,)
-            t += self.spec.u(s)
-            breaks.append(t)
-            symbols.append(s)
-        idx = np.searchsorted(np.asarray(breaks), np.asarray(grid), side="right") - 1
-        return tuple(symbols[i] for i in idx)
+        k, s1 = chain.n_states, chain.states.index("s1")
+        hold = np.array([self.spec.u(s) for s in chain.states])
+        cum = np.cumsum(chain.table, axis=1)
+        ctx = np.full(m, chain.context_index(("s1",) * chain.order))
+        t = np.full(m, hold[s1])  # epoch of the next jump
+        codes = np.full((m, len(grid)), s1)
+        while (t <= grid[-1]).any():
+            s = (cum[ctx] > rng.random(m)[:, None]).argmax(axis=1)
+            ctx = ctx * k % len(cum) + s
+            codes = np.where(grid >= t[:, None], s[:, None], codes)
+            t = t + hold[s]
+        return codes
 
 
 @pytest.fixture

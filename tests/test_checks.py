@@ -3,12 +3,15 @@
 import json
 import math
 import time
+from itertools import product
 
 import numpy as np
 import pytest
 
 from obsequiv.checks import (
     CheckError,
+    ObservedSystemSource,
+    _sample_paths,
     _union_violations,
     check_epsilon_congruence,
     check_invariant_union,
@@ -27,9 +30,10 @@ from obsequiv.partitions import (
     interval_partition,
     observation_from_partition,
 )
+from obsequiv.fdd import ProbEstimate
 from obsequiv.processes import MarkovChainSpec
 from obsequiv.representation import SemiMarkovFlowRep
-from obsequiv.systems import baker_system, rotation_system
+from obsequiv.systems import baker_system, billiard_system, rotation_system
 
 P2 = np.array([[0.5, 0.5], [0.75, 0.25]])
 HALVES = observation_from_partition(interval_partition([0.0, 0.5, 1.0], ["a", "b"]))
@@ -90,6 +94,46 @@ def test_nontriviality_rejects_trivial_observation():
         check_nontriviality(rotation_system(0.3), whole, [1.0], 100, 1)
     with pytest.raises(CheckError):
         check_nontriviality(rotation_system(0.3), HALVES, [0.0], 100, 1)
+
+
+def test_nontriviality_pair_counts_match_brute_force():
+    """The witness is the first (from, to) pair in alphabet order whose
+    estimate lies strictly inside (0, 1), with the pair counts of a
+    per-path scan over the same sampled paths."""
+    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    obs = observation_from_partition(grid_partition(2, 2, space=table.space))
+    lags, n = [0.3, 1.0], 600
+    rep = check_nontriviality(table, obs, lags, n, 7)
+    seeds = np.random.SeedSequence(7).spawn(len(lags))
+    for item, lag, ss in zip(rep.items, lags, seeds):
+        paths = _sample_paths(ObservedSystemSource(table, obs), (0.0, lag), n, ss)
+        witness = None
+        for oi, oj in product(obs.alphabet, repeat=2):
+            den = sum(1 for p in paths if p[0] == oi)
+            num = sum(1 for p in paths if p == (oi, oj))
+            if den and ProbEstimate.from_counts(num, den).strictly_inside_unit():
+                witness = [oi, oj, num, den]
+                break
+        assert witness is not None
+        assert [item["from"], item["to"], *item["counts"]] == witness
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: check_observational_equivalence(s, s, [], 10, 1),
+        lambda s: check_stationarity(s, (0.0,), [], 10, 1),
+        lambda s: check_nontriviality(rotation_system(0.3), HALVES, [], 10, 1),
+        lambda s: check_measure_preservation(rotation_system(0.3), [], [1.0], 10, 1),
+        lambda s: check_measure_preservation(
+            rotation_system(0.3), [("left", lambda c: c[0] < 0.5, 0.5)], [], 10, 1
+        ),
+    ],
+    ids=["grids", "shifts", "lags", "sets", "times"],
+)
+def test_empty_family_is_rejected_not_passed(call):
+    with pytest.raises(CheckError):
+        call(MarkovChainSpec(("a", "b"), P2))
 
 
 def test_stationarity_semi_markov_passes(fair_semi_markov):

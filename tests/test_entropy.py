@@ -133,3 +133,14 @@ def test_trend_csv_format():
     lines = trend.to_csv().strip().splitlines()
     assert lines[0] == "L,H_L,increment"
     assert len(lines) == 4
+
+
+def test_entropy_rate_equals_block_entropy_at_every_length():
+    """One encoding for all L gives each L's block entropy bit for bit, also
+    for tuple symbols over several sequences."""
+    rng = np.random.default_rng(14)
+    seqs = [[("x", int(v)) for v in rng.integers(0, 3, 4000)] for _ in range(3)]
+    trend = entropy_rate(seqs, 3)
+    assert trend.estimates == [block_entropy(seqs, L) for L in (1, 2, 3)]
+    with pytest.raises(EntropyError, match="L=5"):  # needs 100 * 3^5 symbols
+        entropy_rate(seqs, 5)

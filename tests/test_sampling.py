@@ -1,5 +1,5 @@
-"""Lockstep sampling kernels: determinism, chunk layout, laws, and the
-flow kernel against the scalar flow evolution."""
+"""Lockstep sampling kernels and system sources: determinism, chunk layout,
+laws, and the flow kernel against the scalar flow evolution."""
 
 import math
 from fractions import Fraction
@@ -7,9 +7,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from obsequiv import checks
-from obsequiv.checks import _sample_paths, check_observational_equivalence
+from obsequiv import checks, scenario, systems
+from obsequiv.checks import (
+    ObservedSystemSource,
+    _sample_paths,
+    check_epsilon_congruence,
+    check_invariant_union,
+    check_measure_preservation,
+    check_nontriviality,
+    check_observational_equivalence,
+    check_simulation,
+    check_stationarity,
+)
 from obsequiv.fdd import compare_fdd, estimate_fdd
+from obsequiv.partitions import grid_partition, interval_partition, observation_from_partition
 from obsequiv.processes import (
     CHUNK,
     HoldingTime,
@@ -21,9 +32,17 @@ from obsequiv.processes import (
     sample_semi_markov,
 )
 from obsequiv.representation import SemiMarkovFlowRep, ShiftRepresentation
-from obsequiv.systems import spawn_rngs
+from obsequiv.systems import (
+    baker_system,
+    billiard_system,
+    observe_trajectories,
+    rotation_system,
+    spawn_rngs,
+    trajectory_symbols,
+)
 
 P2 = np.array([[0.5, 0.5], [0.75, 0.25]])
+HALVES = observation_from_partition(interval_partition([0.0, 0.5, 1.0], ["a", "b"]))
 ORDER2_TABLE = np.array([[0.9, 0.1], [0.3, 0.7], [0.6, 0.4], [0.2, 0.8]])  # aa ab ba bb
 
 
@@ -37,12 +56,17 @@ def _order2_semi_markov():
     )
 
 
-def _sources(fair_semi_markov):
+def _process_sources(fair_semi_markov):
     return [
         ShiftRepresentation(fair_semi_markov),
         ShiftRepresentation(MarkovChainSpec(("a", "b"), P2)),
         SemiMarkovFlowRep(fair_semi_markov),
     ]
+
+
+def _sources(fair_semi_markov):
+    system = ObservedSystemSource(rotation_system(math.sqrt(2) - 1), HALVES)
+    return _process_sources(fair_semi_markov) + [system]
 
 
 def test_same_grid_n_seed_gives_identical_codes(fair_semi_markov):
@@ -70,10 +94,42 @@ def test_first_chunk_does_not_depend_on_later_chunks(fair_semi_markov):
 def test_scalar_sample_path_is_the_one_path_kernel(fair_semi_markov):
     grid = (0.0, 0.5, 1.3, 4.0)
     child = np.random.SeedSequence(23, spawn_key=(0,))
-    for src in _sources(fair_semi_markov):
+    for src in _process_sources(fair_semi_markov):
         row = src.sample_codes(grid, 1, 23)[0]
         path = src.sample_path(grid, np.random.default_rng(child))
         assert path == tuple(src.alphabet[c] for c in row)
+
+
+def _observed_systems():
+    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    return [
+        (rotation_system(math.sqrt(2) - 1), HALVES),
+        (table, observation_from_partition(grid_partition(2, 2, space=table.space))),
+        (baker_system(), observation_from_partition(grid_partition(4, 2))),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["rotation", "billiard", "baker"])
+def test_system_chunk_rows_are_sequential_trajectories(case):
+    """Chunk 0 of a system source draws its paths one after another from
+    the chunk's generator, as repeated trajectory_symbols calls do."""
+    system, obs = _observed_systems()[case]
+    src = ObservedSystemSource(system, obs)
+    grid = (0.0, 0.5, 1.3, 4.0)
+    rows = src.sample_codes(grid, 30, 23)
+    rng = np.random.default_rng(np.random.SeedSequence(23, spawn_key=(0,)))
+    expect = [trajectory_symbols(system, obs, grid, rng).symbols for _ in range(30)]
+    assert [tuple(src.alphabet[c] for c in row) for row in rows] == expect
+
+
+def test_rotation_and_baker_streams_match_batched_draws():
+    """Rotation path j starts at rng.random(m)[j], baker path j at
+    rng.random((m, 2))[j]: the layout a batched kernel can keep."""
+    m, child = 50, np.random.SeedSequence(5, spawn_key=(0,))
+    rot = observe_trajectories(rotation_system(0.3), lambda x: x, (0.0,), m, 5)
+    assert np.array_equal(rot[:, 0], np.random.default_rng(child).random(m))
+    bk = observe_trajectories(baker_system(), lambda p: p, (0.0,), m, 5)
+    assert np.array_equal(bk[:, 0], np.random.default_rng(child).random((m, 2)))
 
 
 def _reference_semi_markov(spec, horizon, rng):
@@ -183,8 +239,10 @@ def test_kernels_reject_bad_grids(fair_semi_markov):
 
 
 def test_process_checks_spawn_no_generators_and_read_no_paths(monkeypatch, fair_semi_markov):
+    """Neither process nor system checks spawn per-path generators."""
+    assert not hasattr(checks, "spawn_rngs") and not hasattr(scenario, "spawn_rngs")
     calls = {"spawn_rngs": 0, "value": 0}
-    spawn, value = checks.spawn_rngs, RealizationPath.value
+    spawn, value = systems.spawn_rngs, RealizationPath.value
 
     def counted_spawn(seed, n):
         calls["spawn_rngs"] += 1
@@ -194,7 +252,7 @@ def test_process_checks_spawn_no_generators_and_read_no_paths(monkeypatch, fair_
         calls["value"] += 1
         return value(self, t)
 
-    monkeypatch.setattr(checks, "spawn_rngs", counted_spawn)
+    monkeypatch.setattr(systems, "spawn_rngs", counted_spawn)
     monkeypatch.setattr(RealizationPath, "value", counted_value)
     chain = MarkovChainSpec(("a", "b"), P2)
     grids = [(0.0,), (0.4, 1.1, 2.3)]
@@ -203,4 +261,16 @@ def test_process_checks_spawn_no_generators_and_read_no_paths(monkeypatch, fair_
     )
     shift = check_observational_equivalence(chain, ShiftRepresentation(chain), grids, 2000, 5)
     assert flow.passed and shift.passed
+    rot = rotation_system(math.sqrt(2) - 1)
+    gamma = {"a": "a", "b": "b"}.get
+    reports = [
+        check_observational_equivalence((rot, HALVES), (rot, HALVES), grids, 500, 7),
+        check_stationarity((rot, HALVES), (0.0, 1.0), [0.5], 500, 11),
+        check_nontriviality(rot, HALVES, [1.0], 500, 13),
+        check_measure_preservation(rot, [("a", lambda c: c[0] < 0.5, 0.5)], [1.0], 500, 17),
+        check_invariant_union(rot, HALVES.partition, 1.0, 500, 19),
+        check_epsilon_congruence(rot, lambda m: HALVES((m,)), lambda s: 0.5, 0.9, 500, 23),
+        check_simulation("weak", rot, HALVES, HALVES, 0.1, grids, 500, 29, gamma=gamma),
+    ]
+    assert all(r.verdict == "pass" for r in reports), [r.kind for r in reports if not r.passed]
     assert calls == {"spawn_rngs": 0, "value": 0}

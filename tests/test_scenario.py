@@ -103,6 +103,47 @@ def test_unsorted_process_grid_exit_two(tmp_path, capsys):
     assert "tasks[0]" in capsys.readouterr().out
 
 
+ROTATION = {
+    "systems": {"rot": {"kind": "rotation", "alpha": 0.41421356237}},
+    "observations": {
+        "halves": {"kind": "intervals", "system": "rot", "breaks": [0.0, 0.5, 1.0],
+                   "labels": ["a", "b"]},
+        "quarters": {"kind": "intervals", "system": "rot",
+                     "breaks": [0.0, 0.25, 0.5, 0.75, 1.0], "labels": ["q0", "q1", "q2", "q3"]},
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "task",
+    [
+        {"kind": "simulate", "system": "rot", "observation": "halves", "grid": [1.0, 0.0]},
+        {"kind": "check:nontriviality", "system": "rot", "observation": "halves",
+         "lags": [0]},
+        {"kind": "entropy", "source": {"system": "rot", "observation": "halves"},
+         "length": 100, "L_max": 4},
+        {"kind": "check:simulation", "mode": "weak", "system": "rot", "phi": "halves",
+         "psi": "quarters", "epsilon": 0.1, "gamma": {"q0": "a", "q1": "a", "q2": "b"}},
+    ],
+    ids=["unsorted_system_grid", "zero_lag", "undersampled_entropy", "gamma_misses_symbol"],
+)
+def test_bad_task_input_exit_two(tmp_path, capsys, task):
+    doc = dict(ROTATION, seed=1, tasks=[task])
+    assert run_scenario(_write(tmp_path, "bad.json", doc), out_dir=tmp_path / "o") == 2
+    assert f"tasks[0] ({task['kind']})" in capsys.readouterr().out
+
+
+def test_demo_scenario_reports_share_the_schema(tmp_path):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "scenario_basic.json"
+    assert run_scenario(demo, out_dir=tmp_path) == 0
+    reports = sorted((tmp_path / "scenario_basic").glob("*.json"))
+    kinds = {json.loads(p.read_text())["kind"] for p in reports}
+    assert {"simulate", "entropy"} <= kinds
+    for p in reports:
+        obj = json.loads(p.read_text())
+        assert obj["schema"] == 1, p.name
+
+
 def test_determinism_byte_identical_json(tmp_path):
     scn = _write(tmp_path, "det.json", PASSING)
     run_scenario(scn, out_dir=tmp_path / "a")

@@ -107,6 +107,17 @@ def test_billiard_speed_drift_small(table):
     assert table.speed_drift(s, 1000) < 1e-9
 
 
+def test_forward_only_flows_reject_negative_time(table):
+    state = BilliardState(0.2, 0.3, 0.4)
+    with pytest.raises(SystemError):
+        table.evolve(state, -0.3)
+    flow = build_flow_under_function(_TwoPointBase(), RoofFunction({"a": 1.0, "b": 2.0}))
+    with pytest.raises(SystemError):
+        flow.evolve(("a", 0.5), -0.3)
+    assert table.metric(table.evolve(state, 0.0), state) < 1e-12
+    assert flow.evolve(("a", 0.5), 0.0) == ("a", 0.5)
+
+
 def test_billiard_time_additivity(table):
     rng = spawn_rngs(5, 1)[0]
     s0 = table.sample_initial(rng)
