@@ -63,9 +63,12 @@ class EntropyTrend:
 
 
 def _encode(sequences):
-    alphabet = sorted({s for seq in sequences for s in seq}, key=str)
+    # ndarray rows become lists first: the dict then hashes Python scalars
+    rows = [seq.tolist() if isinstance(seq, np.ndarray) else seq for seq in sequences]
+    alphabet = sorted(set().union(*rows), key=str)
     index = {s: i for i, s in enumerate(alphabet)}
-    return [np.array([index[s] for s in seq], dtype=np.int64) for seq in sequences], len(alphabet)
+    codes = [np.fromiter(map(index.__getitem__, row), np.int64, len(row)) for row in rows]
+    return codes, len(alphabet)
 
 
 def _block_counts(encoded, k, L):

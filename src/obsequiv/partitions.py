@@ -8,6 +8,8 @@ cell measures exactly computable.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +28,9 @@ __all__ = [
 
 class PartitionError(ValueError):
     pass
+
+
+MAX_BINS = 2**22  # largest bin table a Partition may allocate
 
 
 @dataclass(frozen=True)
@@ -52,6 +57,8 @@ class Box:
         return v
 
     def contains(self, point):
+        if len(point) != len(self.lo):
+            raise PartitionError(f"point {tuple(point)} does not have {self.dim} coordinates")
         return all(a <= x < b for x, a, b in zip(point, self.lo, self.hi))
 
     def intersect(self, other):
@@ -92,11 +99,22 @@ class Partition:
 
     Each cell is a tuple of disjoint boxes; cells are pairwise disjoint and
     jointly cover the domain up to measure zero.
+
+    Coding and validation go through one bin table, built here: for each axis
+    the sorted distinct box bounds, and for each elementary bin (one gap
+    between consecutive bounds per axis) the first cell whose box covers it,
+    or -1.  Every box bound is a bin edge, so a point lies in a box exactly
+    when its bin does.  The table has prod over axes of (distinct bounds - 1)
+    entries: the cell count for grid, interval and refined-grid partitions,
+    more when box bounds are staggered.  Above MAX_BINS entries the partition
+    is rejected.
     """
 
     space: PhaseSpace
     cells: tuple  # tuple of tuples of Box
     labels: tuple
+    _bounds: tuple = field(init=False, repr=False, compare=False)
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cells = tuple(tuple(c) for c in self.cells)
@@ -108,6 +126,15 @@ class Partition:
             raise PartitionError("label count does not match cell count")
         if len(set(self.labels)) != len(self.labels):
             raise PartitionError("labels must be distinct")
+        for label, cell in zip(self.labels, cells):
+            for box in cell:
+                if box.dim != self.space.dim:
+                    raise PartitionError(
+                        f"cell {label!r} has a {box.dim}-d box in the "
+                        f"{self.space.dim}-d phase space {self.space.name!r}"
+                    )
+                if not all(map(math.isfinite, box.lo + box.hi)):
+                    raise PartitionError(f"cell {label!r} has a box with non-finite bounds")
         for cell in cells:
             if self.cell_measure(cell) <= 0.0:
                 raise PartitionError("zero-measure cell")
@@ -116,9 +143,43 @@ class Partition:
             raise PartitionError(
                 f"cells cover measure {total}, domain has {self.space.domain.volume()}"
             )
-        # pairwise disjointness, up to measure zero
-        for i in range(len(cells)):
-            for j in range(i + 1, len(cells)):
+        bounds = tuple(
+            sorted({x for cell in cells for b in cell for x in (b.lo[d], b.hi[d])})
+            for d in range(self.space.dim)
+        )
+        shape = tuple(len(e) - 1 for e in bounds)
+        if math.prod(shape) > MAX_BINS:
+            raise PartitionError(
+                f"box bounds cut the space into {math.prod(shape)} bins, "
+                f"more than the {MAX_BINS} a partition may hold"
+            )
+        table = np.full(shape, -1, dtype=np.int16 if len(cells) < 2**15 else np.int32)
+        # A bin keeps only its first claimant, so a later cell claiming it joins
+        # that claimant's group: every pair of cells sharing a bin is in a group.
+        groups = {}
+        for i, cell in enumerate(cells):
+            for b in cell:
+                region = table[
+                    tuple(
+                        slice(bisect_left(e, lo), bisect_left(e, hi))
+                        for e, lo, hi in zip(bounds, b.lo, b.hi)
+                    )
+                ]
+                claimed = region >= 0
+                for c in set(region[claimed].tolist()) - {i}:
+                    groups.setdefault(c, {c}).add(i)
+                region[~claimed] = i
+        object.__setattr__(self, "_bounds", bounds)
+        object.__setattr__(self, "_table", table)
+        # pairwise disjointness up to measure zero, tested only where cells
+        # share a bin and in (i, j) order, so the first overlap reported is
+        # the first of all pairs
+        member_of = {}
+        for c, group in groups.items():
+            for i in group:
+                member_of.setdefault(i, []).append(c)
+        for i in sorted(member_of):
+            for j in sorted({j for c in member_of[i] for j in groups[c] if j > i}):
                 if _cells_overlap(cells[i], cells[j]):
                     raise PartitionError(
                         f"cells {self.labels[i]!r} and {self.labels[j]!r} overlap"
@@ -136,11 +197,23 @@ class Partition:
         return np.array([self.cell_measure(c) for c in self.cells])
 
     def cell_index(self, point):
+        """Index of the first cell with a box holding the (wrapped) point."""
+        if len(point) != self.space.dim:
+            raise PartitionError(
+                f"point {tuple(point)} does not have the {self.space.dim} coordinates "
+                f"of the phase space {self.space.name!r}"
+            )
         point = self.space.wrap(point)
-        for i, cell in enumerate(self.cells):
-            if any(b.contains(point) for b in cell):
-                return i
-        raise PartitionError(f"point {point} not covered by any cell")
+        bins = []
+        for x, edges in zip(point, self._bounds):
+            k = bisect_right(edges, x)
+            if not 0 < k < len(edges):
+                raise PartitionError(f"point {point} not covered by any cell")
+            bins.append(k - 1)
+        i = self._table.item(*bins)
+        if i < 0:
+            raise PartitionError(f"point {point} not covered by any cell")
+        return i
 
 
 def _cells_overlap(a, b, tol=1e-12):

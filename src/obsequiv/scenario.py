@@ -35,9 +35,19 @@ class ScenarioError(ValueError):
 
 
 def _require(cfg, key, where):
+    if not isinstance(cfg, dict):
+        raise ScenarioError(f"{where}: must be an object")
     if key not in cfg:
         raise ScenarioError(f"{where}: missing field {key!r}")
     return cfg[key]
+
+
+def _require_list(cfg, key, where, nested=False, default=None):
+    """A JSON list field (a list of lists if nested); required unless default is given."""
+    value = _require(cfg, key, where) if default is None else cfg.get(key, default)
+    if not isinstance(value, list) or nested and not all(isinstance(v, list) for v in value):
+        raise ScenarioError(f"{where}: field {key!r} must be a list{' of lists' if nested else ''}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -64,25 +74,33 @@ def _build_system(name, cfg):
 
 
 def _build_observation(name, cfg, systems):
-    kind = _require(cfg, "kind", f"observations.{name}")
-    system = systems[_require(cfg, "system", f"observations.{name}")]
-    space = system.space
+    where = f"observations.{name}"
+    kind = _require(cfg, "kind", where)
+    system = _require(cfg, "system", where)
+    if system not in systems:
+        raise ScenarioError(f"{where}: undefined system {system!r}")
+    space = systems[system].space
     if kind == "intervals":
         part = interval_partition(
-            _require(cfg, "breaks", f"observations.{name}"),
-            _require(cfg, "labels", f"observations.{name}"),
-            space=space,
+            _require_list(cfg, "breaks", where), _require_list(cfg, "labels", where), space=space
         )
     elif kind == "grid":
-        part = grid_partition(cfg.get("nx", 2), cfg.get("ny", 2), space=space)
+        nx, ny = cfg.get("nx", 2), cfg.get("ny", 2)
+        for key, value in (("nx", nx), ("ny", ny)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ScenarioError(f"{where}: field {key!r} must be an integer")
+        part = grid_partition(nx, ny, space=space)
     elif kind == "boxes":
         cells = tuple(
-            tuple(Box(tuple(b["lo"]), tuple(b["hi"])) for b in cell)
-            for cell in _require(cfg, "cells", f"observations.{name}")
+            tuple(
+                Box(tuple(_require_list(b, "lo", where)), tuple(_require_list(b, "hi", where)))
+                for b in cell
+            )
+            for cell in _require_list(cfg, "cells", where, nested=True)
         )
-        part = Partition(space, cells, tuple(_require(cfg, "labels", f"observations.{name}")))
+        part = Partition(space, cells, tuple(_require_list(cfg, "labels", where)))
     else:
-        raise ScenarioError(f"observations.{name}: unsupported kind {kind!r}")
+        raise ScenarioError(f"{where}: unsupported kind {kind!r}")
     labels = cfg.get("symbols")
     return observation_from_partition(part, labels)
 
@@ -187,7 +205,7 @@ def _run_task(scn: Scenario, idx, task):
 
     if kind == "simulate":
         src = scn.source(task, where)
-        grid = _require(task, "grid", where)
+        grid = _require_list(task, "grid", where)
         paths = checks._sample_paths(src, grid, n, seed)
         fdd = estimate_fdd(paths, grid)
         obj = {"schema": REPORT_SCHEMA, "kind": kind, "fdd": fdd.to_json_obj()}
@@ -225,7 +243,7 @@ def _run_check(scn, what, task, where, seed, n) -> CheckReport:
         return checks.check_observational_equivalence(
             scn.source(_require(task, "a", where), where),
             scn.source(_require(task, "b", where), where),
-            _require(task, "grids", where),
+            _require_list(task, "grids", where, nested=True),
             n,
             seed,
         )
@@ -233,26 +251,28 @@ def _run_check(scn, what, task, where, seed, n) -> CheckReport:
         return checks.check_nontriviality(
             scn._system(_require(task, "system", where), where),
             scn._observation(_require(task, "observation", where), where),
-            _require(task, "lags", where),
+            _require_list(task, "lags", where),
             n,
             seed,
         )
     if what == "stationarity":
         return checks.check_stationarity(
             scn.source(_require(task, "source", where), where),
-            _require(task, "grid", where),
-            _require(task, "shifts", where),
+            _require_list(task, "grid", where),
+            _require_list(task, "shifts", where),
             n,
             seed,
         )
     if what == "measure_preservation":
         system = scn._system(_require(task, "system", where), where)
         sets = []
-        for s in _require(task, "sets", where):
-            box = Box(tuple(s["box"]["lo"]), tuple(s["box"]["hi"]))
-            sets.append((s["label"], box.contains, float(s["measure"])))
+        for i, s in enumerate(_require_list(task, "sets", where)):
+            at = f"{where} sets[{i}]"
+            box = _require(s, "box", at)
+            box = Box(tuple(_require_list(box, "lo", at)), tuple(_require_list(box, "hi", at)))
+            sets.append((_require(s, "label", at), box.contains, float(_require(s, "measure", at))))
         return checks.check_measure_preservation(
-            system, sets, _require(task, "times", where), n, seed
+            system, sets, _require_list(task, "times", where), n, seed
         )
     if what == "invariant_union":
         obs = scn._observation(_require(task, "partition", where), where)
@@ -280,7 +300,7 @@ def _run_check(scn, what, task, where, seed, n) -> CheckReport:
             scn._observation(_require(task, "phi", where), where),
             psi,
             float(_require(task, "epsilon", where)),
-            task.get("grids", []),
+            _require_list(task, "grids", where, nested=True, default=[]),
             n,
             seed,
             gamma=gamma,

@@ -1,5 +1,7 @@
 """Partitions, boxes, and observation functions."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,13 @@ def test_box_volume_and_membership():
     assert not b.contains((0.1, 0.25))
 
 
+def test_box_rejects_point_of_other_dimension():
+    with pytest.raises(PartitionError):
+        Box((0.0, 0.0), (0.5, 0.25)).contains((0.1,))
+    with pytest.raises(PartitionError):
+        Box((0.0,), (0.5,)).contains((0.1, 0.1))
+
+
 def test_box_intersection():
     a = Box((0.0,), (0.6,))
     b = Box((0.4,), (1.0,))
@@ -53,6 +62,27 @@ def test_partition_validation_rejects_gaps_and_overlaps():
         Partition(UNIT_INTERVAL, cells, ("a", "b"))
     with pytest.raises(PartitionError):
         interval_partition([0.0, 0.5, 1.0], ["a", "a"])  # duplicate labels
+
+
+def test_partition_rejects_boxes_of_other_dimension():
+    cells = ((Box((0.0, 0.0), (0.5, 1.0)),), (Box((0.5, 0.0), (1.0, 1.0)),))
+    with pytest.raises(PartitionError, match="2-d box in the 1-d phase space"):
+        Partition(UNIT_INTERVAL, cells, ("l", "r"))
+
+
+def test_partition_rejects_non_finite_bounds():
+    # a NaN bound makes a NaN measure, which slips past the measure checks
+    cells = ((Box((float("nan"),), (0.5,)),), (Box((0.5,), (1.0,)),))
+    with pytest.raises(PartitionError, match="non-finite"):
+        Partition(UNIT_INTERVAL, cells, ("l", "r"))
+
+
+def test_cell_index_rejects_point_of_other_dimension():
+    p = interval_partition([0.0, 0.5, 1.0], ["a", "b"])
+    with pytest.raises(PartitionError):
+        p.cell_index((0.25, 0.5))
+    with pytest.raises(PartitionError):
+        grid_partition(2, 2).cell_index((0.25,))
 
 
 def test_cell_index_uses_wrapping():
@@ -119,3 +149,154 @@ def test_observation_symbol_count_must_match():
     p = interval_partition([0.0, 0.5, 1.0], ["a", "b"])
     with pytest.raises(PartitionError):
         ObservationFunction(p, symbols=("only",))
+
+
+# --- the bin table against a first-match scan over boxes ---------------------
+
+CYLINDER = PhaseSpace("cylinder", Box((-1.0, 0.0), (1.0, 2.0)), periodic=(0,))
+
+
+def _first_match(p, point):
+    """Reference coding: the first cell with a box holding the wrapped point."""
+    point = p.space.wrap(point)
+    for i, cell in enumerate(p.cells):
+        for b in cell:
+            if all(lo <= x < hi for x, lo, hi in zip(point, b.lo, b.hi)):
+                return i
+    return None
+
+
+def _first_overlap(cells, labels):
+    """Reference validation: the first pair (i, j) with a positive-volume overlap."""
+    for i in range(len(cells)):
+        for j in range(i + 1, len(cells)):
+            for a in cells[i]:
+                for b in cells[j]:
+                    vol = np.prod([max(min(ah, bh) - max(al, bl), 0.0)
+                                   for al, ah, bl, bh in zip(a.lo, a.hi, b.lo, b.hi)])
+                    if vol > 1e-12:
+                        return f"cells {labels[i]!r} and {labels[j]!r} overlap"
+    return None
+
+
+def _guillotine(rng, lo, hi, depth=5):
+    """Recursive dyadic cuts of [lo, hi): boxes whose bounds are staggered."""
+    if depth == 0 or depth < 5 and rng.random() < 0.15:
+        return [(lo, hi)]
+    axis = int(rng.integers(len(lo)))
+    cut = lo[axis] + float(rng.choice([0.25, 0.5, 0.75])) * (hi[axis] - lo[axis])
+    left_hi = hi[:axis] + (cut,) + hi[axis + 1:]
+    right_lo = lo[:axis] + (cut,) + lo[axis + 1:]
+    return _guillotine(rng, lo, left_hi, depth - 1) + _guillotine(rng, right_lo, hi, depth - 1)
+
+
+def _random_cells(rng, space):
+    """Leaves of a guillotine split, dealt into a few cells of several boxes."""
+    leaves = _guillotine(rng, space.domain.lo, space.domain.hi)
+    order = rng.permutation(len(leaves))
+    k = int(rng.integers(2, min(len(leaves), 5) + 1))
+    return [[leaves[j] for j in order[c::k]] for c in range(k)]
+
+
+def _partition(space, cells):
+    boxes = tuple(tuple(Box(lo, hi) for lo, hi in cell) for cell in cells)
+    return Partition(space, boxes, tuple(f"k{i}" for i in range(len(cells))))
+
+
+def _probe_points(rng, p):
+    xs = {x for cell in p.cells for b in cell for x in b.lo[:1] + b.hi[:1]}
+    ys = {y for cell in p.cells for b in cell for y in b.lo[1:] + b.hi[1:]}
+    points = [(x, y) for x in xs for y in ys]  # every corner of the bound lattice
+    points += [(x + 2.0 * m, y) for x, y in points[:40] for m in (-2, -1, 1, 3)]
+    points += [(1.0, 0.5), (-3.0, 0.5), (3.0, 0.5), (0.0, -0.25), (0.0, 2.0), (0.0, 5.0)]
+    points += list(map(tuple, rng.uniform((-5.0, -0.5), (5.0, 4.5), size=(300, 2))))
+    return points
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cell_index_matches_first_match_scan(seed):
+    rng = np.random.default_rng(seed)
+    cells = _random_cells(rng, CYLINDER)
+    # lifting a box out of the domain keeps the total measure but leaves a
+    # hole: uncovered points inside the domain, covered ones outside it
+    if seed % 2:
+        lo, hi = cells[0][0]
+        cells[0][0] = ((lo[0], lo[1] + 2.0), (hi[0], hi[1] + 2.0))
+    p = _partition(CYLINDER, cells)
+    for point in _probe_points(rng, p):
+        ref = _first_match(p, point)
+        if ref is None:
+            with pytest.raises(PartitionError):
+                p.cell_index(point)
+        else:
+            assert p.cell_index(point) == ref, point
+
+
+def test_cell_index_takes_first_cell_on_tolerated_overlap():
+    # an overlap below the 1e-12 volume tolerance is accepted; the first cell wins
+    cells = ((Box((0.0,), (0.5 + 4e-13,)),), (Box((0.5,), (1.0,)),))
+    p = Partition(UNIT_INTERVAL, cells, ("a", "b"))
+    assert p.cell_index((0.5 + 1e-13,)) == 0
+    assert p.cell_index((0.5 + 4e-13,)) == 1
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_overlap_message_matches_pairwise_loop(seed):
+    rng = np.random.default_rng(1000 + seed)
+    cells = _random_cells(rng, CYLINDER)
+    # translate one box; it may land on boxes of other cells
+    c = int(rng.integers(len(cells)))
+    (x0, y0), (x1, y1) = cells[c][0]
+    dx, dy = rng.choice([-0.375, -0.25, -0.125, 0.125, 0.25, 0.375], size=2)
+    cells[c][0] = ((x0 + dx, y0 + dy), (x1 + dx, y1 + dy))
+    boxes = tuple(tuple(Box(lo, hi) for lo, hi in cell) for cell in cells)
+    labels = tuple(f"k{i}" for i in range(len(cells)))
+    ref = _first_overlap(boxes, labels)
+    if ref is None:
+        Partition(CYLINDER, boxes, labels)
+    else:
+        with pytest.raises(PartitionError) as err:
+            Partition(CYLINDER, boxes, labels)
+        assert str(err.value) == ref
+
+
+def test_overlap_found_under_bins_first_claimed_by_other_cells():
+    # t0..t3 each overlap b and c by less than the tolerance, and claim every
+    # bin b and c share; b and c overlap by more than it
+    eps = 6e-13
+    ts = [Box((0.5 + k * eps,), (0.5 + (k + 1) * eps,)) for k in range(4)]
+    shared = Box((0.5,), (0.5 + 4 * eps,))
+    cells = [(t,) for t in ts] + [
+        (shared,),
+        (shared,),
+        (Box((0.0,), (0.5,)),),
+        (Box((0.5 + 4 * eps,), (1.0,)),),
+    ]
+    labels = ("t0", "t1", "t2", "t3", "b", "c", "left", "right")
+    space = PhaseSpace("segment", Box((0.0,), (1.0,)))
+    assert _first_overlap(cells, labels) == "cells 'b' and 'c' overlap"
+    with pytest.raises(PartitionError, match="cells 'b' and 'c' overlap"):
+        Partition(space, tuple(cells), labels)
+
+
+def test_bin_table_size_is_bounded():
+    # staggered boxes: n cells whose bounds cut both axes n times
+    n = 2100
+    cells = tuple(
+        (Box((i / n, i / n), ((i + 1) / n, (i + 1) / n)),) for i in range(n)
+    )
+    space = PhaseSpace("diag", Box((0.0, 0.0), (1.0, 1.0 / n)))
+    with pytest.raises(PartitionError, match="bins"):
+        Partition(space, cells, tuple(range(n)))
+
+
+def test_fine_grid_builds_and_codes_fast():
+    # the all-pairs overlap scan took about 10 s to build this grid
+    rng = np.random.default_rng(7)
+    points = list(map(tuple, rng.random((10_000, 2))))
+    t0 = time.perf_counter()
+    p = grid_partition(64, 64)
+    codes = [p.cell_index(q) for q in points]
+    assert time.perf_counter() - t0 < 1.0
+    x, y = np.asarray(points).T
+    assert codes == (np.floor(x * 64) * 64 + np.floor(y * 64)).astype(int).tolist()

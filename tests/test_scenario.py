@@ -124,13 +124,46 @@ ROTATION = {
          "length": 100, "L_max": 4},
         {"kind": "check:simulation", "mode": "weak", "system": "rot", "phi": "halves",
          "psi": "quarters", "epsilon": 0.1, "gamma": {"q0": "a", "q1": "a", "q2": "b"}},
+        {"kind": "check:nontriviality", "system": "rot", "observation": "halves", "lags": 5},
+        {"kind": "check:stationarity", "source": {"system": "rot", "observation": "halves"},
+         "grid": [0.0], "shifts": 1.0},
+        {"kind": "check:measure_preservation", "system": "rot", "times": 1.0,
+         "sets": [{"label": "h", "box": {"lo": [0.0], "hi": [0.5]}, "measure": 0.5}]},
+        {"kind": "check:measure_preservation", "system": "rot", "sets": [5], "times": [1.0]},
+        {"kind": "check:measure_preservation", "system": "rot", "times": [1.0],
+         "sets": [{"label": "h", "box": {"lo": [0.0, 0.0], "hi": [0.5, 1.0]}, "measure": 0.5}]},
     ],
-    ids=["unsorted_system_grid", "zero_lag", "undersampled_entropy", "gamma_misses_symbol"],
+    ids=["unsorted_system_grid", "zero_lag", "undersampled_entropy", "gamma_misses_symbol",
+         "lags_not_a_list", "shifts_not_a_list", "times_not_a_list", "set_not_an_object",
+         "set_box_of_other_dimension"],
 )
 def test_bad_task_input_exit_two(tmp_path, capsys, task):
     doc = dict(ROTATION, seed=1, tasks=[task])
     assert run_scenario(_write(tmp_path, "bad.json", doc), out_dir=tmp_path / "o") == 2
     assert f"tasks[0] ({task['kind']})" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "observation, message",
+    [
+        ({"kind": "grid", "system": "baker", "nx": 2.5}, "field 'nx' must be an integer"),
+        ({"kind": "grid", "system": "ghost"}, "undefined system 'ghost'"),
+        ({"kind": "boxes", "system": "rot", "labels": ["l", "r"],
+          "cells": [[{"lo": [0.0, 0.0], "hi": [0.5, 1.0]}], [{"lo": [0.5, 0.0], "hi": [1.0, 1.0]}]]},
+         "2-d box in the 1-d phase space"),
+    ],
+    ids=["fractional_nx", "undefined_system", "boxes_of_other_dimension"],
+)
+def test_bad_observation_exit_two(tmp_path, capsys, observation, message):
+    doc = {
+        "seed": 1,
+        "systems": {"rot": {"kind": "rotation", "alpha": 0.41421356237}, "baker": {"kind": "baker"}},
+        "observations": {"obs": observation},
+        "tasks": [{"kind": "check:nontriviality", "system": "rot", "observation": "obs",
+                   "lags": [1.0], "n": 500}],
+    }
+    assert run_scenario(_write(tmp_path, "obs.json", doc), out_dir=tmp_path / "o") == 2
+    assert message in capsys.readouterr().out
 
 
 def test_demo_scenario_reports_share_the_schema(tmp_path):
