@@ -16,7 +16,6 @@ from .fdd import (
     ProbEstimate,
     SymbolPath,
     compare_fdd,
-    conditional_estimate,
     estimate_fdd,
 )
 from .systems import (

@@ -106,18 +106,16 @@ def _as_source(side):
     raise CheckError(f"cannot interpret {type(side).__name__} as a symbol source")
 
 
-def _sample_paths(source, grid, n, seed):
-    """n symbol tuples of the source on the grid."""
-    symbols = np.empty(len(source.alphabet), dtype=object)
-    for i, s in enumerate(source.alphabet):  # elements may be tuples
-        symbols[i] = s
-    return list(map(tuple, symbols[source.sample_codes(grid, n, seed)].tolist()))
-
-
 def _require_items(**families):
     for name, items in families.items():
         if len(items) == 0:
             raise CheckError(f"{name} must be nonempty")
+
+
+def _require_positive(**bounds):
+    for name, value in bounds.items():
+        if not (math.isfinite(value) and value > 0):
+            raise CheckError(f"{name} must be finite and positive, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +142,8 @@ def check_observational_equivalence(side_a, side_b, grids, n, seed) -> CheckRepo
         return report
     seeds = np.random.SeedSequence(seed).spawn(2 * len(grids))
     for gi, grid in enumerate(grids):
-        pa = _sample_paths(a, grid, n, seeds[2 * gi])
-        pb = _sample_paths(b, grid, n, seeds[2 * gi + 1])
-        events = sorted(set(pa) | set(pb))
-        fa = estimate_fdd(pa, grid, events)
-        fb = estimate_fdd(pb, grid, events)
+        fa = estimate_fdd(a.sample_codes(grid, n, seeds[2 * gi]), a.alphabet, grid)
+        fb = estimate_fdd(b.sample_codes(grid, n, seeds[2 * gi + 1]), b.alphabet, grid)
         cmp = compare_fdd(fa, fb, label=f"grid{gi}")
         report.items.extend(cmp.items)
         if not cmp.passed:
@@ -217,11 +212,10 @@ def check_stationarity(source, grid, shifts, n, seed) -> CheckReport:
     seeds = np.random.SeedSequence(seed).spawn(2 * len(shifts))
     for hi, h in enumerate(shifts):
         shifted = tuple(t + h for t in grid)
-        pa = _sample_paths(source, grid, n, seeds[2 * hi])
-        pb = _sample_paths(source, shifted, n, seeds[2 * hi + 1])
-        events = sorted(set(pa) | set(pb))
-        fa = estimate_fdd(pa, grid, events)
-        fb = estimate_fdd(pb, grid, events)  # same symbol tuples, shifted clock
+        codes = source.sample_codes(grid, n, seeds[2 * hi])
+        fa = estimate_fdd(codes, source.alphabet, grid)
+        codes = source.sample_codes(shifted, n, seeds[2 * hi + 1])
+        fb = estimate_fdd(codes, source.alphabet, grid)  # same labels, shifted clock
         cmp = compare_fdd(fa, fb, label=f"shift={h}")
         report.items.extend(cmp.items)
         if not cmp.passed:
@@ -283,6 +277,7 @@ def check_invariant_union(system, partition, horizon, n, seed, tol=0.01) -> Chec
         raise CheckError("partition must be nontrivial")
     if k > 20:
         raise CheckError("cell count above 20 rejected (2^20 union cap)")
+    _require_positive(tol=tol)
     cell = lambda m: partition.cell_index(system.coords(m))
     ij = observe_trajectories(system, cell, (0.0, horizon), n, seed)
     joint = np.bincount(ij[:, 0] * k + ij[:, 1], minlength=k * k).reshape(k, k)
@@ -334,8 +329,7 @@ def check_epsilon_congruence(system, encoder, embed, epsilon, n, seed) -> CheckR
     encoder maps a state to the time-zero outcome of its encoded
     realization; embed places outcomes back into the phase space.
     """
-    if epsilon <= 0:
-        raise CheckError("epsilon must be positive")
+    _require_positive(epsilon=epsilon)
     distance = lambda m: system.metric(m, embed(encoder(m)))
     d = observe_trajectories(system, distance, (0.0,), n, seed)[:, 0]
     worst = float(d.max())
@@ -373,8 +367,7 @@ def check_simulation(
         raise CheckError("mode must be 'strong' or 'weak'")
     if mode == "weak" and gamma is None:
         raise CheckError("weak mode requires a gamma observation")
-    if epsilon <= 0:
-        raise CheckError("epsilon must be positive")
+    _require_positive(epsilon=epsilon)
     report = CheckReport(
         f"simulation_{mode}", "pass", seed=seed, n_samples=n,
         tolerances={"epsilon": epsilon},
@@ -410,10 +403,11 @@ def check_simulation(
         report.verdict = "fail"
     # report the simulating process' FDDs on the supplied grids
     src = ObservedSystemSource(system, psi)
+    images = tuple(map(sim, psi.alphabet))  # psi's codes index their images
     seeds = np.random.SeedSequence(seed).spawn(len(grids) + 1)
     for gi, grid in enumerate(grids):
-        paths = _sample_paths(src, grid, min(n, 10_000), seeds[gi + 1])
-        fdd = estimate_fdd([tuple(map(sim, p)) for p in paths], grid)
+        codes = src.sample_codes(grid, min(n, 10_000), seeds[gi + 1])
+        fdd = estimate_fdd(codes, images, grid)
         report.items.append(
             {
                 "label": f"simulating_fdd_grid{gi}",

@@ -20,7 +20,6 @@ __all__ = [
     "EmpiricalFDD",
     "estimate_fdd",
     "compare_fdd",
-    "conditional_estimate",
     "THREE_SIGMA_ALPHA",
     "bonferroni_z",
 ]
@@ -50,12 +49,6 @@ class SymbolPath:
         object.__setattr__(self, "symbols", tuple(self.symbols))
         if len(self.times) != len(self.symbols):
             raise FDDError("times and symbols differ in length")
-
-    def at(self, t):
-        for ti, s in zip(self.times, self.symbols):
-            if abs(ti - t) < 1e-12:
-                return s
-        raise FDDError(f"path not defined at t={t}")
 
 
 @dataclass(frozen=True)
@@ -121,18 +114,8 @@ class EmpiricalFDD:
         p = self.estimates
         return np.sqrt(p * (1.0 - p) / self.n_samples)
 
-    def probability(self, event):
-        return self.counts[self.events.index(tuple(event))] / self.n_samples
-
     def total_mass(self):
         return sum(self.counts) / self.n_samples
-
-    def merge(self, other):
-        """Combine two ensembles over the same grid and events (associative)."""
-        if self.grid != other.grid or self.events != other.events:
-            raise FDDError("can only merge tables with identical grids and events")
-        counts = tuple(a + b for a, b in zip(self.counts, other.counts))
-        return EmpiricalFDD(self.grid, self.events, counts, self.n_samples + other.n_samples)
 
     def to_csv(self):
         buf = io.StringIO()
@@ -153,62 +136,52 @@ class EmpiricalFDD:
         }
 
 
-def _path_symbols(path, grid):
-    if isinstance(path, SymbolPath):
-        if path.times == tuple(float(t) for t in grid):
-            return path.symbols
-        return tuple(path.at(t) for t in grid)
-    if hasattr(path, "value"):
-        return tuple(path.value(t) for t in grid)
-    sym = tuple(path)
-    if len(sym) != len(grid):
-        raise FDDError("path shorter than grid horizon")
-    return sym
+def estimate_fdd(codes, alphabet, grid) -> EmpiricalFDD:
+    """Relative frequencies of the symbol tuples of an ensemble of paths.
 
-
-def estimate_fdd(paths, grid, events=None) -> EmpiricalFDD:
-    """Relative frequencies of event tuples across an ensemble of paths.
-
-    If events is None, every observed tuple becomes an entry, so the table
-    carries total mass exactly 1.
+    codes is the (n, len(grid)) int array of a source's sample_codes,
+    indexing alphabet.  The symbols are ranked once in sorted(set(alphabet)),
+    so codes with the same symbol count as one; the ranked rows are counted
+    as the runs of a lexicographic sort, and only the distinct events are
+    mapped back to symbols.  Every observed tuple becomes an entry, in
+    sorted order, so the table carries total mass exactly 1.
     """
     grid = tuple(float(t) for t in grid)
     if not grid:
         raise FDDError("empty time grid")
-    observed = {}
-    n = 0
-    for path in paths:
-        key = _path_symbols(path, grid)
-        observed[key] = observed.get(key, 0) + 1
-        n += 1
+    codes = np.asarray(codes)
+    if codes.ndim != 2 or codes.shape[1] != len(grid):
+        raise FDDError(f"codes must have shape (n, {len(grid)}), got {codes.shape}")
+    n = len(codes)
     if n < 1:
         raise FDDError("need at least one path")
-    if events is None:
-        events = tuple(sorted(observed))
-    else:
-        events = tuple(tuple(e) for e in events)
-    counts = tuple(observed.get(e, 0) for e in events)
-    return EmpiricalFDD(grid, events, counts, n)
+    symbols = sorted(set(alphabet))
+    rank = {s: i for i, s in enumerate(symbols)}
+    rows = np.array([rank[s] for s in alphabet], dtype=np.intp)[codes]
+    rows = rows[np.lexsort(rows.T[::-1])]  # the first grid time is the primary key
+    starts = np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
+    events = [tuple(symbols[i] for i in row) for row in rows[starts].tolist()]
+    return EmpiricalFDD(grid, events, np.diff(np.r_[starts, n]), n)
 
 
 def compare_fdd(a: EmpiricalFDD, b: EmpiricalFDD, label="fdd") -> "FDDComparison":
     """Entrywise comparison under 3-sigma tolerance, Bonferroni-corrected.
 
-    Pass iff every entry's |difference| stays below z * combined standard
-    error, where z is the 3-sigma quantile adjusted for the number of
-    entries.
+    The entries are the sorted union of the events of both tables, with
+    count 0 where one side did not observe an event.  Pass iff every
+    entry's |difference| stays below z * combined standard error, where z
+    is the 3-sigma quantile adjusted for the number of entries.
     """
     if a.grid != b.grid:
         raise FDDError("mismatched time grids")
-    if a.events != b.events:
-        raise FDDError("mismatched event sets")
-    k = max(len(a.events), 1)
+    events = sorted(set(a.events) | set(b.events))
+    k = max(len(events), 1)
     z = bonferroni_z(k)
     items = []
     ok = True
-    pa, pb = a.estimates, b.estimates
-    sa, sb = a.stderrs, b.stderrs
-    for i, event in enumerate(a.events):
+    pa, sa = _aligned(a, events)
+    pb, sb = _aligned(b, events)
+    for i, event in enumerate(events):
         se = math.sqrt(sa[i] ** 2 + sb[i] ** 2)
         delta = abs(pa[i] - pb[i])
         tol = z * se
@@ -228,6 +201,13 @@ def compare_fdd(a: EmpiricalFDD, b: EmpiricalFDD, label="fdd") -> "FDDComparison
     return FDDComparison(passed=ok, items=items, z=z)
 
 
+def _aligned(fdd, events):
+    """Estimates and standard errors of fdd over events, 0 where unobserved."""
+    count = dict(zip(fdd.events, fdd.counts))
+    aligned = EmpiricalFDD(fdd.grid, events, [count.get(e, 0) for e in events], fdd.n_samples)
+    return aligned.estimates, aligned.stderrs
+
+
 @dataclass
 class FDDComparison:
     passed: bool
@@ -240,24 +220,3 @@ class FDDComparison:
 
     def witnesses(self):
         return [it for it in self.items if not it["pass"]]
-
-
-def conditional_estimate(paths, lag, sym_from, sym_to, anchors=(0.0,)) -> ProbEstimate:
-    """Estimate P{Z_{t+lag}=sym_to | Z_t=sym_from}, pooled over anchor times.
-
-    Pooling over anchors is valid for stationary ensembles; pass a single
-    anchor otherwise.
-    """
-    if lag < 0:
-        raise FDDError("lag must be nonnegative")
-    num = den = 0
-    for path in paths:
-        for t in anchors:
-            pair = _path_symbols(path, (t, t + lag))
-            if pair[0] == sym_from:
-                den += 1
-                if pair[1] == sym_to:
-                    num += 1
-    if den == 0:
-        raise FDDError(f"conditioning symbol {sym_from!r} never observed")
-    return ProbEstimate.from_counts(num, den)

@@ -144,8 +144,7 @@ class MarkovChainSpec:
         return idx
 
     def validate(self) -> "MarkovDiagnostics":
-        # cached: samplers validate once per spec, not once per trajectory
-        return _cached(self, "_diag", lambda: validate_markov_spec(self))
+        return validate_markov_spec(self)
 
 
 def _cached(spec, key, build):
@@ -205,13 +204,18 @@ def validate_markov_spec(spec_or_matrix, order=1, states=None) -> MarkovDiagnost
     """Irreducibility, aperiodicity, and stationary distribution of a chain.
 
     Accepts a MarkovChainSpec, or a raw row-stochastic matrix (order 1).
+    The diagnostics are computed once per spec and cached on it, so the
+    samplers and a direct call share one validation.
     """
     if not isinstance(spec_or_matrix, MarkovChainSpec):
         table = np.asarray(spec_or_matrix, dtype=float)
         if states is None:
             states = tuple(f"s{i+1}" for i in range(table.shape[1]))
         spec_or_matrix = MarkovChainSpec(states, table, order)
-    spec = spec_or_matrix
+    return _cached(spec_or_matrix, "_diag", lambda: _diagnose(spec_or_matrix))
+
+
+def _diagnose(spec):
     ctxs, P = _block_matrix(spec)
     succ = [np.flatnonzero(row).tolist() for row in P > 0]
     pred = [np.flatnonzero(col).tolist() for col in P.T > 0]
@@ -264,7 +268,7 @@ def block_embedding(spec: MarkovChainSpec) -> MarkovChainSpec:
     For order 1 this is the identity embedding up to relabeling states by
     singleton blocks.
     """
-    diag = validate_markov_spec(spec)
+    diag = spec.validate()
     if not diag.valid:
         raise ProcessError("cannot embed an invalid chain")
     ctxs, P = _block_matrix(spec)

@@ -50,27 +50,49 @@ def _require_list(cfg, key, where, nested=False, default=None):
     return value
 
 
+def _number(cfg, key, where, default=None, integer=False):
+    """A JSON number field (an integer if integer); required unless default
+    is given.  A bool is not a number here."""
+    value = _require(cfg, key, where) if default is None else cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ScenarioError(f"{where}: field {key!r} must be {kind}, got {value!r}")
+    return value if integer else float(value)
+
+
+def _numbers(cfg, key, where, nested=False, default=None):
+    """A JSON list (of lists if nested) of numbers."""
+    value = _require_list(cfg, key, where, nested, default)
+    for v in value if nested else [value]:
+        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v):
+            raise ScenarioError(f"{where}: field {key!r} must hold numbers, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # definition builders
 
 
 def _build_system(name, cfg):
-    kind = _require(cfg, "kind", f"systems.{name}")
+    where = f"systems.{name}"
+    kind = _require(cfg, "kind", where)
     if kind == "rotation":
-        return rotation_system(_require(cfg, "alpha", f"systems.{name}"))
+        return rotation_system(_number(cfg, "alpha", where))
     if kind == "billiard":
+        at = f"{where}.obstacles"
         obstacles = [
-            (tuple(o["center"]), o["radius"]) for o in cfg.get("obstacles", [])
+            (tuple(_numbers(o, "center", at)), _number(o, "radius", at))
+            for o in _require_list(cfg, "obstacles", where, default=[])
         ]
         return billiard_system(
-            _require(cfg, "width", f"systems.{name}"),
-            _require(cfg, "height", f"systems.{name}"),
+            _number(cfg, "width", where),
+            _number(cfg, "height", where),
             obstacles,
-            _require(cfg, "speed", f"systems.{name}"),
+            _number(cfg, "speed", where),
         )
     if kind == "baker":
         return baker_system()
-    raise ScenarioError(f"systems.{name}: unsupported system kind {kind!r}")
+    raise ScenarioError(f"{where}: unsupported system kind {kind!r}")
 
 
 def _build_observation(name, cfg, systems):
@@ -82,18 +104,16 @@ def _build_observation(name, cfg, systems):
     space = systems[system].space
     if kind == "intervals":
         part = interval_partition(
-            _require_list(cfg, "breaks", where), _require_list(cfg, "labels", where), space=space
+            _numbers(cfg, "breaks", where), _require_list(cfg, "labels", where), space=space
         )
     elif kind == "grid":
-        nx, ny = cfg.get("nx", 2), cfg.get("ny", 2)
-        for key, value in (("nx", nx), ("ny", ny)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ScenarioError(f"{where}: field {key!r} must be an integer")
+        nx = _number(cfg, "nx", where, default=2, integer=True)
+        ny = _number(cfg, "ny", where, default=2, integer=True)
         part = grid_partition(nx, ny, space=space)
     elif kind == "boxes":
         cells = tuple(
             tuple(
-                Box(tuple(_require_list(b, "lo", where)), tuple(_require_list(b, "hi", where)))
+                Box(tuple(_numbers(b, "lo", where)), tuple(_numbers(b, "hi", where)))
                 for b in cell
             )
             for cell in _require_list(cfg, "cells", where, nested=True)
@@ -106,19 +126,37 @@ def _build_observation(name, cfg, systems):
 
 
 def _build_process(name, cfg):
-    kind = _require(cfg, "kind", f"processes.{name}")
-    states = tuple(_require(cfg, "states", f"processes.{name}"))
-    matrix = np.asarray(_require(cfg, "matrix", f"processes.{name}"), dtype=float)
-    order = int(cfg.get("order", 1))
-    chain = MarkovChainSpec(states, matrix, order)
+    where = f"processes.{name}"
+    kind = _require(cfg, "kind", where)
+    states = tuple(_require(cfg, "states", where))
+    matrix = np.asarray(_require(cfg, "matrix", where), dtype=float)
+    chain = MarkovChainSpec(states, matrix, _number(cfg, "order", where, default=1, integer=True))
     if kind == "markov":
         return chain
     if kind == "semi_markov":
         holding = {}
-        for s, h in _require(cfg, "holding", f"processes.{name}").items():
-            holding[s] = HoldingTime(Fraction(str(h["coeff"])), int(h.get("radicand", 1)))
+        for s, h in _require(cfg, "holding", where).items():
+            at = f"{where}.holding.{s}"
+            coeff = Fraction(str(_require(h, "coeff", at)))
+            holding[s] = HoldingTime(coeff, _number(h, "radicand", at, default=1, integer=True))
         return SemiMarkovSpec(chain, holding)
-    raise ScenarioError(f"processes.{name}: unsupported kind {kind!r}")
+    raise ScenarioError(f"{where}: unsupported kind {kind!r}")
+
+
+def _build_all(doc, section, build):
+    """{name: build(name, cfg)} over a section; errors name section.name."""
+    defs = doc.get(section, {})
+    if not isinstance(defs, dict):
+        raise ScenarioError(f"{section} must be an object")
+    built = {}
+    for name, cfg in defs.items():
+        try:
+            built[name] = build(name, cfg)
+        except ScenarioError:
+            raise
+        except ValueError as exc:
+            raise ScenarioError(f"{section}.{name}: {exc}") from exc
+    return built
 
 
 class Scenario:
@@ -127,20 +165,12 @@ class Scenario:
             raise ScenarioError(f"{path}: top level must be an object")
         if "seed" not in doc:
             raise ScenarioError(f"{path}: master seed is mandatory")
-        self.seed = int(doc["seed"])
-        try:
-            self.systems = {
-                k: _build_system(k, v) for k, v in doc.get("systems", {}).items()
-            }
-            self.observations = {
-                k: _build_observation(k, v, self.systems)
-                for k, v in doc.get("observations", {}).items()
-            }
-            self.processes = {
-                k: _build_process(k, v) for k, v in doc.get("processes", {}).items()
-            }
-        except (ScenarioError, ValueError) as exc:
-            raise ScenarioError(str(exc)) from exc
+        self.seed = _number(doc, "seed", path, integer=True)
+        self.systems = _build_all(doc, "systems", _build_system)
+        self.observations = _build_all(
+            doc, "observations", lambda k, v: _build_observation(k, v, self.systems)
+        )
+        self.processes = _build_all(doc, "processes", _build_process)
         self.tasks = doc.get("tasks", [])
         if not isinstance(self.tasks, list):
             raise ScenarioError("tasks must be a list")
@@ -200,25 +230,25 @@ class Scenario:
 def _run_task(scn: Scenario, idx, task):
     kind = _require(task, "kind", f"tasks[{idx}]")
     where = f"tasks[{idx}] ({kind})"
-    seed = int(task.get("seed", scn.seed + idx))
-    n = int(task.get("n", 1000))
+    seed = _number(task, "seed", where, default=scn.seed + idx, integer=True)
+    n = _number(task, "n", where, default=1000, integer=True)
 
     if kind == "simulate":
         src = scn.source(task, where)
-        grid = _require_list(task, "grid", where)
-        paths = checks._sample_paths(src, grid, n, seed)
-        fdd = estimate_fdd(paths, grid)
+        grid = _numbers(task, "grid", where)
+        fdd = estimate_fdd(src.sample_codes(grid, n, seed), src.alphabet, grid)
         obj = {"schema": REPORT_SCHEMA, "kind": kind, "fdd": fdd.to_json_obj()}
         return obj, fdd.to_csv(), True
 
     if kind == "entropy":
         src = scn.source(_require(task, "source", where), where)
-        step = float(task.get("step", 1.0))
-        length = int(task.get("length", 10_000))
-        n_seq = int(task.get("sequences", 1))
+        step = _number(task, "step", where, default=1.0)
+        length = _number(task, "length", where, default=10_000, integer=True)
+        n_seq = _number(task, "sequences", where, default=1, integer=True)
         grid = [i * step for i in range(length)]
-        seqs = checks._sample_paths(src, grid, n_seq, seed)
-        trend = entropy_mod.entropy_rate(seqs, int(_require(task, "L_max", where)))
+        # block entropies do not depend on how the symbols are labelled
+        codes = src.sample_codes(grid, n_seq, seed)
+        trend = entropy_mod.entropy_rate(codes, _number(task, "L_max", where, integer=True))
         obj = {
             "schema": REPORT_SCHEMA,
             "kind": kind,
@@ -243,7 +273,7 @@ def _run_check(scn, what, task, where, seed, n) -> CheckReport:
         return checks.check_observational_equivalence(
             scn.source(_require(task, "a", where), where),
             scn.source(_require(task, "b", where), where),
-            _require_list(task, "grids", where, nested=True),
+            _numbers(task, "grids", where, nested=True),
             n,
             seed,
         )
@@ -251,15 +281,15 @@ def _run_check(scn, what, task, where, seed, n) -> CheckReport:
         return checks.check_nontriviality(
             scn._system(_require(task, "system", where), where),
             scn._observation(_require(task, "observation", where), where),
-            _require_list(task, "lags", where),
+            _numbers(task, "lags", where),
             n,
             seed,
         )
     if what == "stationarity":
         return checks.check_stationarity(
             scn.source(_require(task, "source", where), where),
-            _require_list(task, "grid", where),
-            _require_list(task, "shifts", where),
+            _numbers(task, "grid", where),
+            _numbers(task, "shifts", where),
             n,
             seed,
         )
@@ -269,20 +299,20 @@ def _run_check(scn, what, task, where, seed, n) -> CheckReport:
         for i, s in enumerate(_require_list(task, "sets", where)):
             at = f"{where} sets[{i}]"
             box = _require(s, "box", at)
-            box = Box(tuple(_require_list(box, "lo", at)), tuple(_require_list(box, "hi", at)))
-            sets.append((_require(s, "label", at), box.contains, float(_require(s, "measure", at))))
+            box = Box(tuple(_numbers(box, "lo", at)), tuple(_numbers(box, "hi", at)))
+            sets.append((_require(s, "label", at), box.contains, _number(s, "measure", at)))
         return checks.check_measure_preservation(
-            system, sets, _require_list(task, "times", where), n, seed
+            system, sets, _numbers(task, "times", where), n, seed
         )
     if what == "invariant_union":
         obs = scn._observation(_require(task, "partition", where), where)
         return checks.check_invariant_union(
             scn._system(_require(task, "system", where), where),
             obs.partition,
-            float(_require(task, "horizon", where)),
+            _number(task, "horizon", where),
             n,
             seed,
-            tol=float(task.get("tol", 0.01)),
+            tol=_number(task, "tol", where, default=0.01),
         )
     if what == "simulation":
         mode = _require(task, "mode", where)
@@ -299,8 +329,8 @@ def _run_check(scn, what, task, where, seed, n) -> CheckReport:
             scn._system(_require(task, "system", where), where),
             scn._observation(_require(task, "phi", where), where),
             psi,
-            float(_require(task, "epsilon", where)),
-            _require_list(task, "grids", where, nested=True, default=[]),
+            _number(task, "epsilon", where),
+            _numbers(task, "grids", where, nested=True, default=[]),
             n,
             seed,
             gamma=gamma,
@@ -319,7 +349,7 @@ def _run_check(scn, what, task, where, seed, n) -> CheckReport:
             system,
             lambda m: obs(system.coords(m)),
             lambda sym: centers[sym],
-            float(_require(task, "epsilon", where)),
+            _number(task, "epsilon", where),
             n,
             seed,
         )

@@ -11,7 +11,6 @@ import pytest
 from obsequiv.checks import (
     CheckError,
     ObservedSystemSource,
-    _sample_paths,
     _union_violations,
     check_epsilon_congruence,
     check_invariant_union,
@@ -37,6 +36,12 @@ from obsequiv.systems import baker_system, billiard_system, rotation_system
 
 P2 = np.array([[0.5, 0.5], [0.75, 0.25]])
 HALVES = observation_from_partition(interval_partition([0.0, 0.5, 1.0], ["a", "b"]))
+
+
+def _symbol_paths(source, grid, n, seed):
+    """The sampled paths of a source as tuples of symbols."""
+    codes = source.sample_codes(grid, n, seed)
+    return [tuple(source.alphabet[c] for c in row) for row in codes.tolist()]
 
 
 def test_report_json_schema_and_determinism():
@@ -106,7 +111,7 @@ def test_nontriviality_pair_counts_match_brute_force():
     rep = check_nontriviality(table, obs, lags, n, 7)
     seeds = np.random.SeedSequence(7).spawn(len(lags))
     for item, lag, ss in zip(rep.items, lags, seeds):
-        paths = _sample_paths(ObservedSystemSource(table, obs), (0.0, lag), n, ss)
+        paths = _symbol_paths(ObservedSystemSource(table, obs), (0.0, lag), n, ss)
         witness = None
         for oi, oj in product(obs.alphabet, repeat=2):
             den = sum(1 for p in paths if p[0] == oi)
@@ -237,6 +242,35 @@ def test_invariant_union_rejects_huge_partitions():
     )
     with pytest.raises(CheckError):
         check_invariant_union(rotation_system(0.3), part, 1.0, 10, 1)
+
+
+def _invariant_union_at(tol):
+    part = interval_partition([0.0, 0.5, 1.0], ["L", "R"])
+    return check_invariant_union(rotation_system(0.5), part, 2.0, 400, 5, tol=tol)
+
+
+def _congruence_at(epsilon):
+    return check_epsilon_congruence(
+        rotation_system(0.3), lambda m: 0, lambda s: (0.5,), epsilon, 400, 5
+    )
+
+
+def _simulation_at(epsilon):
+    return check_simulation("strong", rotation_system(0.3), HALVES, HALVES, epsilon, [], 400, 5)
+
+
+@pytest.mark.parametrize(
+    "check, value",
+    [(_invariant_union_at, v) for v in (math.nan, -1.0, 0.0, math.inf)]
+    + [(_congruence_at, v) for v in (math.inf, math.nan, 0.0, -0.3)]
+    + [(_simulation_at, v) for v in (math.inf, math.nan, -1.0)],
+)
+def test_bad_tolerance_is_rejected_not_passed(check, value):
+    """The rotation by 1/2 over two steps fixes both halves, so the union
+    search fails at tol=0.01; NaN and negative tolerances used to pass it."""
+    assert _invariant_union_at(0.01).verdict == "fail"
+    with pytest.raises(CheckError):
+        check(value)
 
 
 def test_epsilon_congruence_fine_coding_passes():

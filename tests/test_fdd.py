@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -18,12 +18,15 @@ from obsequiv.fdd import (
     EmpiricalFDD,
     FDDError,
     ProbEstimate,
-    SymbolPath,
     bonferroni_z,
     compare_fdd,
-    conditional_estimate,
     estimate_fdd,
 )
+
+
+def _codes(paths, alphabet):
+    """The (n, g) code array of symbol tuples over alphabet."""
+    return np.array([[alphabet.index(s) for s in p] for p in paths])
 
 
 def test_three_sigma_alpha_matches_normal_tail():
@@ -63,56 +66,67 @@ def test_prob_estimate_wald_interval():
         ProbEstimate.from_counts(1, 0)
 
 
-def test_symbol_path_lookup():
-    p = SymbolPath((0.0, 0.5, 1.0), ("a", "b", "a"))
-    assert p.at(0.5) == "b"
-    with pytest.raises(FDDError):
-        p.at(0.7)
-
-
 def test_estimate_fdd_total_mass_one_by_default():
     paths = [("a", "a"), ("a", "b"), ("a", "b"), ("b", "b")]
-    fdd = estimate_fdd(paths, (0.0, 1.0))
+    fdd = estimate_fdd(_codes(paths, ["a", "b"]), ("a", "b"), (0.0, 1.0))
     assert fdd.total_mass() == pytest.approx(1.0)
-    assert fdd.probability(("a", "b")) == pytest.approx(0.5)
+    assert fdd.events == (("a", "a"), ("a", "b"), ("b", "b"))
+    assert fdd.counts == (1, 2, 1)
     assert fdd.n_samples == 4
 
 
-def test_estimate_fdd_explicit_events_keep_zeros():
-    paths = [("a",), ("a",)]
-    fdd = estimate_fdd(paths, (0.0,), events=[("a",), ("b",)])
-    assert fdd.counts == (2, 0)
+def test_estimate_fdd_rejects_codes_off_the_grid():
+    codes = np.zeros((3, 2), dtype=int)
+    for bad_codes, grid in ((codes, (0.0,)), (codes[:0], (0.0, 1.0)), (codes[0], (0.0, 1.0))):
+        with pytest.raises(FDDError):
+            estimate_fdd(bad_codes, ("a",), grid)
+    with pytest.raises(FDDError):
+        estimate_fdd(np.zeros((3, 0), dtype=int), ("a",), ())
 
 
-def test_merge_is_associative_and_counts_add():
-    grid, events = (0.0,), (("a",), ("b",))
-    x = EmpiricalFDD(grid, events, (3, 1), 4)
-    y = EmpiricalFDD(grid, events, (1, 2), 3)
-    z = EmpiricalFDD(grid, events, (0, 5), 5)
-    left = x.merge(y).merge(z)
-    right = x.merge(y.merge(z))
-    assert left == right
-    assert left.counts == (4, 8)
-    assert left.n_samples == 12
+def _reference_fdd(codes, alphabet):
+    """Sorted events and counts of a dict over the symbol tuple of each path."""
+    counts = {}
+    for row in codes.tolist():
+        key = tuple(alphabet[c] for c in row)
+        counts[key] = counts.get(key, 0) + 1
+    events = sorted(counts)
+    return tuple(events), tuple(counts[e] for e in events)
+
+
+SYMBOL_KINDS = {
+    "str": lambda i: f"s{i:02d}",
+    "int": lambda i: 3 * i - 20,
+    "tuple": lambda i: ("ab"[i % 2], i // 2),
+}
 
 
 @given(
-    st.lists(st.integers(0, 50), min_size=2, max_size=2),
-    st.lists(st.integers(0, 50), min_size=2, max_size=2),
+    kind=st.sampled_from(sorted(SYMBOL_KINDS)),
+    images=st.lists(st.integers(0, 15), min_size=1, max_size=16),
+    g=st.integers(1, 17),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=50, deadline=None)
-def test_merge_commutes_in_counts(ca, cb):
-    grid, events = (0.0,), (("a",), ("b",))
-    if sum(ca) == 0 or sum(cb) == 0:
-        return
-    x = EmpiricalFDD(grid, events, tuple(ca), sum(ca))
-    y = EmpiricalFDD(grid, events, tuple(cb), sum(cb))
-    assert x.merge(y).counts == y.merge(x).counts
+@example(kind="str", images=list(range(16)), g=17, n=300, seed=1)
+@example(kind="tuple", images=[3, 1, 3, 0, 1], g=4, n=200, seed=2)
+@settings(max_examples=100, deadline=None)
+def test_estimate_fdd_matches_dict_of_symbol_tuples(kind, images, g, n, seed):
+    """Alphabets may repeat a symbol, as gamma's images do in weak
+    simulation; 16 symbols over 17 grid times have 16^17 > 2^63 events."""
+    alphabet = tuple(map(SYMBOL_KINDS[kind], images))
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, len(alphabet), size=(n, g))
+    if n > 1:  # paths that differ only at the last grid time
+        codes[1, :-1] = codes[0, :-1]
+    grid = tuple(0.5 * i for i in range(g))
+    fdd = estimate_fdd(codes, alphabet, grid)
+    assert (fdd.events, fdd.counts) == _reference_fdd(codes, alphabet)
+    assert fdd.grid == grid and fdd.n_samples == n
 
 
 def test_compare_fdd_identical_tables_pass():
-    paths = [("a",)] * 30 + [("b",)] * 70
-    fdd = estimate_fdd(paths, (0.0,))
+    fdd = estimate_fdd(np.array([[0]] * 30 + [[1]] * 70), ("a", "b"), (0.0,))
     cmp = compare_fdd(fdd, fdd)
     assert cmp.passed
     assert cmp.max_delta == 0.0
@@ -158,20 +172,39 @@ def test_compare_fdd_rejects_mismatched_grids():
         compare_fdd(a, b)
 
 
-def test_conditional_estimate_counts():
-    paths = [
-        SymbolPath((0.0, 1.0), ("a", "b")),
-        SymbolPath((0.0, 1.0), ("a", "a")),
-        SymbolPath((0.0, 1.0), ("b", "b")),
-    ]
-    est = conditional_estimate(paths, 1.0, "a", "b")
-    assert est.numerator == 1 and est.denominator == 2
-    with pytest.raises(FDDError):
-        conditional_estimate(paths, 1.0, "zzz", "b")
+def test_compare_fdd_zero_fills_the_union_of_observed_events():
+    grid = (0.0,)
+    a = EmpiricalFDD(grid, (("a",), ("b",)), (6, 4), 10)
+    b = EmpiricalFDD(grid, (("b",), ("c",)), (5, 15), 20)
+    cmp = compare_fdd(a, b)
+    assert [it["event"] for it in cmp.items] == [["a"], ["b"], ["c"]]
+    assert [it["estimate_a"] for it in cmp.items] == [0.6, 0.4, 0.0]
+    assert [it["estimate_b"] for it in cmp.items] == [0.0, 0.25, 0.75]
+    assert cmp.z == bonferroni_z(3)
+    # an entry seen on one side only is judged on that side's error alone
+    se_c = math.sqrt(0.75 * 0.25 / 20)
+    assert cmp.items[2]["tolerance"] == pytest.approx(bonferroni_z(3) * se_c)
+    assert not cmp.passed
+
+
+def test_checker_does_not_load_numpy_ma():
+    code = (
+        "import sys, numpy as np; from obsequiv import MarkovChainSpec, "
+        "check_observational_equivalence as check; "
+        "spec = MarkovChainSpec(('a', 'b'), np.array([[0.5, 0.5], [0.75, 0.25]])); "
+        "assert check(spec, spec, [(0.0, 1.0, 2.0)], 2000, 1).passed; "
+        "print('numpy.ma' in sys.modules)"
+    )
+    src = str(Path(obsequiv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out.split() == ["False"]
 
 
 def test_csv_export_shape():
-    fdd = estimate_fdd([("a", "b"), ("a", "b")], (0.0, 1.0))
+    fdd = estimate_fdd(np.array([[0, 1], [0, 1]]), ("a", "b"), (0.0, 1.0))
     text = fdd.to_csv()
     lines = text.strip().splitlines()
     assert lines[0] == "times,symbols,count,estimate,stderr"
@@ -179,7 +212,7 @@ def test_csv_export_shape():
 
 
 def test_json_object_round_trip_fields():
-    fdd = estimate_fdd([("a",), ("b",)], (0.0,))
+    fdd = estimate_fdd(np.array([[0], [1]]), ("a", "b"), (0.0,))
     obj = fdd.to_json_obj()
     assert obj["grid"] == [0.0]
     assert obj["n_samples"] == 2

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obsequiv import processes
 from obsequiv.processes import (
     HoldingTime,
     MarkovChainSpec,
@@ -21,6 +22,7 @@ from obsequiv.processes import (
     sample_semi_markov,
     validate_markov_spec,
 )
+from obsequiv.representation import ShiftRepresentation
 from obsequiv.systems import spawn_rngs
 
 
@@ -195,6 +197,22 @@ def test_period_of_complete_bipartite_chain_is_fast():
 def test_validate_is_cached_on_spec():
     spec = MarkovChainSpec(("s1", "s2"), P2)
     assert spec.validate() is spec.validate()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_direct_validation_fills_the_cache(monkeypatch, order):
+    """A direct validate_markov_spec call, the samplers and block_embedding
+    share one validation of the spec."""
+    calls = []
+    diagnose = processes._diagnose
+    monkeypatch.setattr(processes, "_diagnose", lambda spec: calls.append(spec) or diagnose(spec))
+    table = P2 if order == 1 else np.array([[0.9, 0.1], [0.3, 0.7], [0.6, 0.4], [0.2, 0.8]])
+    spec = MarkovChainSpec(("s1", "s2"), table, order)
+    diag = validate_markov_spec(spec)
+    ShiftRepresentation(spec).sample_codes((0.0, 1.0, 2.0), 50, 1)
+    block_embedding(spec)
+    assert spec.validate() is diag
+    assert calls == [spec]
 
 
 # -- block embedding -----------------------------------------------------------

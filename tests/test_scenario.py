@@ -132,10 +132,30 @@ ROTATION = {
         {"kind": "check:measure_preservation", "system": "rot", "sets": [5], "times": [1.0]},
         {"kind": "check:measure_preservation", "system": "rot", "times": [1.0],
          "sets": [{"label": "h", "box": {"lo": [0.0, 0.0], "hi": [0.5, 1.0]}, "measure": 0.5}]},
+        {"kind": "simulate", "system": "rot", "observation": "halves", "grid": [0.0], "n": [5]},
+        {"kind": "simulate", "system": "rot", "observation": "halves", "grid": [0.0], "n": True},
+        {"kind": "simulate", "system": "rot", "observation": "halves", "grid": [0.0], "n": 5.5},
+        {"kind": "check:nontriviality", "system": "rot", "observation": "halves",
+         "lags": [[1]]},
+        {"kind": "simulate", "system": "rot", "observation": "halves", "grid": ["0"]},
+        {"kind": "check:stationarity", "source": {"system": "rot", "observation": "halves"},
+         "grid": [0.0], "shifts": [None]},
+        {"kind": "check:observational_equivalence", "a": {"system": "rot", "observation": "halves"},
+         "b": {"system": "rot", "observation": "halves"}, "grids": [[0.0, [1.0]]]},
+        {"kind": "check:measure_preservation", "system": "rot", "times": [False],
+         "sets": [{"label": "h", "box": {"lo": [0.0], "hi": [0.5]}, "measure": 0.5}]},
+        {"kind": "entropy", "source": {"system": "rot", "observation": "halves"},
+         "length": 1000, "L_max": "2"},
+        {"kind": "check:invariant_union", "system": "rot", "partition": "halves",
+         "horizon": 2.0, "tol": -1},
+        {"kind": "check:simulation", "mode": "strong", "system": "rot", "phi": "halves",
+         "psi": "halves", "epsilon": "0.1"},
     ],
     ids=["unsorted_system_grid", "zero_lag", "undersampled_entropy", "gamma_misses_symbol",
          "lags_not_a_list", "shifts_not_a_list", "times_not_a_list", "set_not_an_object",
-         "set_box_of_other_dimension"],
+         "set_box_of_other_dimension", "n_a_list", "n_a_bool", "n_fractional", "lags_nested",
+         "grid_of_strings", "shift_null", "grids_nested_too_deep", "time_a_bool",
+         "L_max_a_string", "negative_tol", "epsilon_a_string"],
 )
 def test_bad_task_input_exit_two(tmp_path, capsys, task):
     doc = dict(ROTATION, seed=1, tasks=[task])
@@ -151,8 +171,9 @@ def test_bad_task_input_exit_two(tmp_path, capsys, task):
         ({"kind": "boxes", "system": "rot", "labels": ["l", "r"],
           "cells": [[{"lo": [0.0, 0.0], "hi": [0.5, 1.0]}], [{"lo": [0.5, 0.0], "hi": [1.0, 1.0]}]]},
          "2-d box in the 1-d phase space"),
+        ({"kind": "grid", "system": "rot"}, "a grid needs a 2-d phase space"),
     ],
-    ids=["fractional_nx", "undefined_system", "boxes_of_other_dimension"],
+    ids=["fractional_nx", "undefined_system", "boxes_of_other_dimension", "grid_on_1d_system"],
 )
 def test_bad_observation_exit_two(tmp_path, capsys, observation, message):
     doc = {
@@ -163,7 +184,41 @@ def test_bad_observation_exit_two(tmp_path, capsys, observation, message):
                    "lags": [1.0], "n": 500}],
     }
     assert run_scenario(_write(tmp_path, "obs.json", doc), out_dir=tmp_path / "o") == 2
-    assert message in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert message in out
+    assert out.startswith("configuration error: observations.obs: ")
+
+
+@pytest.mark.parametrize(
+    "section, definition, message",
+    [
+        ("systems", {"kind": "rotation", "alpha": "fast"},
+         "systems.d: field 'alpha' must be a number, got 'fast'"),
+        ("systems", {"kind": "billiard", "width": 1.0, "height": 1.0, "speed": 1.0,
+                     "obstacles": [{"center": [0.5, 0.5], "radius": [0.1]}]},
+         "systems.d.obstacles: field 'radius' must be a number, got [0.1]"),
+        ("processes", {"kind": "markov", "states": ["a", "b"], "matrix": [[0.5, 0.6], [1, 0]]},
+         "processes.d: rows must sum to 1"),
+        ("processes", {"kind": "markov", "states": ["a", "b"], "matrix": [[1, 0], [0, 1]],
+                       "order": True},
+         "processes.d: field 'order' must be an integer, got True"),
+        ("processes", {"kind": "semi_markov", "states": ["a", "b"],
+                       "matrix": [[0.5, 0.5], [0.5, 0.5]],
+                       "holding": {"a": {"coeff": "1"}, "b": {"coeff": "one"}}},
+         "processes.d: Invalid literal for Fraction: 'one'"),
+    ],
+    ids=["alpha_a_string", "radius_a_list", "rows_off_one", "order_a_bool", "coeff_not_a_fraction"],
+)
+def test_bad_definition_names_its_location(tmp_path, capsys, section, definition, message):
+    doc = {"seed": 1, section: {"d": definition}, "tasks": []}
+    assert run_scenario(_write(tmp_path, "def.json", doc), out_dir=tmp_path / "o") == 2
+    assert capsys.readouterr().out == f"configuration error: {message}\n"
+
+
+def test_bad_master_seed_exit_two(tmp_path, capsys):
+    doc = dict(PASSING, seed=[1])
+    assert run_scenario(_write(tmp_path, "seed.json", doc), out_dir=tmp_path / "o") == 2
+    assert "field 'seed' must be an integer" in capsys.readouterr().out
 
 
 def test_demo_scenario_reports_share_the_schema(tmp_path):
