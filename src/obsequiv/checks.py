@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 REPORT_SCHEMA = 1
+FDD_POLICY = "3sigma Wald, Bonferroni over entries"
 
 
 class CheckError(ValueError):
@@ -39,13 +40,18 @@ class CheckError(ValueError):
 
 @dataclass
 class CheckReport:
+    """A checker's items; the verdict is "fail" iff some item fails."""
+
     kind: str
-    verdict: str  # pass | fail | inconclusive
     items: list = field(default_factory=list)
     seed: int = 0
     n_samples: int = 0
     tolerances: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
+
+    @property
+    def verdict(self):
+        return "fail" if self.witnesses() else "pass"
 
     @property
     def passed(self):
@@ -118,6 +124,38 @@ def _require_positive(**bounds):
             raise CheckError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _alphabet_items(alphabet_a, alphabet_b, key_a, key_b):
+    """[] when the two outcome sets agree, else one failing item listing
+    each under its key."""
+    if set(alphabet_a) == set(alphabet_b):
+        return []
+    return [{"label": "alphabet", "pass": False, "reason": "outcome sets differ",
+             key_a: sorted(map(str, alphabet_a)), key_b: sorted(map(str, alphabet_b))}]
+
+
+def _compare_tables(a, b, tables, n, seed):
+    """compare_fdd items over tables of (label, grid_a, grid_b).
+
+    Table i samples source a on grid_a from seed child 2i and source b on
+    grid_b from child 2i+1; both tables are labelled by grid_a.
+    """
+    seeds = np.random.SeedSequence(seed).spawn(2 * len(tables))
+    items = []
+    for i, (label, grid_a, grid_b) in enumerate(tables):
+        fa = estimate_fdd(a.sample_codes(grid_a, n, seeds[2 * i]), a.alphabet, grid_a)
+        fb = estimate_fdd(b.sample_codes(grid_b, n, seeds[2 * i + 1]), b.alphabet, grid_a)
+        items += compare_fdd(fa, fb, label=label).items
+    return items
+
+
+def _one_sided_item(label, violations, n, epsilon, **extra):
+    """mu(violation) < epsilon: the 3-sigma Wald upper bound of the share of
+    the n samples flagged in violations must stay below epsilon."""
+    est = ProbEstimate.from_counts(int(np.count_nonzero(violations)), n)
+    return {"label": label, "estimate": est.estimate, "halfwidth": est.halfwidth, **extra,
+            "pass": bool(est.estimate + est.halfwidth < epsilon)}
+
+
 # ---------------------------------------------------------------------------
 # checkers
 
@@ -126,29 +164,11 @@ def check_observational_equivalence(side_a, side_b, grids, n, seed) -> CheckRepo
     """Same outcome set and matching finite-dimensional distributions."""
     a, b = _as_source(side_a), _as_source(side_b)
     _require_items(grids=grids)
-    report = CheckReport("observational_equivalence", "pass", seed=seed, n_samples=n)
-    report.tolerances = {"policy": "3sigma Wald, Bonferroni over entries"}
-    if set(a.alphabet) != set(b.alphabet):
-        report.verdict = "fail"
-        report.items.append(
-            {
-                "label": "alphabet",
-                "pass": False,
-                "reason": "outcome sets differ",
-                "alphabet_a": sorted(map(str, a.alphabet)),
-                "alphabet_b": sorted(map(str, b.alphabet)),
-            }
-        )
-        return report
-    seeds = np.random.SeedSequence(seed).spawn(2 * len(grids))
-    for gi, grid in enumerate(grids):
-        fa = estimate_fdd(a.sample_codes(grid, n, seeds[2 * gi]), a.alphabet, grid)
-        fb = estimate_fdd(b.sample_codes(grid, n, seeds[2 * gi + 1]), b.alphabet, grid)
-        cmp = compare_fdd(fa, fb, label=f"grid{gi}")
-        report.items.extend(cmp.items)
-        if not cmp.passed:
-            report.verdict = "fail"
-    return report
+    items = _alphabet_items(a.alphabet, b.alphabet, "alphabet_a", "alphabet_b")
+    if not items:
+        tables = [(f"grid{gi}", grid, grid) for gi, grid in enumerate(grids)]
+        items = _compare_tables(a, b, tables, n, seed)
+    return CheckReport("observational_equivalence", items, seed, n, {"policy": FDD_POLICY})
 
 
 def check_nontriviality(system, obs, lags, n, seed) -> CheckReport:
@@ -166,7 +186,7 @@ def check_nontriviality(system, obs, lags, n, seed) -> CheckReport:
     source = ObservedSystemSource(system, obs)
     alphabet = source.alphabet
     a = len(alphabet)
-    report = CheckReport("nontriviality", "pass", seed=seed, n_samples=n)
+    report = CheckReport("nontriviality", seed=seed, n_samples=n)
     report.tolerances = {"interval": "3sigma Wald strictly inside (0,1)"}
     report.notes.append("finite lag sample; not a proof over all lags")
     seeds = np.random.SeedSequence(seed).spawn(len(lags))
@@ -197,8 +217,6 @@ def check_nontriviality(system, obs, lags, n, seed) -> CheckReport:
         else:
             item["reason"] = "all conditional estimates consistent with {0,1}"
         report.items.append(item)
-        if witness is None:
-            report.verdict = "fail"
     return report
 
 
@@ -207,20 +225,9 @@ def check_stationarity(source, grid, shifts, n, seed) -> CheckReport:
     source = _as_source(source)
     _require_items(grid=grid, shifts=shifts)
     grid = tuple(float(t) for t in grid)
-    report = CheckReport("stationarity", "pass", seed=seed, n_samples=n)
-    report.tolerances = {"policy": "3sigma Wald, Bonferroni over entries"}
-    seeds = np.random.SeedSequence(seed).spawn(2 * len(shifts))
-    for hi, h in enumerate(shifts):
-        shifted = tuple(t + h for t in grid)
-        codes = source.sample_codes(grid, n, seeds[2 * hi])
-        fa = estimate_fdd(codes, source.alphabet, grid)
-        codes = source.sample_codes(shifted, n, seeds[2 * hi + 1])
-        fb = estimate_fdd(codes, source.alphabet, grid)  # same labels, shifted clock
-        cmp = compare_fdd(fa, fb, label=f"shift={h}")
-        report.items.extend(cmp.items)
-        if not cmp.passed:
-            report.verdict = "fail"
-    return report
+    tables = [(f"shift={h}", grid, tuple(t + h for t in grid)) for h in shifts]
+    items = _compare_tables(source, source, tables, n, seed)
+    return CheckReport("stationarity", items, seed, n, {"policy": FDD_POLICY})
 
 
 def check_measure_preservation(system, test_sets, times, n, seed) -> CheckReport:
@@ -236,7 +243,7 @@ def check_measure_preservation(system, test_sets, times, n, seed) -> CheckReport
     times = sorted(float(t) for t in times)
     k = len(test_sets) * len(times)
     z = bonferroni_z(k)
-    report = CheckReport("measure_preservation", "pass", seed=seed, n_samples=n)
+    report = CheckReport("measure_preservation", seed=seed, n_samples=n)
     report.tolerances = {
         "policy": "3sigma Wald under the null mu(A), Bonferroni over (set, time) pairs",
         "k": k,
@@ -248,7 +255,6 @@ def check_measure_preservation(system, test_sets, times, n, seed) -> CheckReport
         tol = z * math.sqrt(mu_a * (1.0 - mu_a) / n)
         for ti, t in enumerate(times):
             est = hits[ti][si] / n
-            ok = abs(est - mu_a) <= tol
             report.items.append(
                 {
                     "label": label,
@@ -256,11 +262,9 @@ def check_measure_preservation(system, test_sets, times, n, seed) -> CheckReport
                     "estimate": est,
                     "expected": float(mu_a),
                     "tolerance": tol,
-                    "pass": bool(ok),
+                    "pass": bool(abs(est - mu_a) <= tol),
                 }
             )
-            if not ok:
-                report.verdict = "fail"
     return report
 
 
@@ -281,12 +285,11 @@ def check_invariant_union(system, partition, horizon, n, seed, tol=0.01) -> Chec
     cell = lambda m: partition.cell_index(system.coords(m))
     ij = observe_trajectories(system, cell, (0.0, horizon), n, seed)
     joint = np.bincount(ij[:, 0] * k + ij[:, 1], minlength=k * k).reshape(k, k)
-    report = CheckReport("invariant_union", "pass", seed=seed, n_samples=n)
+    report = CheckReport("invariant_union", seed=seed, n_samples=n)
     report.tolerances = {"symmetric_difference": tol}
     viol = _union_violations(joint)[1:-1] / n  # entry i: the union of mask i + 1
     found = np.flatnonzero(viol < tol)
     if found.size:
-        report.verdict = "fail"
         for i in found[np.argsort(viol[found], kind="stable")][:8]:
             mask = int(i) + 1
             labels = [partition.labels[c] for c in range(k) if mask >> c & 1]
@@ -332,26 +335,10 @@ def check_epsilon_congruence(system, encoder, embed, epsilon, n, seed) -> CheckR
     _require_positive(epsilon=epsilon)
     distance = lambda m: system.metric(m, embed(encoder(m)))
     d = observe_trajectories(system, distance, (0.0,), n, seed)[:, 0]
-    worst = float(d.max())
-    est = ProbEstimate.from_counts(int(np.count_nonzero(d >= epsilon)), n)
-    ok = est.estimate + est.halfwidth < epsilon
-    report = CheckReport(
-        "epsilon_congruence",
-        "pass" if ok else "fail",
-        seed=seed,
-        n_samples=n,
-        tolerances={"epsilon": epsilon},
+    item = _one_sided_item(
+        "violation_measure", d >= epsilon, n, epsilon, max_distance_seen=float(d.max())
     )
-    report.items.append(
-        {
-            "label": "violation_measure",
-            "estimate": est.estimate,
-            "halfwidth": est.halfwidth,
-            "max_distance_seen": worst,
-            "pass": bool(ok),
-        }
-    )
-    return report
+    return CheckReport("epsilon_congruence", [item], seed, n, {"epsilon": epsilon})
 
 
 def check_simulation(
@@ -368,42 +355,17 @@ def check_simulation(
     if mode == "weak" and gamma is None:
         raise CheckError("weak mode requires a gamma observation")
     _require_positive(epsilon=epsilon)
-    report = CheckReport(
-        f"simulation_{mode}", "pass", seed=seed, n_samples=n,
-        tolerances={"epsilon": epsilon},
-    )
     sim = gamma if mode == "weak" else (lambda s: s)
-    phi_alpha = set(phi.alphabet)
-    sim_alpha = set(map(sim, psi.alphabet))
-    if sim_alpha != phi_alpha:
-        report.verdict = "fail"
-        report.items.append(
-            {
-                "label": "alphabet",
-                "pass": False,
-                "reason": "outcome sets differ",
-                "simulating": sorted(map(str, sim_alpha)),
-                "target": sorted(map(str, phi_alpha)),
-            }
-        )
+    images = tuple(map(sim, psi.alphabet))  # psi's codes index their images
+    items = _alphabet_items(set(images), set(phi.alphabet), "simulating", "target")
+    report = CheckReport(f"simulation_{mode}", items, seed, n, {"epsilon": epsilon})
+    if items:
         return report
     differ = lambda m: sim(psi(system.coords(m))) != phi(system.coords(m))
     mismatch = observe_trajectories(system, differ, (0.0,), n, seed)
-    est = ProbEstimate.from_counts(int(np.count_nonzero(mismatch)), n)
-    ok = est.estimate + est.halfwidth < epsilon
-    report.items.append(
-        {
-            "label": "mismatch_measure",
-            "estimate": est.estimate,
-            "halfwidth": est.halfwidth,
-            "pass": bool(ok),
-        }
-    )
-    if not ok:
-        report.verdict = "fail"
+    report.items.append(_one_sided_item("mismatch_measure", mismatch, n, epsilon))
     # report the simulating process' FDDs on the supplied grids
     src = ObservedSystemSource(system, psi)
-    images = tuple(map(sim, psi.alphabet))  # psi's codes index their images
     seeds = np.random.SeedSequence(seed).spawn(len(grids) + 1)
     for gi, grid in enumerate(grids):
         codes = src.sample_codes(grid, min(n, 10_000), seeds[gi + 1])

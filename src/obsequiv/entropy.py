@@ -123,6 +123,8 @@ def _block_entropies(sequences, lengths):
             )
         counts = _block_counts(encoded, k, L)
         n = sum(counts.values())
+        if n == 0:
+            raise EntropyError(f"no sequence is as long as the block length L={L}")
         # canonical summation order: relabeling the alphabet permutes the block
         # counts, sorting makes the entropy bit-for-bit invariant under it
         p = np.sort(np.fromiter(counts.values(), dtype=float)) / n

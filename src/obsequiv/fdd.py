@@ -178,15 +178,12 @@ def compare_fdd(a: EmpiricalFDD, b: EmpiricalFDD, label="fdd") -> "FDDComparison
     k = max(len(events), 1)
     z = bonferroni_z(k)
     items = []
-    ok = True
     pa, sa = _aligned(a, events)
     pb, sb = _aligned(b, events)
     for i, event in enumerate(events):
         se = math.sqrt(sa[i] ** 2 + sb[i] ** 2)
         delta = abs(pa[i] - pb[i])
         tol = z * se
-        entry_ok = delta <= tol or delta == 0.0
-        ok = ok and entry_ok
         items.append(
             {
                 "label": label,
@@ -195,10 +192,10 @@ def compare_fdd(a: EmpiricalFDD, b: EmpiricalFDD, label="fdd") -> "FDDComparison
                 "estimate_b": float(pb[i]),
                 "delta": float(delta),
                 "tolerance": float(tol),
-                "pass": bool(entry_ok),
+                "pass": bool(delta <= tol or delta == 0.0),
             }
         )
-    return FDDComparison(passed=ok, items=items, z=z)
+    return FDDComparison(items, z)
 
 
 def _aligned(fdd, events):
@@ -210,9 +207,14 @@ def _aligned(fdd, events):
 
 @dataclass
 class FDDComparison:
-    passed: bool
+    """compare_fdd's entries; it passes iff every entry passes."""
+
     items: list = field(default_factory=list)
     z: float = 3.0
+
+    @property
+    def passed(self):
+        return not self.witnesses()
 
     @property
     def max_delta(self):

@@ -289,6 +289,8 @@ def grid_partition(nx, ny, space=UNIT_SQUARE, prefix="c") -> Partition:
     """nx-by-ny rectangular grid partition of a 2-d rectangular domain."""
     if space.dim < 2:
         raise PartitionError(f"a grid needs a 2-d phase space; {space.name!r} is {space.dim}-d")
+    if nx < 1 or ny < 1:
+        raise PartitionError(f"a grid needs at least one cell per axis, got {nx} x {ny}")
     (x0, y0), (x1, y1) = space.domain.lo[:2], space.domain.hi[:2]
     extra_lo, extra_hi = space.domain.lo[2:], space.domain.hi[2:]
     dx, dy = (x1 - x0) / nx, (y1 - y0) / ny

@@ -121,8 +121,12 @@ class MarkovChainSpec:
         n, k = int(self.order), len(self.states)
         if n < 1:
             raise ProcessError("order must be >= 1")
+        if len(set(self.states)) != k:
+            raise ProcessError(f"duplicate states in {self.states!r}")
         if table.shape != (k**n, k):
             raise ProcessError(f"table must have shape ({k**n}, {k})")
+        if not np.all(np.isfinite(table)):
+            raise ProcessError("transition probabilities must be finite")
         if np.any(table < -ROW_SUM_TOL):
             raise ProcessError("negative transition probability")
         if np.any(np.abs(table.sum(axis=1) - 1.0) > 1e-9):
@@ -313,10 +317,12 @@ def sample_in_chunks(draw, n, seed):
 
 
 def as_grid(grid):
-    """A time grid as a float array: nonempty, ascending and nonnegative."""
+    """A time grid as a float array: nonempty, finite, ascending and nonnegative."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ProcessError("time grid must be a nonempty sequence of times")
+    if not np.all(np.isfinite(grid)):
+        raise ProcessError(f"time grid must hold finite times, got {grid.tolist()}")
     if np.any(np.diff(grid) < 0) or grid[0] < 0:
         raise ProcessError("time grid must be ascending and nonnegative")
     return grid

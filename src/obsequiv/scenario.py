@@ -69,6 +69,22 @@ def _numbers(cfg, key, where, nested=False, default=None):
     return value
 
 
+def _strings(cfg, key, where):
+    """A JSON list of strings: state names, cell labels and symbols."""
+    value = _require_list(cfg, key, where)
+    if not all(isinstance(x, str) for x in value):
+        raise ScenarioError(f"{where}: field {key!r} must hold strings, got {value!r}")
+    return value
+
+
+def _object(cfg, key, where):
+    """A JSON object field."""
+    value = _require(cfg, key, where)
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{where}: field {key!r} must be an object, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # definition builders
 
@@ -95,16 +111,13 @@ def _build_system(name, cfg):
     raise ScenarioError(f"{where}: unsupported system kind {kind!r}")
 
 
-def _build_observation(name, cfg, systems):
+def _build_observation(name, cfg, scn):
     where = f"observations.{name}"
     kind = _require(cfg, "kind", where)
-    system = _require(cfg, "system", where)
-    if system not in systems:
-        raise ScenarioError(f"{where}: undefined system {system!r}")
-    space = systems[system].space
+    space = scn.named(cfg, "system", where).space
     if kind == "intervals":
         part = interval_partition(
-            _numbers(cfg, "breaks", where), _require_list(cfg, "labels", where), space=space
+            _numbers(cfg, "breaks", where), _strings(cfg, "labels", where), space=space
         )
     elif kind == "grid":
         nx = _number(cfg, "nx", where, default=2, integer=True)
@@ -118,24 +131,24 @@ def _build_observation(name, cfg, systems):
             )
             for cell in _require_list(cfg, "cells", where, nested=True)
         )
-        part = Partition(space, cells, tuple(_require_list(cfg, "labels", where)))
+        part = Partition(space, cells, tuple(_strings(cfg, "labels", where)))
     else:
         raise ScenarioError(f"{where}: unsupported kind {kind!r}")
-    labels = cfg.get("symbols")
-    return observation_from_partition(part, labels)
+    symbols = _strings(cfg, "symbols", where) if "symbols" in cfg else None
+    return observation_from_partition(part, symbols)
 
 
 def _build_process(name, cfg):
     where = f"processes.{name}"
     kind = _require(cfg, "kind", where)
-    states = tuple(_require(cfg, "states", where))
-    matrix = np.asarray(_require(cfg, "matrix", where), dtype=float)
+    states = tuple(_strings(cfg, "states", where))
+    matrix = np.asarray(_numbers(cfg, "matrix", where, nested=True), dtype=float)
     chain = MarkovChainSpec(states, matrix, _number(cfg, "order", where, default=1, integer=True))
     if kind == "markov":
         return chain
     if kind == "semi_markov":
         holding = {}
-        for s, h in _require(cfg, "holding", where).items():
+        for s, h in _object(cfg, "holding", where).items():
             at = f"{where}.holding.{s}"
             coeff = Fraction(str(_require(h, "coeff", at)))
             holding[s] = HoldingTime(coeff, _number(h, "radicand", at, default=1, integer=True))
@@ -168,12 +181,10 @@ class Scenario:
         self.seed = _number(doc, "seed", path, integer=True)
         self.systems = _build_all(doc, "systems", _build_system)
         self.observations = _build_all(
-            doc, "observations", lambda k, v: _build_observation(k, v, self.systems)
+            doc, "observations", lambda k, v: _build_observation(k, v, self)
         )
         self.processes = _build_all(doc, "processes", _build_process)
-        self.tasks = doc.get("tasks", [])
-        if not isinstance(self.tasks, list):
-            raise ScenarioError("tasks must be a list")
+        self.tasks = _require_list(doc, "tasks", path, default=[])
 
     @classmethod
     def load(cls, path):
@@ -189,9 +200,11 @@ class Scenario:
     # -- name resolution ----------------------------------------------------
 
     def source(self, cfg, where):
-        """A symbol source from a side description."""
+        """A symbol source from a side description, a JSON object."""
+        if not isinstance(cfg, dict):
+            raise ScenarioError(f"{where}: a side must be an object, got {cfg!r}")
         if "process" in cfg:
-            spec = self._process(cfg["process"], where)
+            spec = self.named(cfg, "process", where)
             rep = cfg.get("representation")
             if rep == "flow":
                 return SemiMarkovFlowRep(spec)
@@ -202,25 +215,21 @@ class Scenario:
             if "observation" not in cfg:
                 raise ScenarioError(f"{where}: observation required")
             return ObservedSystemSource(
-                self._system(cfg["system"], where),
-                self._observation(cfg["observation"], where),
+                self.named(cfg, "system", where), self.named(cfg, "observation", where)
             )
         raise ScenarioError(f"{where}: side needs 'system'+'observation' or 'process'")
 
-    def _system(self, name, where):
-        if name not in self.systems:
-            raise ScenarioError(f"{where}: undefined system {name!r}")
-        return self.systems[name]
-
-    def _observation(self, name, where):
-        if name not in self.observations:
-            raise ScenarioError(f"{where}: undefined observation {name!r}")
-        return self.observations[name]
-
-    def _process(self, name, where):
-        if name not in self.processes:
-            raise ScenarioError(f"{where}: undefined process {name!r}")
-        return self.processes[name]
+    def named(self, cfg, key, where, kind=None):
+        """The system, observation or process (kind, by default key) that
+        field key of cfg names."""
+        kind = kind or key
+        name = _require(cfg, key, where)
+        if not isinstance(name, str):
+            raise ScenarioError(f"{where}: field {key!r} must be a name, got {name!r}")
+        defs = getattr(self, "processes" if kind == "process" else kind + "s")
+        if name not in defs:
+            raise ScenarioError(f"{where}: undefined {kind} {name!r}")
+        return defs[name]
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +238,8 @@ class Scenario:
 
 def _run_task(scn: Scenario, idx, task):
     kind = _require(task, "kind", f"tasks[{idx}]")
+    if not isinstance(kind, str):
+        raise ScenarioError(f"tasks[{idx}]: field 'kind' must be a string, got {kind!r}")
     where = f"tasks[{idx}] ({kind})"
     seed = _number(task, "seed", where, default=scn.seed + idx, integer=True)
     n = _number(task, "n", where, default=1000, integer=True)
@@ -279,8 +290,8 @@ def _run_check(scn, what, task, where, seed, n) -> CheckReport:
         )
     if what == "nontriviality":
         return checks.check_nontriviality(
-            scn._system(_require(task, "system", where), where),
-            scn._observation(_require(task, "observation", where), where),
+            scn.named(task, "system", where),
+            scn.named(task, "observation", where),
             _numbers(task, "lags", where),
             n,
             seed,
@@ -294,7 +305,7 @@ def _run_check(scn, what, task, where, seed, n) -> CheckReport:
             seed,
         )
     if what == "measure_preservation":
-        system = scn._system(_require(task, "system", where), where)
+        system = scn.named(task, "system", where)
         sets = []
         for i, s in enumerate(_require_list(task, "sets", where)):
             at = f"{where} sets[{i}]"
@@ -305,9 +316,9 @@ def _run_check(scn, what, task, where, seed, n) -> CheckReport:
             system, sets, _numbers(task, "times", where), n, seed
         )
     if what == "invariant_union":
-        obs = scn._observation(_require(task, "partition", where), where)
+        obs = scn.named(task, "partition", where, "observation")
         return checks.check_invariant_union(
-            scn._system(_require(task, "system", where), where),
+            scn.named(task, "system", where),
             obs.partition,
             _number(task, "horizon", where),
             n,
@@ -316,18 +327,20 @@ def _run_check(scn, what, task, where, seed, n) -> CheckReport:
         )
     if what == "simulation":
         mode = _require(task, "mode", where)
-        psi = scn._observation(_require(task, "psi", where), where)
-        gamma_map = task.get("gamma")
+        psi = scn.named(task, "psi", where, "observation")
         gamma = None
-        if gamma_map is not None:
+        if "gamma" in task:
+            gamma_map = _object(task, "gamma", where)
+            if not all(isinstance(v, str) for v in gamma_map.values()):
+                raise ScenarioError(f"{where}: field 'gamma' must map symbols to strings")
             missing = [str(s) for s in psi.alphabet if str(s) not in gamma_map]
             if missing:
                 raise ScenarioError(f"{where}: gamma has no image for psi symbols {missing}")
             gamma = lambda s: gamma_map[str(s)]
         return checks.check_simulation(
             mode,
-            scn._system(_require(task, "system", where), where),
-            scn._observation(_require(task, "phi", where), where),
+            scn.named(task, "system", where),
+            scn.named(task, "phi", where, "observation"),
             psi,
             _number(task, "epsilon", where),
             _numbers(task, "grids", where, nested=True, default=[]),
@@ -336,8 +349,8 @@ def _run_check(scn, what, task, where, seed, n) -> CheckReport:
             gamma=gamma,
         )
     if what == "epsilon_congruence":
-        system = scn._system(_require(task, "system", where), where)
-        obs = scn._observation(_require(task, "coding", where), where)
+        system = scn.named(task, "system", where)
+        obs = scn.named(task, "coding", where, "observation")
         part = obs.partition
         centers = {
             sym: tuple(

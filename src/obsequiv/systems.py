@@ -105,6 +105,9 @@ class BilliardFlow:
     """
 
     def __init__(self, width, height, obstacles, speed):
+        if not all(math.isfinite(v) and v > 0 for v in (width, height)):
+            raise SystemError(f"table width and height must be finite and positive, "
+                              f"got {width!r} x {height!r}")
         if speed <= 0:
             raise SystemError("speed must be positive")
         self.width, self.height, self.speed = float(width), float(height), float(speed)

@@ -57,6 +57,14 @@ def test_undersampling_guard():
         block_entropy([seq], 0)
 
 
+def test_entropy_rate_without_a_full_block_raises():
+    # 400 one-symbol sequences pass the undersampling guard at L=2 but hold no 2-block
+    seqs = [[i % 2] for i in range(400)]
+    assert entropy_rate(seqs, 1).estimates[0].n_blocks == 400
+    with pytest.raises(EntropyError, match="L=2"):
+        entropy_rate(seqs, 2)
+
+
 def test_entropy_bounded_by_log_alphabet():
     rng = np.random.default_rng(2)
     seq = rng.integers(0, 3, 100_000)

@@ -126,6 +126,12 @@ def test_grid_partition_on_square():
     assert p.labels[p.cell_index((0.1, 0.9))] == "c0_3"
 
 
+@pytest.mark.parametrize("nx, ny", [(0, 2), (2, -1)])
+def test_grid_partition_rejects_empty_axes(nx, ny):
+    with pytest.raises(PartitionError, match="at least one cell per axis"):
+        grid_partition(nx, ny)
+
+
 def test_grid_partition_with_extra_trailing_dims():
     space = PhaseSpace("slab", Box((0.0, 0.0, 0.0), (1.0, 1.0, 6.0)), periodic=(2,))
     p = grid_partition(2, 2, space=space)

@@ -83,6 +83,22 @@ def test_chain_spec_shape_checks():
         MarkovChainSpec(("a", "b"), P2, order=0)
 
 
+def test_chain_spec_rejects_non_finite_entries():
+    with pytest.raises(ProcessError, match="must be finite"):
+        MarkovChainSpec(("a", "b"), np.array([[np.nan, 1.0], [0.5, 0.5]]))
+
+
+def test_chain_spec_rejects_duplicate_states():
+    with pytest.raises(ProcessError, match="duplicate states"):
+        MarkovChainSpec(("a", "a"), P2)
+
+
+@pytest.mark.parametrize("grid", [[0.0, math.inf], [math.inf], [math.nan], [0.0, 1.0, math.nan]])
+def test_as_grid_rejects_non_finite_times(grid):
+    with pytest.raises(ProcessError, match="finite times"):
+        processes.as_grid(grid)
+
+
 def test_stationary_distribution_exact():
     diag = validate_markov_spec(P2)
     assert diag.irreducible and diag.aperiodic and diag.valid

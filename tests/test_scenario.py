@@ -1,6 +1,7 @@
 """Scenario files, the runner's exit codes, and the command-line front end."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -150,12 +151,26 @@ ROTATION = {
          "horizon": 2.0, "tol": -1},
         {"kind": "check:simulation", "mode": "strong", "system": "rot", "phi": "halves",
          "psi": "halves", "epsilon": "0.1"},
+        {"kind": "check:stationarity", "source": 5, "grid": [0.0], "shifts": [1.0]},
+        {"kind": "check:observational_equivalence", "a": "process", "b": {"process": "p"},
+         "grids": [[0.0]]},
+        {"kind": "check:nontriviality", "system": ["rot"], "observation": "halves",
+         "lags": [1.0]},
+        {"kind": "check:nontriviality", "system": "rot", "observation": {"name": "halves"},
+         "lags": [1.0]},
+        {"kind": "check:simulation", "mode": "weak", "system": "rot", "phi": "halves",
+         "psi": "quarters", "epsilon": 0.1, "gamma": 5},
+        {"kind": "check:simulation", "mode": "weak", "system": "rot", "phi": "halves",
+         "psi": "quarters", "epsilon": 0.1,
+         "gamma": {"q0": ["a"], "q1": "a", "q2": "b", "q3": "b"}},
     ],
     ids=["unsorted_system_grid", "zero_lag", "undersampled_entropy", "gamma_misses_symbol",
          "lags_not_a_list", "shifts_not_a_list", "times_not_a_list", "set_not_an_object",
          "set_box_of_other_dimension", "n_a_list", "n_a_bool", "n_fractional", "lags_nested",
          "grid_of_strings", "shift_null", "grids_nested_too_deep", "time_a_bool",
-         "L_max_a_string", "negative_tol", "epsilon_a_string"],
+         "L_max_a_string", "negative_tol", "epsilon_a_string", "side_a_number",
+         "side_a_string", "system_name_a_list", "observation_name_an_object",
+         "gamma_a_number", "gamma_image_a_list"],
 )
 def test_bad_task_input_exit_two(tmp_path, capsys, task):
     doc = dict(ROTATION, seed=1, tasks=[task])
@@ -172,8 +187,15 @@ def test_bad_task_input_exit_two(tmp_path, capsys, task):
           "cells": [[{"lo": [0.0, 0.0], "hi": [0.5, 1.0]}], [{"lo": [0.5, 0.0], "hi": [1.0, 1.0]}]]},
          "2-d box in the 1-d phase space"),
         ({"kind": "grid", "system": "rot"}, "a grid needs a 2-d phase space"),
+        ({"kind": "grid", "system": "baker", "nx": 0}, "a grid needs at least one cell per axis"),
+        ({"kind": "grid", "system": ["baker"]}, "field 'system' must be a name, got ['baker']"),
+        ({"kind": "intervals", "system": "rot", "breaks": [0.0, 0.5, 1.0], "labels": [["l"], "r"]},
+         "field 'labels' must hold strings, got [['l'], 'r']"),
+        ({"kind": "intervals", "system": "rot", "breaks": [0.0, 0.5, 1.0], "labels": ["l", "r"],
+          "symbols": ["a", 1]}, "field 'symbols' must hold strings, got ['a', 1]"),
     ],
-    ids=["fractional_nx", "undefined_system", "boxes_of_other_dimension", "grid_on_1d_system"],
+    ids=["fractional_nx", "undefined_system", "boxes_of_other_dimension", "grid_on_1d_system",
+         "zero_nx", "system_name_a_list", "label_a_list", "symbol_a_number"],
 )
 def test_bad_observation_exit_two(tmp_path, capsys, observation, message):
     doc = {
@@ -206,13 +228,70 @@ def test_bad_observation_exit_two(tmp_path, capsys, observation, message):
                        "matrix": [[0.5, 0.5], [0.5, 0.5]],
                        "holding": {"a": {"coeff": "1"}, "b": {"coeff": "one"}}},
          "processes.d: Invalid literal for Fraction: 'one'"),
+        ("processes", {"kind": "markov", "states": "ab", "matrix": [[0.5, 0.5], [0.5, 0.5]]},
+         "processes.d: field 'states' must be a list"),
+        ("processes", {"kind": "markov", "states": 2, "matrix": [[0.5, 0.5], [0.5, 0.5]]},
+         "processes.d: field 'states' must be a list"),
+        ("processes", {"kind": "markov", "states": ["a", "a"], "matrix": [[0.5, 0.5], [0.5, 0.5]]},
+         "processes.d: duplicate states in ('a', 'a')"),
+        ("processes", {"kind": "markov", "states": ["a", "b"],
+                       "matrix": [[0.5, {"p": 0.5}], [0.5, 0.5]]},
+         "processes.d: field 'matrix' must hold numbers, got [[0.5, {'p': 0.5}], [0.5, 0.5]]"),
+        ("processes", {"kind": "markov", "states": ["a", "b"], "matrix": [["0.5", 0.5], [0.5, 0.5]]},
+         "processes.d: field 'matrix' must hold numbers, got [['0.5', 0.5], [0.5, 0.5]]"),
+        ("processes", {"kind": "markov", "states": ["a", "b"], "matrix": [[math.nan, 1], [0.5, 0.5]]},
+         "processes.d: transition probabilities must be finite"),
+        ("processes", {"kind": "semi_markov", "states": ["a", "b"],
+                       "matrix": [[0.5, 0.5], [0.5, 0.5]], "holding": ["a", "b"]},
+         "processes.d: field 'holding' must be an object, got ['a', 'b']"),
+        ("systems", {"kind": "billiard", "width": -1.0, "height": 1.0, "speed": 1.0},
+         "systems.d: table width and height must be finite and positive, got -1.0 x 1.0"),
     ],
-    ids=["alpha_a_string", "radius_a_list", "rows_off_one", "order_a_bool", "coeff_not_a_fraction"],
+    ids=["alpha_a_string", "radius_a_list", "rows_off_one", "order_a_bool", "coeff_not_a_fraction",
+         "states_a_string", "states_a_number", "duplicate_states", "matrix_entry_an_object",
+         "matrix_entry_a_string", "matrix_entry_nan", "holding_a_list", "negative_width"],
 )
 def test_bad_definition_names_its_location(tmp_path, capsys, section, definition, message):
     doc = {"seed": 1, section: {"d": definition}, "tasks": []}
     assert run_scenario(_write(tmp_path, "def.json", doc), out_dir=tmp_path / "o") == 2
     assert capsys.readouterr().out == f"configuration error: {message}\n"
+
+
+def test_task_kind_not_a_string_exit_two(tmp_path, capsys):
+    doc = dict(ROTATION, seed=1, tasks=[{"kind": ["simulate"]}])
+    assert run_scenario(_write(tmp_path, "kind.json", doc), out_dir=tmp_path / "o") == 2
+    assert capsys.readouterr().out == (
+        "configuration error: tasks[0]: field 'kind' must be a string, got ['simulate']\n"
+    )
+
+
+SEMI_MARKOV = {
+    "sm": {"kind": "semi_markov", "states": ["s1", "s2"], "matrix": [[0.5, 0.5], [0.5, 0.5]],
+           "holding": {"s1": {"coeff": "1"}, "s2": {"coeff": "1", "radicand": 2}}}
+}
+
+
+@pytest.mark.parametrize(
+    "task, message",
+    [
+        ({"kind": "simulate", "process": "sm", "grid": [0.0, math.nan]}, "finite times"),
+        ({"kind": "simulate", "process": "sm", "grid": [0.0, math.inf]}, "finite times"),
+        ({"kind": "check:observational_equivalence", "a": {"process": "sm"},
+          "b": {"process": "sm", "representation": "flow"}, "grids": [[0.0, math.inf]]},
+         "finite times"),
+        ({"kind": "entropy", "source": {"process": "sm"}, "step": math.inf, "length": 100,
+          "L_max": 1}, "finite times"),
+        ({"kind": "entropy", "source": {"process": "sm"}, "length": 1, "sequences": 400,
+          "L_max": 2}, "no sequence is as long as the block length L=2"),
+    ],
+    ids=["grid_nan", "grid_infinite", "grids_infinite", "step_infinite", "no_full_block"],
+)
+def test_process_task_bad_times_exit_two(tmp_path, capsys, task, message):
+    doc = {"seed": 1, "processes": SEMI_MARKOV, "tasks": [task]}
+    assert run_scenario(_write(tmp_path, "times.json", doc), out_dir=tmp_path / "o") == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"configuration error: tasks[0] ({task['kind']}): ")
+    assert message in out
 
 
 def test_bad_master_seed_exit_two(tmp_path, capsys):

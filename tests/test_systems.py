@@ -76,6 +76,14 @@ def test_billiard_validation(table):
         )  # overlapping obstacles
 
 
+@pytest.mark.parametrize(
+    "width, height", [(-1.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.inf)]
+)
+def test_billiard_rejects_bad_table_size(width, height):
+    with pytest.raises(SystemError, match="width and height must be finite and positive"):
+        billiard_system(width, height, [], 1.0)
+
+
 def test_billiard_wall_reflection_exact():
     # no obstacle in the way: straight flight right, bounce off x=1
     sys = billiard_system(1.0, 1.0, [], 1.0)
