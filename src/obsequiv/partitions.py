@@ -285,7 +285,7 @@ def interval_partition(breaks, labels, space=UNIT_INTERVAL) -> Partition:
     return Partition(space, cells, tuple(labels))
 
 
-def grid_partition(nx, ny, space=UNIT_SQUARE, prefix="c") -> Partition:
+def grid_partition(nx, ny, space=UNIT_SQUARE) -> Partition:
     """nx-by-ny rectangular grid partition of a 2-d rectangular domain."""
     if space.dim < 2:
         raise PartitionError(f"a grid needs a 2-d phase space; {space.name!r} is {space.dim}-d")
@@ -300,5 +300,5 @@ def grid_partition(nx, ny, space=UNIT_SQUARE, prefix="c") -> Partition:
             lo = (x0 + i * dx, y0 + j * dy) + extra_lo
             hi = (x0 + (i + 1) * dx, y0 + (j + 1) * dy) + extra_hi
             cells.append((Box(lo, hi),))
-            labels.append(f"{prefix}{i}_{j}")
+            labels.append(f"c{i}_{j}")
     return Partition(space, tuple(cells), tuple(labels))

@@ -34,6 +34,7 @@ __all__ = [
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 CHUNK = 8192  # paths per independently seeded chunk of sample_in_chunks
+MAX_PATH_STEPS = 2**24  # largest rows x lockstep steps one kernel call may draw
 
 
 class ProcessError(ValueError):
@@ -204,18 +205,17 @@ def _stationary_of(P):
     return pi
 
 
-def validate_markov_spec(spec_or_matrix, order=1, states=None) -> MarkovDiagnostics:
+def validate_markov_spec(spec_or_matrix) -> MarkovDiagnostics:
     """Irreducibility, aperiodicity, and stationary distribution of a chain.
 
-    Accepts a MarkovChainSpec, or a raw row-stochastic matrix (order 1).
-    The diagnostics are computed once per spec and cached on it, so the
-    samplers and a direct call share one validation.
+    Accepts a MarkovChainSpec, or a raw row-stochastic matrix (order 1, states
+    s1, s2, ...).  The diagnostics are computed once per spec and cached on
+    it, so the samplers and a direct call share one validation.
     """
     if not isinstance(spec_or_matrix, MarkovChainSpec):
         table = np.asarray(spec_or_matrix, dtype=float)
-        if states is None:
-            states = tuple(f"s{i+1}" for i in range(table.shape[1]))
-        spec_or_matrix = MarkovChainSpec(states, table, order)
+        states = tuple(f"s{i+1}" for i in range(table.shape[1]))
+        spec_or_matrix = MarkovChainSpec(states, table)
     return _cached(spec_or_matrix, "_diag", lambda: _diagnose(spec_or_matrix))
 
 
@@ -316,6 +316,16 @@ def sample_in_chunks(draw, n, seed):
     return np.concatenate(parts)
 
 
+def check_path_steps(rows, steps):
+    """Raise ProcessError, before anything is drawn, when rows paths of
+    steps lockstep steps each exceed MAX_PATH_STEPS."""
+    if rows * steps > MAX_PATH_STEPS:
+        raise ProcessError(
+            f"{rows} paths of {steps:.0f} steps each are {rows * steps:.0f} path steps, "
+            f"more than the {MAX_PATH_STEPS} one sampling call may draw"
+        )
+
+
 def as_grid(grid):
     """A time grid as a float array: nonempty, finite, ascending and nonnegative."""
     grid = np.asarray(grid, dtype=float)
@@ -356,6 +366,7 @@ def _chain_tables(spec: MarkovChainSpec):
 
 def _chain_lockstep(spec: MarkovChainSpec, length, n, rng):
     """State indices (n, length) of n stationary chain paths."""
+    check_path_steps(n, length)
     start, cum = _chain_tables(spec)
     k, order = spec.n_states, spec.order
     ctx = _draw(start, rng.random(n))
@@ -508,6 +519,7 @@ def _semi_markov_lockstep(spec: SemiMarkovSpec, horizon, n, rng):
     straddles time 0 and ends at the first-jump offset T_0.
     """
     start, cum, hold = _semi_markov_tables(spec)
+    check_path_steps(n, horizon / hold.min() + 2)
     k = spec.chain.n_states
     ctx = _draw(start, rng.random(n))
     s = ctx % k

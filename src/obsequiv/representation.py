@@ -20,6 +20,7 @@ from .processes import (
     as_grid,
     block_embedding,
     chain_codes,
+    check_path_steps,
     sample_chain,
     sample_in_chunks,
     sample_semi_markov,
@@ -164,6 +165,8 @@ class SemiMarkovFlowRep(SuspensionFlow):
     """
 
     def __init__(self, spec: SemiMarkovSpec):
+        if not isinstance(spec, SemiMarkovSpec):
+            raise ProcessError(f"a flow needs a semi-Markov process, got {type(spec).__name__}")
         if not spec.irrationally_related():
             raise ProcessError("holding-time set is not irrationally related")
         self.spec = spec
@@ -175,7 +178,7 @@ class SemiMarkovFlowRep(SuspensionFlow):
             return spec.u(first)
 
         roof = RoofFunction({b: block_holding(b) for b in blocks.states})
-        super().__init__(base, roof, label=base.label)
+        super().__init__(base, roof)
         self._roofs = np.array([roof(b) for b in blocks.states])
 
     @property
@@ -202,8 +205,9 @@ class SemiMarkovFlowRep(SuspensionFlow):
         reaches the roof it drops by the roof and the base shifts one block
         forward, a step of the block chain.
         """
-        start, cum = _chain_tables(self.base.chain)
         roof = self._roofs
+        check_path_steps(n, grid[-1] / roof.min() + 2)
+        start, cum = _chain_tables(self.base.chain)
         block = np.empty(n, dtype=np.intp)
         todo = np.arange(n)
         while todo.size:

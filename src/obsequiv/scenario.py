@@ -17,13 +17,12 @@ from .checks import REPORT_SCHEMA, CheckReport, ObservedSystemSource
 from .fdd import estimate_fdd
 from .partitions import (
     Box,
-    ObservationFunction,
     Partition,
     grid_partition,
     interval_partition,
     observation_from_partition,
 )
-from .processes import HoldingTime, MarkovChainSpec, SemiMarkovSpec
+from .processes import HoldingTime, MarkovChainSpec, SemiMarkovSpec, check_path_steps
 from .representation import SemiMarkovFlowRep, ShiftRepresentation
 from .systems import baker_system, billiard_system, rotation_system
 
@@ -34,157 +33,190 @@ class ScenarioError(ValueError):
     """Configuration problem; maps to exit code 2."""
 
 
-def _require(cfg, key, where):
+# ---------------------------------------------------------------------------
+# the schema: each field a scenario may hold, as (JSON type, default); a row
+# without a default is a required field.  A system, observation or process
+# is the name of a definition in that section, a side an object of SIDE
+# fields, and [t] a list of t.
+
+# JSON type -> (the Python classes of its values, what a value must be)
+_TYPES = {
+    "number": ((int, float), "a number"), "integer": (int, "an integer"),
+    "string": (str, "a string"), "fraction": ((str, int, float), "a fraction"),
+    "object": (dict, "an object"), "side": (dict, "an object"),
+    "system": (str, "a name"), "observation": (str, "a name"), "process": (str, "a name"),
+}
+_SECTION_OF = {"system": "systems", "observation": "observations", "process": "processes"}
+
+N = ("integer", 1000)  # the Monte Carlo sample size of a task
+SCENARIO = {"seed": ("integer",), "systems": ("object", {}), "observations": ("object", {}),
+            "processes": ("object", {}), "tasks": ("[object]", [])}
+SIDE = {"process": ("process", None), "representation": ("string", "shift"),
+        "system": ("system", None), "observation": ("observation", None)}
+# the fields every kind of a section has
+COMMON = {
+    "systems": {"kind": ("string",)},
+    "observations": {"kind": ("string",), "system": ("system",), "symbols": ("[string]", None)},
+    "processes": {"kind": ("string",), "states": ("[string]",), "matrix": ("[[number]]",),
+                  "order": ("integer", 1)},
+    "tasks": {"kind": ("string",), "seed": ("integer", None)},
+}
+# the further fields of each kind
+KINDS = {
+    "systems": {
+        "rotation": {"alpha": ("number",)},
+        "billiard": {"width": ("number",), "height": ("number",), "speed": ("number",),
+                     "obstacles": ("[object]", [])},
+        "baker": {},
+    },
+    "observations": {
+        "intervals": {"breaks": ("[number]",), "labels": ("[string]",)},
+        "grid": {"nx": ("integer", 2), "ny": ("integer", 2)},
+        "boxes": {"cells": ("[[object]]",), "labels": ("[string]",)},
+    },
+    "processes": {"markov": {}, "semi_markov": {"holding": ("object",)}},
+    "tasks": {
+        "simulate": {"grid": ("[number]",), "n": N, **SIDE},
+        "entropy": {"source": ("side",), "step": ("number", 1.0), "length": ("integer", 10_000),
+                    "sequences": ("integer", 1), "L_max": ("integer",)},
+        "check:observational_equivalence": {"a": ("side",), "b": ("side",),
+                                            "grids": ("[[number]]",), "n": N},
+        "check:nontriviality": {"system": ("system",), "observation": ("observation",),
+                                "lags": ("[number]",), "n": N},
+        "check:stationarity": {"source": ("side",), "grid": ("[number]",),
+                               "shifts": ("[number]",), "n": N},
+        "check:measure_preservation": {"system": ("system",), "sets": ("[object]",),
+                                       "times": ("[number]",), "n": N},
+        "check:invariant_union": {"system": ("system",), "partition": ("observation",),
+                                  "horizon": ("number",), "tol": ("number", 0.01), "n": N},
+        "check:simulation": {"mode": ("string",), "system": ("system",),
+                             "phi": ("observation",), "psi": ("observation",),
+                             "epsilon": ("number",), "grids": ("[[number]]", []),
+                             "gamma": ("object", None), "n": N},
+        "check:epsilon_congruence": {"system": ("system",), "coding": ("observation",),
+                                     "epsilon": ("number",), "n": N},
+    },
+}
+# objects nested in a definition or task
+NESTED = {
+    "obstacle": {"center": ("[number]",), "radius": ("number",)},
+    "box": {"lo": ("[number]",), "hi": ("[number]",)},
+    "holding": {"coeff": ("fraction",), "radicand": ("integer", 1)},
+    "set": {"label": ("string",), "box": ("object",), "measure": ("number",)},
+    "side": SIDE,
+}
+REQUIRED = object()  # the default of a required field
+
+
+def _field(cfg, key, where, type, default=REQUIRED):
+    """Field key of the JSON object cfg, checked against its JSON type (a
+    bool is never a number); default when the field is absent."""
+    if key not in cfg:
+        if default is REQUIRED:
+            raise ScenarioError(f"{where}: missing field {key!r}")
+        return default
+    value = cfg[key]
+    depth = type.count("[")
+    classes, what = _TYPES[type.strip("[]")]
+    items = [value]
+    for _ in range(depth):
+        if not all(isinstance(v, list) for v in items):
+            lists = " of lists" * (depth - 1)
+            raise ScenarioError(f"{where}: field {key!r} must be a list{lists}")
+        items = [x for v in items for x in v]
+    if any(isinstance(x, bool) or not isinstance(x, classes) for x in items):
+        what = f"hold {what.split()[-1]}s" if depth else f"be {what}"
+        raise ScenarioError(f"{where}: field {key!r} must {what}, got {value!r}")
+    if type == "number":
+        return float(value)
+    return Fraction(str(value)) if type == "fraction" else value
+
+
+def _read(cfg, where, table):
+    """{field: value} over every row of table, read from the JSON object
+    cfg; a key that is not in the table is an error."""
     if not isinstance(cfg, dict):
         raise ScenarioError(f"{where}: must be an object")
-    if key not in cfg:
-        raise ScenarioError(f"{where}: missing field {key!r}")
-    return cfg[key]
+    for key in cfg:
+        if key not in table:
+            raise ScenarioError(f"{where}: unknown field {key!r}")
+    return {key: _field(cfg, key, where, *row) for key, row in table.items()}
 
 
-def _require_list(cfg, key, where, nested=False, default=None):
-    """A JSON list field (a list of lists if nested); required unless default is given."""
-    value = _require(cfg, key, where) if default is None else cfg.get(key, default)
-    if not isinstance(value, list) or nested and not all(isinstance(v, list) for v in value):
-        raise ScenarioError(f"{where}: field {key!r} must be a list{' of lists' if nested else ''}")
-    return value
+def _kind_table(cfg, where, section):
+    """The table of cfg, a definition or task of section: the fields common
+    to the section, then those of cfg's kind."""
+    if not isinstance(cfg, dict):
+        raise ScenarioError(f"{where}: must be an object")
+    kind = _field(cfg, "kind", where, "string")
+    if kind not in KINDS[section]:
+        raise ScenarioError(f"{where}: unsupported kind {kind!r}")
+    return {**COMMON[section], **KINDS[section][kind]}
 
 
-def _number(cfg, key, where, default=None, integer=False):
-    """A JSON number field (an integer if integer); required unless default
-    is given.  A bool is not a number here."""
-    value = _require(cfg, key, where) if default is None else cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        kind = "an integer" if integer else "a number"
-        raise ScenarioError(f"{where}: field {key!r} must be {kind}, got {value!r}")
-    return value if integer else float(value)
-
-
-def _numbers(cfg, key, where, nested=False, default=None):
-    """A JSON list (of lists if nested) of numbers."""
-    value = _require_list(cfg, key, where, nested, default)
-    for v in value if nested else [value]:
-        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v):
-            raise ScenarioError(f"{where}: field {key!r} must hold numbers, got {value!r}")
-    return value
-
-
-def _strings(cfg, key, where):
-    """A JSON list of strings: state names, cell labels and symbols."""
-    value = _require_list(cfg, key, where)
-    if not all(isinstance(x, str) for x in value):
-        raise ScenarioError(f"{where}: field {key!r} must hold strings, got {value!r}")
-    return value
-
-
-def _object(cfg, key, where):
-    """A JSON object field."""
-    value = _require(cfg, key, where)
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{where}: field {key!r} must be an object, got {value!r}")
-    return value
+def _box(cfg, where):
+    box = _read(cfg, where, NESTED["box"])
+    return Box(tuple(box["lo"]), tuple(box["hi"]))
 
 
 # ---------------------------------------------------------------------------
-# definition builders
+# definition builders: each takes the fields read by its kind's table
 
 
-def _build_system(name, cfg):
-    where = f"systems.{name}"
-    kind = _require(cfg, "kind", where)
-    if kind == "rotation":
-        return rotation_system(_number(cfg, "alpha", where))
-    if kind == "billiard":
-        at = f"{where}.obstacles"
-        obstacles = [
-            (tuple(_numbers(o, "center", at)), _number(o, "radius", at))
-            for o in _require_list(cfg, "obstacles", where, default=[])
-        ]
-        return billiard_system(
-            _number(cfg, "width", where),
-            _number(cfg, "height", where),
-            obstacles,
-            _number(cfg, "speed", where),
-        )
-    if kind == "baker":
-        return baker_system()
-    raise ScenarioError(f"{where}: unsupported system kind {kind!r}")
+def _build_system(f, where):
+    if f["kind"] == "rotation":
+        return rotation_system(f["alpha"])
+    if f["kind"] == "billiard":
+        obstacles = [_read(o, f"{where}.obstacles", NESTED["obstacle"]) for o in f["obstacles"]]
+        obstacles = [(tuple(o["center"]), o["radius"]) for o in obstacles]
+        return billiard_system(f["width"], f["height"], obstacles, f["speed"])
+    return baker_system()
 
 
-def _build_observation(name, cfg, scn):
-    where = f"observations.{name}"
-    kind = _require(cfg, "kind", where)
-    space = scn.named(cfg, "system", where).space
-    if kind == "intervals":
-        part = interval_partition(
-            _numbers(cfg, "breaks", where), _strings(cfg, "labels", where), space=space
-        )
-    elif kind == "grid":
-        nx = _number(cfg, "nx", where, default=2, integer=True)
-        ny = _number(cfg, "ny", where, default=2, integer=True)
-        part = grid_partition(nx, ny, space=space)
-    elif kind == "boxes":
-        cells = tuple(
-            tuple(
-                Box(tuple(_numbers(b, "lo", where)), tuple(_numbers(b, "hi", where)))
-                for b in cell
-            )
-            for cell in _require_list(cfg, "cells", where, nested=True)
-        )
-        part = Partition(space, cells, tuple(_strings(cfg, "labels", where)))
+def _build_observation(f, where):
+    space = f["system"].space
+    if f["kind"] == "intervals":
+        part = interval_partition(f["breaks"], f["labels"], space=space)
+    elif f["kind"] == "grid":
+        part = grid_partition(f["nx"], f["ny"], space=space)
     else:
-        raise ScenarioError(f"{where}: unsupported kind {kind!r}")
-    symbols = _strings(cfg, "symbols", where) if "symbols" in cfg else None
-    return observation_from_partition(part, symbols)
+        cells = tuple(tuple(_box(b, where) for b in cell) for cell in f["cells"])
+        part = Partition(space, cells, tuple(f["labels"]))
+    return observation_from_partition(part, f["symbols"])
 
 
-def _build_process(name, cfg):
-    where = f"processes.{name}"
-    kind = _require(cfg, "kind", where)
-    states = tuple(_strings(cfg, "states", where))
-    matrix = np.asarray(_numbers(cfg, "matrix", where, nested=True), dtype=float)
-    chain = MarkovChainSpec(states, matrix, _number(cfg, "order", where, default=1, integer=True))
-    if kind == "markov":
+def _build_process(f, where):
+    chain = MarkovChainSpec(tuple(f["states"]), np.asarray(f["matrix"], dtype=float), f["order"])
+    if f["kind"] == "markov":
         return chain
-    if kind == "semi_markov":
-        holding = {}
-        for s, h in _object(cfg, "holding", where).items():
-            at = f"{where}.holding.{s}"
-            coeff = Fraction(str(_require(h, "coeff", at)))
-            holding[s] = HoldingTime(coeff, _number(h, "radicand", at, default=1, integer=True))
-        return SemiMarkovSpec(chain, holding)
-    raise ScenarioError(f"{where}: unsupported kind {kind!r}")
-
-
-def _build_all(doc, section, build):
-    """{name: build(name, cfg)} over a section; errors name section.name."""
-    defs = doc.get(section, {})
-    if not isinstance(defs, dict):
-        raise ScenarioError(f"{section} must be an object")
-    built = {}
-    for name, cfg in defs.items():
-        try:
-            built[name] = build(name, cfg)
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            raise ScenarioError(f"{section}.{name}: {exc}") from exc
-    return built
+    holding = {}
+    for s, h in f["holding"].items():
+        h = _read(h, f"{where}.holding.{s}", NESTED["holding"])
+        holding[s] = HoldingTime(h["coeff"], h["radicand"])
+    return SemiMarkovSpec(chain, holding)
 
 
 class Scenario:
     def __init__(self, doc, path="<scenario>"):
-        if not isinstance(doc, dict):
-            raise ScenarioError(f"{path}: top level must be an object")
-        if "seed" not in doc:
-            raise ScenarioError(f"{path}: master seed is mandatory")
-        self.seed = _number(doc, "seed", path, integer=True)
-        self.systems = _build_all(doc, "systems", _build_system)
-        self.observations = _build_all(
-            doc, "observations", lambda k, v: _build_observation(k, v, self)
-        )
-        self.processes = _build_all(doc, "processes", _build_process)
-        self.tasks = _require_list(doc, "tasks", path, default=[])
+        top = _read(doc, path, SCENARIO)
+        self.seed = top["seed"]
+        self.systems = self._build_all(top, "systems", _build_system)
+        self.observations = self._build_all(top, "observations", _build_observation)
+        self.processes = self._build_all(top, "processes", _build_process)
+        self.tasks = top["tasks"]
+
+    def _build_all(self, top, section, build):
+        """{name: build(fields, where)} over a section; errors name section.name."""
+        built = {}
+        for name, cfg in top[section].items():
+            where = f"{section}.{name}"
+            try:
+                built[name] = build(self.read(cfg, where, _kind_table(cfg, where, section)), where)
+            except ScenarioError:
+                raise
+            except ValueError as exc:
+                raise ScenarioError(f"{where}: {exc}") from exc
+        return built
 
     @classmethod
     def load(cls, path):
@@ -197,39 +229,36 @@ class Scenario:
             raise ScenarioError(f"{path}:{exc.lineno}: {exc.msg}") from exc
         return cls(doc, str(path))
 
-    # -- name resolution ----------------------------------------------------
+    def read(self, cfg, where, table):
+        """The fields of cfg by table (see _read), with each name replaced by
+        the definition it names and each side by its symbol source."""
+        f = _read(cfg, where, table)
+        for key, (type, *_) in table.items():
+            if f[key] is None:
+                continue
+            if type == "side":
+                at = f"{where}.{key}"
+                f[key] = self.source(self.read(f[key], at, SIDE), at)
+            elif type in _SECTION_OF:
+                defs = getattr(self, _SECTION_OF[type])
+                if f[key] not in defs:
+                    raise ScenarioError(f"{where}: undefined {type} {f[key]!r}")
+                f[key] = defs[f[key]]
+        return f
 
-    def source(self, cfg, where):
-        """A symbol source from a side description, a JSON object."""
-        if not isinstance(cfg, dict):
-            raise ScenarioError(f"{where}: a side must be an object, got {cfg!r}")
-        if "process" in cfg:
-            spec = self.named(cfg, "process", where)
-            rep = cfg.get("representation")
-            if rep == "flow":
-                return SemiMarkovFlowRep(spec)
-            if rep in ("shift", None):
-                return ShiftRepresentation(spec)
-            raise ScenarioError(f"{where}: unknown representation {rep!r}")
-        if "system" in cfg:
-            if "observation" not in cfg:
+    def source(self, side, where):
+        """A symbol source from the read fields of a side."""
+        if side["process"] is not None:
+            if side["representation"] == "flow":
+                return SemiMarkovFlowRep(side["process"])
+            if side["representation"] == "shift":
+                return ShiftRepresentation(side["process"])
+            raise ScenarioError(f"{where}: unknown representation {side['representation']!r}")
+        if side["system"] is not None:
+            if side["observation"] is None:
                 raise ScenarioError(f"{where}: observation required")
-            return ObservedSystemSource(
-                self.named(cfg, "system", where), self.named(cfg, "observation", where)
-            )
+            return ObservedSystemSource(side["system"], side["observation"])
         raise ScenarioError(f"{where}: side needs 'system'+'observation' or 'process'")
-
-    def named(self, cfg, key, where, kind=None):
-        """The system, observation or process (kind, by default key) that
-        field key of cfg names."""
-        kind = kind or key
-        name = _require(cfg, key, where)
-        if not isinstance(name, str):
-            raise ScenarioError(f"{where}: field {key!r} must be a name, got {name!r}")
-        defs = getattr(self, "processes" if kind == "process" else kind + "s")
-        if name not in defs:
-            raise ScenarioError(f"{where}: undefined {kind} {name!r}")
-        return defs[name]
 
 
 # ---------------------------------------------------------------------------
@@ -237,33 +266,27 @@ class Scenario:
 
 
 def _run_task(scn: Scenario, idx, task):
-    kind = _require(task, "kind", f"tasks[{idx}]")
-    if not isinstance(kind, str):
-        raise ScenarioError(f"tasks[{idx}]: field 'kind' must be a string, got {kind!r}")
+    kind = _field(task, "kind", f"tasks[{idx}]", "string")
     where = f"tasks[{idx}] ({kind})"
-    seed = _number(task, "seed", where, default=scn.seed + idx, integer=True)
-    n = _number(task, "n", where, default=1000, integer=True)
+    f = scn.read(task, where, _kind_table(task, where, "tasks"))
+    seed = scn.seed + idx if f["seed"] is None else f["seed"]
 
     if kind == "simulate":
-        src = scn.source(task, where)
-        grid = _numbers(task, "grid", where)
-        fdd = estimate_fdd(src.sample_codes(grid, n, seed), src.alphabet, grid)
+        src = scn.source(f, where)
+        fdd = estimate_fdd(src.sample_codes(f["grid"], f["n"], seed), src.alphabet, f["grid"])
         obj = {"schema": REPORT_SCHEMA, "kind": kind, "fdd": fdd.to_json_obj()}
         return obj, fdd.to_csv(), True
 
     if kind == "entropy":
-        src = scn.source(_require(task, "source", where), where)
-        step = _number(task, "step", where, default=1.0)
-        length = _number(task, "length", where, default=10_000, integer=True)
-        n_seq = _number(task, "sequences", where, default=1, integer=True)
-        grid = [i * step for i in range(length)]
+        check_path_steps(f["sequences"], f["length"])
+        grid = [i * f["step"] for i in range(f["length"])]
         # block entropies do not depend on how the symbols are labelled
-        codes = src.sample_codes(grid, n_seq, seed)
-        trend = entropy_mod.entropy_rate(codes, _number(task, "L_max", where, integer=True))
+        codes = f["source"].sample_codes(grid, f["sequences"], seed)
+        trend = entropy_mod.entropy_rate(codes, f["L_max"])
         obj = {
             "schema": REPORT_SCHEMA,
             "kind": kind,
-            "step": step,
+            "step": f["step"],
             "block_entropies": [e.bits for e in trend.estimates],
             "increments": trend.increments,
             "rate_estimate": trend.rate_estimate,
@@ -271,66 +294,33 @@ def _run_task(scn: Scenario, idx, task):
         }
         return obj, trend.to_csv(), True
 
-    if kind.startswith("check:"):
-        report = _run_check(scn, kind.removeprefix("check:"), task, where, seed, n)
-        obj = report.to_json_obj()
-        return obj, None, report.passed
-
-    raise ScenarioError(f"{where}: unknown task kind {kind!r}")
+    report = _run_check(kind.removeprefix("check:"), f, where, seed)
+    return report.to_json_obj(), None, report.passed
 
 
-def _run_check(scn, what, task, where, seed, n) -> CheckReport:
+def _run_check(what, f, where, seed) -> CheckReport:
+    n = f["n"]
     if what == "observational_equivalence":
-        return checks.check_observational_equivalence(
-            scn.source(_require(task, "a", where), where),
-            scn.source(_require(task, "b", where), where),
-            _numbers(task, "grids", where, nested=True),
-            n,
-            seed,
-        )
+        return checks.check_observational_equivalence(f["a"], f["b"], f["grids"], n, seed)
     if what == "nontriviality":
-        return checks.check_nontriviality(
-            scn.named(task, "system", where),
-            scn.named(task, "observation", where),
-            _numbers(task, "lags", where),
-            n,
-            seed,
-        )
+        return checks.check_nontriviality(f["system"], f["observation"], f["lags"], n, seed)
     if what == "stationarity":
-        return checks.check_stationarity(
-            scn.source(_require(task, "source", where), where),
-            _numbers(task, "grid", where),
-            _numbers(task, "shifts", where),
-            n,
-            seed,
-        )
+        return checks.check_stationarity(f["source"], f["grid"], f["shifts"], n, seed)
     if what == "measure_preservation":
-        system = scn.named(task, "system", where)
         sets = []
-        for i, s in enumerate(_require_list(task, "sets", where)):
-            at = f"{where} sets[{i}]"
-            box = _require(s, "box", at)
-            box = Box(tuple(_numbers(box, "lo", at)), tuple(_numbers(box, "hi", at)))
-            sets.append((_require(s, "label", at), box.contains, _number(s, "measure", at)))
-        return checks.check_measure_preservation(
-            system, sets, _numbers(task, "times", where), n, seed
-        )
+        for i, s in enumerate(f["sets"]):
+            at = f"{where}.sets[{i}]"
+            s = _read(s, at, NESTED["set"])
+            sets.append((s["label"], _box(s["box"], at).contains, s["measure"]))
+        return checks.check_measure_preservation(f["system"], sets, f["times"], n, seed)
     if what == "invariant_union":
-        obs = scn.named(task, "partition", where, "observation")
         return checks.check_invariant_union(
-            scn.named(task, "system", where),
-            obs.partition,
-            _number(task, "horizon", where),
-            n,
-            seed,
-            tol=_number(task, "tol", where, default=0.01),
+            f["system"], f["partition"].partition, f["horizon"], n, seed, tol=f["tol"]
         )
     if what == "simulation":
-        mode = _require(task, "mode", where)
-        psi = scn.named(task, "psi", where, "observation")
+        gamma_map, psi = f["gamma"], f["psi"]
         gamma = None
-        if "gamma" in task:
-            gamma_map = _object(task, "gamma", where)
+        if gamma_map is not None:
             if not all(isinstance(v, str) for v in gamma_map.values()):
                 raise ScenarioError(f"{where}: field 'gamma' must map symbols to strings")
             missing = [str(s) for s in psi.alphabet if str(s) not in gamma_map]
@@ -338,35 +328,16 @@ def _run_check(scn, what, task, where, seed, n) -> CheckReport:
                 raise ScenarioError(f"{where}: gamma has no image for psi symbols {missing}")
             gamma = lambda s: gamma_map[str(s)]
         return checks.check_simulation(
-            mode,
-            scn.named(task, "system", where),
-            scn.named(task, "phi", where, "observation"),
-            psi,
-            _number(task, "epsilon", where),
-            _numbers(task, "grids", where, nested=True, default=[]),
-            n,
-            seed,
-            gamma=gamma,
+            f["mode"], f["system"], f["phi"], psi, f["epsilon"], f["grids"], n, seed, gamma=gamma
         )
-    if what == "epsilon_congruence":
-        system = scn.named(task, "system", where)
-        obs = scn.named(task, "coding", where, "observation")
-        part = obs.partition
-        centers = {
-            sym: tuple(
-                (lo + hi) / 2.0 for lo, hi in zip(cell[0].lo, cell[0].hi)
-            )
-            for sym, cell in zip(obs.symbols, part.cells)
-        }
-        return checks.check_epsilon_congruence(
-            system,
-            lambda m: obs(system.coords(m)),
-            lambda sym: centers[sym],
-            _number(task, "epsilon", where),
-            n,
-            seed,
-        )
-    raise ScenarioError(f"{where}: unknown check kind {what!r}")
+    system, obs = f["system"], f["coding"]  # epsilon_congruence
+    centers = {
+        sym: tuple((lo + hi) / 2.0 for lo, hi in zip(cell[0].lo, cell[0].hi))
+        for sym, cell in zip(obs.symbols, obs.partition.cells)
+    }
+    return checks.check_epsilon_congruence(
+        system, lambda m: obs(system.coords(m)), lambda sym: centers[sym], f["epsilon"], n, seed
+    )
 
 
 def run_scenario(path, out_dir="out", seed=None, fmt="json") -> int:
@@ -391,8 +362,7 @@ def run_scenario(path, out_dir="out", seed=None, fmt="json") -> int:
             except ValueError as exc:  # every package error is a ValueError
                 raise ScenarioError(f"tasks[{idx}] ({task.get('kind')}): {exc}") from exc
             all_ok = all_ok and ok
-            kind = task.get("kind", "task").replace(":", "_")
-            base = target / f"{idx}-{kind}"
+            base = target / f"{idx}-{task['kind'].replace(':', '_')}"
             if fmt in ("json", "both"):
                 base.with_suffix(".json").write_text(
                     json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -19,7 +19,7 @@ import numpy as np
 
 from .fdd import SymbolPath
 from .partitions import Box, PhaseSpace, UNIT_INTERVAL, UNIT_SQUARE
-from .processes import _as_rng, as_grid, sample_in_chunks
+from .processes import ProcessError, _as_rng, as_grid, sample_in_chunks
 
 __all__ = [
     "rotation_system",
@@ -317,10 +317,10 @@ class SuspensionFlow:
     its roof value.
     """
 
-    def __init__(self, base, roof: RoofFunction, label=None):
+    def __init__(self, base, roof: RoofFunction):
         self.base = base
         self.roof = roof
-        self.label = label if label is not None else base.label
+        self.label = base.label
 
     def sample_initial(self, rng):
         umax = self.roof.max_height
@@ -355,8 +355,8 @@ class SuspensionFlow:
         return self.label(state[0])
 
 
-def build_flow_under_function(base, roof: RoofFunction, label=None) -> SuspensionFlow:
-    return SuspensionFlow(base, roof, label)
+def build_flow_under_function(base, roof: RoofFunction) -> SuspensionFlow:
+    return SuspensionFlow(base, roof)
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +397,10 @@ def trajectory_symbols(system, obs, grid, seed_or_rng) -> SymbolPath:
     Deterministic given the seed: the initial state is drawn once and
     evolved incrementally along the sorted grid.
     """
-    grid = [float(t) for t in grid]
-    if not grid or any(b < a for a, b in zip(grid, grid[1:])):
-        raise SystemError("time grid must be nonempty and sorted ascending")
+    try:
+        grid = as_grid(grid).tolist()
+    except ProcessError as exc:
+        raise SystemError(str(exc)) from None
     (symbols,) = _trajectories(
         system, lambda s: obs(system.coords(s)), grid, 1, _as_rng(seed_or_rng)
     )

@@ -1,6 +1,7 @@
 """Shared fixtures: canonical process specs and contrast fixtures."""
 
 import math
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,20 @@ from obsequiv.processes import (
     as_grid,
     sample_in_chunks,
 )
+
+
+@pytest.fixture
+def within_a_second():
+    """Raise TimeoutError in the test, rather than let it hang, after 1 s."""
+
+    def alarm(signum, frame):
+        raise TimeoutError("still running after 1 s")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from obsequiv.processes import (
     sample_semi_markov,
     validate_markov_spec,
 )
-from obsequiv.representation import ShiftRepresentation
+from obsequiv.representation import SemiMarkovFlowRep, ShiftRepresentation
 from obsequiv.systems import spawn_rngs
 
 
@@ -97,6 +97,22 @@ def test_chain_spec_rejects_duplicate_states():
 def test_as_grid_rejects_non_finite_times(grid):
     with pytest.raises(ProcessError, match="finite times"):
         processes.as_grid(grid)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda sm: sample_chain(sm.chain, 10**12, 0),
+        lambda sm: ShiftRepresentation(sm.chain).sample_codes([0, 1e9], 100, 0),
+        lambda sm: sample_semi_markov(sm, 1e12, 0),
+        lambda sm: ShiftRepresentation(sm).sample_codes([0, 1e9], 100, 0),
+        lambda sm: SemiMarkovFlowRep(sm).sample_codes([0, 1e9], 100, 0),
+    ],
+    ids=["chain_path", "chain_rows", "semi_markov_path", "semi_markov_rows", "flow_rows"],
+)
+def test_kernels_refuse_more_than_max_path_steps(fair_semi_markov, within_a_second, draw):
+    with pytest.raises(ProcessError, match=f"more than the {processes.MAX_PATH_STEPS} "):
+        draw(fair_semi_markov)
 
 
 def test_stationary_distribution_exact():

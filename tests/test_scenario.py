@@ -1,5 +1,6 @@
 """Scenario files, the runner's exit codes, and the command-line front end."""
 
+import copy
 import json
 import math
 from pathlib import Path
@@ -7,7 +8,16 @@ from pathlib import Path
 import pytest
 
 from obsequiv.cli import main
-from obsequiv.scenario import Scenario, ScenarioError, run_scenario
+from obsequiv.processes import MAX_PATH_STEPS
+from obsequiv.scenario import (
+    COMMON,
+    KINDS,
+    NESTED,
+    SCENARIO,
+    Scenario,
+    ScenarioError,
+    run_scenario,
+)
 
 
 def _write(tmp_path, name, doc):
@@ -294,6 +304,100 @@ def test_process_task_bad_times_exit_two(tmp_path, capsys, task, message):
     assert message in out
 
 
+# a valid scenario with every kind of nested object
+NESTING = {
+    "seed": 1,
+    "systems": {
+        **ROTATION["systems"],
+        "table": {"kind": "billiard", "width": 1.0, "height": 1.0, "speed": 1.0,
+                  "obstacles": [{"center": [0.5, 0.5], "radius": 0.2}]},
+    },
+    "observations": {
+        **ROTATION["observations"],
+        "sides": {"kind": "boxes", "system": "rot", "labels": ["l", "r"],
+                  "cells": [[{"lo": [0.0], "hi": [0.5]}], [{"lo": [0.5], "hi": [1.0]}]]},
+    },
+    "processes": SEMI_MARKOV,
+    "tasks": [
+        {"kind": "check:invariant_union", "system": "rot", "partition": "quarters",
+         "horizon": 1.0, "n": 50},
+        {"kind": "check:observational_equivalence", "a": {"process": "sm"},
+         "b": {"process": "sm"}, "grids": [[0.0]], "n": 50},
+        {"kind": "check:measure_preservation", "system": "rot", "times": [1.0], "n": 50,
+         "sets": [{"label": "h", "box": {"lo": [0.0], "hi": [0.5]}, "measure": 0.5}]},
+    ],
+}
+
+
+def _misspelled(path, key):
+    """NESTING with key added to the object at path (a tuple of keys)."""
+    doc = copy.deepcopy(NESTING)
+    node = doc
+    for step in path:
+        node = node[step]
+    node[key] = 1e-9
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path, key, location",
+    [
+        (("tasks", 0), "tolerance", "tasks[0] (check:invariant_union)"),
+        (("systems", "rot"), "alhpa", "systems.rot"),
+        (("observations", "halves"), "label", "observations.halves"),
+        (("processes", "sm"), "state", "processes.sm"),
+        (("processes", "sm", "holding", "s2"), "radicant", "processes.sm.holding.s2"),
+        (("systems", "table", "obstacles", 0), "centre", "systems.table.obstacles"),
+        (("observations", "sides", "cells", 1, 0), "low", "observations.sides"),
+        (("tasks", 2, "sets", 0), "mesure", "tasks[2] (check:measure_preservation).sets[0]"),
+        (("tasks", 2, "sets", 0, "box"), "high", "tasks[2] (check:measure_preservation).sets[0]"),
+        (("tasks", 1, "b"), "representaton", "tasks[1] (check:observational_equivalence).b"),
+        ((), "task", "unknown.json"),
+    ],
+    ids=["task", "system", "observation", "process", "holding_entry", "obstacle", "cell_box",
+         "measure_set", "set_box", "side", "top_level"],
+)
+def test_unknown_field_exit_two(tmp_path, capsys, path, key, location):
+    p = _write(tmp_path, "unknown.json", _misspelled(path, key))
+    assert run_scenario(p, out_dir=tmp_path / "o") == 2
+    out = capsys.readouterr().out
+    assert out.startswith("configuration error: ")
+    assert out.endswith(f"{location}: unknown field {key!r}\n")
+
+
+def test_scenario_without_misspelling_runs(tmp_path):
+    assert run_scenario(_write(tmp_path, "ok.json", NESTING), out_dir=tmp_path / "o") == 0
+
+
+@pytest.mark.parametrize(
+    "task",
+    [
+        {"kind": "simulate", "process": "chain", "grid": [0.0, 1e9]},
+        {"kind": "simulate", "process": "sm", "grid": [0.0, 1e9]},
+        {"kind": "simulate", "process": "sm", "representation": "flow", "grid": [0.0, 1e9]},
+        {"kind": "entropy", "source": {"process": "chain"}, "length": 10**9, "L_max": 2},
+    ],
+    ids=["markov", "semi_markov", "flow", "entropy_length"],
+)
+def test_oversized_request_exits_two_within_a_second(tmp_path, capsys, within_a_second, task):
+    doc = {"seed": 1, "processes": dict(SEMI_MARKOV, chain=PASSING["processes"]["p"]),
+           "tasks": [task]}
+    assert run_scenario(_write(tmp_path, "big.json", doc), out_dir=tmp_path / "o") == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"configuration error: tasks[0] ({task['kind']}): ")
+    assert f"more than the {MAX_PATH_STEPS} one sampling call may draw" in out
+
+
+def test_flow_of_a_markov_chain_exit_two(tmp_path, capsys):
+    task = {"kind": "simulate", "process": "p", "representation": "flow", "grid": [0.0]}
+    doc = dict(PASSING, tasks=[task])
+    assert run_scenario(_write(tmp_path, "flow.json", doc), out_dir=tmp_path / "o") == 2
+    assert capsys.readouterr().out == (
+        "configuration error: tasks[0] (simulate): "
+        "a flow needs a semi-Markov process, got MarkovChainSpec\n"
+    )
+
+
 def test_bad_master_seed_exit_two(tmp_path, capsys):
     doc = dict(PASSING, seed=[1])
     assert run_scenario(_write(tmp_path, "seed.json", doc), out_dir=tmp_path / "o") == 2
@@ -410,3 +514,35 @@ def test_cli_seed_override(tmp_path):
     assert (tmp_path / "a" / "ovr" / "0-simulate.json").read_bytes() == (
         tmp_path / "b" / "ovr" / "0-simulate.json"
     ).read_bytes()
+
+
+def _readme_tables():
+    """{heading: (kinds line, sorted table rows)} under README's "Scenario fields"."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## Scenario fields\n")[1].split("\n## ")[0]
+    tables = {}
+    for part in section.split("\n### ")[1:]:
+        heading, *lines = part.splitlines()
+        kinds = [line for line in lines if line.startswith("Kinds: ")]
+        rows = [tuple(cell.strip().strip("`") for cell in line.strip("|").split("|"))
+                for line in lines if line.startswith("|")]
+        tables[heading] = (kinds, sorted(rows[2:]))  # rows[:2]: header and rule
+    return tables
+
+
+def _rows(table, *kind):
+    def default(row):
+        return "required" if len(row) == 1 else "none" if row[1] is None else json.dumps(row[1])
+    return [(*kind, field, row[0], default(row)) for field, row in table.items()]
+
+
+def test_readme_lists_exactly_the_scenario_fields():
+    expected = {
+        "Top level": ([], sorted(_rows(SCENARIO))),
+        "Nested objects": ([], sorted(r for name, t in NESTED.items() for r in _rows(t, name))),
+    }
+    for section, kinds in KINDS.items():
+        rows = _rows(COMMON[section], "every")
+        rows += [r for kind, table in kinds.items() for r in _rows(table, kind)]
+        expected[section] = (["Kinds: " + ", ".join(f"`{k}`" for k in kinds) + "."], sorted(rows))
+    assert _readme_tables() == expected

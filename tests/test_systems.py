@@ -239,8 +239,14 @@ def test_trajectory_symbols_rotation_exact():
 def test_trajectory_symbols_requires_sorted_grid():
     rot = rotation_system(0.5)
     obs = observation_from_partition(interval_partition([0.0, 0.5, 1.0], ["L", "R"]))
-    with pytest.raises(SystemError):
-        trajectory_symbols(rot, obs, [1.0, 0.0], 0)
+    for grid, message in [
+        ([1.0, 0.0], "ascending and nonnegative"),
+        ([-1.0, 0.0], "ascending and nonnegative"),
+        ([0.0, math.nan], "finite times"),
+        ([0.0, math.inf], "finite times"),
+    ]:
+        with pytest.raises(SystemError, match=message):
+            trajectory_symbols(rot, obs, grid, 0)
 
 
 def test_trajectory_symbols_on_billiard_grid_partition():
