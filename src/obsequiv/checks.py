@@ -82,7 +82,8 @@ class CheckReport:
 
 
 class ObservedSystemSource:
-    """A deterministic system coarse-grained by an observation function."""
+    """A deterministic system coarse-grained by an observation function: the
+    alphabet indices of its symbols, coded one chunk of paths at a time."""
 
     def __init__(self, system, obs):
         self.system = system
@@ -93,10 +94,7 @@ class ObservedSystemSource:
         return tuple(self.obs.alphabet)
 
     def sample_codes(self, grid, n, seed):
-        code = {s: i for i, s in enumerate(self.alphabet)}
-        return observe_trajectories(
-            self.system, lambda m: code[self.obs(self.system.coords(m))], grid, n, seed
-        )
+        return observe_trajectories(self.system, self.obs.codes, grid, n, seed)
 
 
 def _as_source(side):
@@ -174,9 +172,11 @@ def check_observational_equivalence(side_a, side_b, grids, n, seed) -> CheckRepo
 def check_nontriviality(system, obs, lags, n, seed) -> CheckReport:
     """For each lag, hunt for a transition probability strictly inside (0,1).
 
-    A lag passes when some pair of outcomes has a conditional estimate whose
-    3-sigma interval excludes both 0 and 1.  This samples a finite lag set;
-    it is evidence, not proof, of the for-every-lag property.
+    obs is an ObservationFunction, applied to the sampled coordinates one
+    chunk of paths at a time.  A lag passes when some pair of outcomes has a
+    conditional estimate whose 3-sigma interval excludes both 0 and 1.  This
+    samples a finite lag set; it is evidence, not proof, of the for-every-lag
+    property.
     """
     if hasattr(obs, "nontrivial") and not obs.nontrivial:
         raise CheckError("trivial observation function rejected")
@@ -234,10 +234,11 @@ def check_measure_preservation(system, test_sets, times, n, seed) -> CheckReport
     """Empirical mu(T_t^{-1}(A)) against the known mu(A) for each (A, t).
 
     test_sets is a list of (label, membership, measure) where membership
-    takes the system's coordinates.  Each (set, time) pair is one entry of
-    a Bonferroni family: it passes when the estimate lies within z standard
-    errors of mu(A), the standard error taken under the null,
-    sqrt(mu(A)(1 - mu(A))/n).
+    maps a coordinate array (..., d) of states to a bool array (...), as
+    Box.contains does (so c[..., 0] < 0.5, not c[0] < 0.5).  Each (set,
+    time) pair is one entry of a Bonferroni family: it passes when the
+    estimate lies within z standard errors of mu(A), the standard error
+    taken under the null, sqrt(mu(A)(1 - mu(A))/n).
     """
     _require_items(test_sets=test_sets, times=times)
     times = sorted(float(t) for t in times)
@@ -249,7 +250,7 @@ def check_measure_preservation(system, test_sets, times, n, seed) -> CheckReport
         "k": k,
         "z": z,
     }
-    inside = lambda m: [bool(member(system.coords(m))) for _, member, _ in test_sets]
+    inside = lambda c: np.stack([member(c) for _, member, _ in test_sets], axis=-1)
     hits = observe_trajectories(system, inside, times, n, seed).sum(axis=0).tolist()
     for si, (label, _, mu_a) in enumerate(test_sets):
         tol = z * math.sqrt(mu_a * (1.0 - mu_a) / n)
@@ -274,7 +275,9 @@ def check_invariant_union(system, partition, horizon, n, seed, tol=0.01) -> Chec
     Reports any union C of partition cells with empirical
     mu(T_horizon(C) symmetric-difference C) below tol.  Finding one
     witnesses failure of the no-invariant-set assumption, so the verdict is
-    then "fail"; "pass" means no invariant union was detected.
+    then "fail"; "pass" means no invariant union was detected.  Each chunk
+    of sampled (time 0, horizon) coordinates is coded by one
+    partition.cell_index call.
     """
     k = partition.size
     if k < 2:
@@ -282,8 +285,7 @@ def check_invariant_union(system, partition, horizon, n, seed, tol=0.01) -> Chec
     if k > 20:
         raise CheckError("cell count above 20 rejected (2^20 union cap)")
     _require_positive(tol=tol)
-    cell = lambda m: partition.cell_index(system.coords(m))
-    ij = observe_trajectories(system, cell, (0.0, horizon), n, seed)
+    ij = observe_trajectories(system, partition.cell_index, (0.0, horizon), n, seed)
     joint = np.bincount(ij[:, 0] * k + ij[:, 1], minlength=k * k).reshape(k, k)
     report = CheckReport("invariant_union", seed=seed, n_samples=n)
     report.tolerances = {"symmetric_difference": tol}
@@ -329,16 +331,28 @@ def _union_violations(joint):
 def check_epsilon_congruence(system, encoder, embed, epsilon, n, seed) -> CheckReport:
     """mu{m : d(m, embed(encoder(m))) >= eps} must be below eps.
 
-    encoder maps a state to the time-zero outcome of its encoded
-    realization; embed places outcomes back into the phase space.
+    encoder maps a coordinate array (..., d) of states to the array (...) of
+    the time-zero outcomes of their encoded realizations; embed places one
+    outcome back into the phase space as a point of d coordinates, and is
+    called once per distinct outcome; d is the system's metric.
     """
     _require_positive(epsilon=epsilon)
-    distance = lambda m: system.metric(m, embed(encoder(m)))
+    distance = lambda c: system.metric(c, _embedded(encoder(c), embed))
     d = observe_trajectories(system, distance, (0.0,), n, seed)[:, 0]
     item = _one_sided_item(
         "violation_measure", d >= epsilon, n, epsilon, max_distance_seen=float(d.max())
     )
     return CheckReport("epsilon_congruence", [item], seed, n, {"epsilon": epsilon})
+
+
+def _embedded(outcomes, embed):
+    """Array (..., d) of the point embed(o) of each outcome o of the array
+    (...), with one embed call per distinct outcome."""
+    outcomes = np.asarray(outcomes)
+    rows = {}
+    index = [rows.setdefault(o, len(rows)) for o in outcomes.ravel().tolist()]
+    points = np.array([embed(o) for o in rows], dtype=float).reshape(len(rows), -1)
+    return points[index].reshape(outcomes.shape + points.shape[1:])
 
 
 def check_simulation(
@@ -348,7 +362,9 @@ def check_simulation(
 
     Strong: mu{m : psi(m) != phi(m)} < eps with matching alphabets.
     Weak: gamma maps psi's alphabet onto phi's; mismatch of gamma(psi(m))
-    vs phi(m).  Also reports the FDDs of the simulating symbol process.
+    vs phi(m).  psi and phi are ObservationFunctions, each applied once per
+    chunk of sampled coordinates; gamma is applied once per symbol of psi.
+    Also reports the FDDs of the simulating symbol process.
     """
     if mode not in ("strong", "weak"):
         raise CheckError("mode must be 'strong' or 'weak'")
@@ -361,7 +377,8 @@ def check_simulation(
     report = CheckReport(f"simulation_{mode}", items, seed, n, {"epsilon": epsilon})
     if items:
         return report
-    differ = lambda m: sim(psi(system.coords(m))) != phi(system.coords(m))
+    image_code = np.array([phi.alphabet.index(s) for s in images])
+    differ = lambda c: image_code[psi.codes(c)] != phi.codes(c)
     mismatch = observe_trajectories(system, differ, (0.0,), n, seed)
     report.items.append(_one_sided_item("mismatch_measure", mismatch, n, epsilon))
     # report the simulating process' FDDs on the supplied grids

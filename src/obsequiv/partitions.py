@@ -9,7 +9,6 @@ cell measures exactly computable.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,9 +56,10 @@ class Box:
         return v
 
     def contains(self, point):
-        if len(point) != len(self.lo):
-            raise PartitionError(f"point {tuple(point)} does not have {self.dim} coordinates")
-        return all(a <= x < b for x, a, b in zip(point, self.lo, self.hi))
+        """Whether each point lies in the box: a bool for one point of dim
+        coordinates, a bool array (...) for an array (..., dim) of points."""
+        points = _points(point, self.dim)
+        return np.all((np.array(self.lo) <= points) & (points < np.array(self.hi)), axis=-1)
 
     def intersect(self, other):
         lo = tuple(max(a, c) for a, c in zip(self.lo, other.lo))
@@ -82,11 +82,13 @@ class PhaseSpace:
         return self.domain.dim
 
     def wrap(self, point):
-        point = list(point)
+        """A float array copy of the point(s) (..., dim), each periodic
+        coordinate moved into [lo, hi)."""
+        point = np.array(point, dtype=float)
         for i in self.periodic:
             lo, hi = self.domain.lo[i], self.domain.hi[i]
-            point[i] = lo + (point[i] - lo) % (hi - lo)
-        return tuple(point)
+            point[..., i] = lo + (point[..., i] - lo) % (hi - lo)
+        return point
 
 
 UNIT_INTERVAL = PhaseSpace("unit_interval", Box((0.0,), (1.0,)), periodic=(0,))
@@ -144,7 +146,7 @@ class Partition:
                 f"cells cover measure {total}, domain has {self.space.domain.volume()}"
             )
         bounds = tuple(
-            sorted({x for cell in cells for b in cell for x in (b.lo[d], b.hi[d])})
+            np.array(sorted({x for cell in cells for b in cell for x in (b.lo[d], b.hi[d])}))
             for d in range(self.space.dim)
         )
         shape = tuple(len(e) - 1 for e in bounds)
@@ -161,7 +163,7 @@ class Partition:
             for b in cell:
                 region = table[
                     tuple(
-                        slice(bisect_left(e, lo), bisect_left(e, hi))
+                        slice(*np.searchsorted(e, (lo, hi)))
                         for e, lo, hi in zip(bounds, b.lo, b.hi)
                     )
                 ]
@@ -197,23 +199,37 @@ class Partition:
         return np.array([self.cell_measure(c) for c in self.cells])
 
     def cell_index(self, point):
-        """Index of the first cell with a box holding the (wrapped) point."""
-        if len(point) != self.space.dim:
-            raise PartitionError(
-                f"point {tuple(point)} does not have the {self.space.dim} coordinates "
-                f"of the phase space {self.space.name!r}"
-            )
-        point = self.space.wrap(point)
-        bins = []
-        for x, edges in zip(point, self._bounds):
-            k = bisect_right(edges, x)
-            if not 0 < k < len(edges):
-                raise PartitionError(f"point {point} not covered by any cell")
-            bins.append(k - 1)
-        i = self._table.item(*bins)
-        if i < 0:
-            raise PartitionError(f"point {point} not covered by any cell")
-        return i
+        """Index of the first cell with a box holding the (wrapped) point: an
+        int for one point, an int array (...) for an array (..., d) of points.
+
+        One wrap, one searchsorted per axis and one bin-table read code every
+        point; the PartitionError for uncovered points names the first one.
+        """
+        points = self.space.wrap(
+            _points(point, self.space.dim, f" of the phase space {self.space.name!r}")
+        )
+        flat = points.reshape(-1, self.space.dim)
+        bins, uncovered = [], np.zeros(len(flat), dtype=bool)
+        for x, edges in zip(flat.T, self._bounds):
+            k = np.searchsorted(edges, x, side="right")
+            uncovered |= (k == 0) | (k == len(edges))
+            bins.append(np.clip(k - 1, 0, len(edges) - 2))
+        index = self._table[tuple(bins)].astype(np.intp)
+        uncovered |= index < 0
+        if uncovered.any():
+            first = tuple(flat[uncovered.argmax()].tolist())
+            raise PartitionError(f"point {first} not covered by any cell")
+        return int(index[0]) if points.ndim == 1 else index.reshape(points.shape[:-1])
+
+
+def _points(point, dim, where=""):
+    """The point(s) as a float array (..., dim); PartitionError naming the
+    point, or the array's shape, when the last axis is not dim long."""
+    points = np.asarray(point, dtype=float)
+    if points.shape[-1:] != (dim,):
+        shown = tuple(point) if points.ndim == 1 else f"array of shape {points.shape}"
+        raise PartitionError(f"point {shown} does not have {dim} coordinates{where}")
+    return points
 
 
 def _cells_overlap(a, b, tol=1e-12):
@@ -260,6 +276,12 @@ class ObservationFunction:
         if len(symbols) != self.partition.size:
             raise PartitionError("one symbol per cell required")
         object.__setattr__(self, "symbols", symbols)
+        table = np.empty(len(symbols), dtype=object)  # filled one by one, so
+        for i, s in enumerate(symbols):  # that tuple symbols stay whole
+            table[i] = s
+        object.__setattr__(self, "_symbols", table)
+        alphabet = {s: i for i, s in enumerate(self.alphabet)}
+        object.__setattr__(self, "_codes", np.array([alphabet[s] for s in symbols]))
 
     @property
     def nontrivial(self):
@@ -270,7 +292,15 @@ class ObservationFunction:
         return tuple(dict.fromkeys(self.symbols))
 
     def __call__(self, point):
-        return self.symbols[self.partition.cell_index(point)]
+        """Symbol of one point, or an object array (...) of the symbols of an
+        array (..., d) of points."""
+        index = self.partition.cell_index(point)
+        return self.symbols[index] if isinstance(index, int) else self._symbols[index]
+
+    def codes(self, point):
+        """Alphabet indices of the symbols of the point(s), as cell_index
+        returns cell indices."""
+        return self._codes[self.partition.cell_index(point)]
 
 
 def observation_from_partition(p: Partition, labels=None) -> ObservationFunction:

@@ -34,7 +34,7 @@ __all__ = [
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 CHUNK = 8192  # paths per independently seeded chunk of sample_in_chunks
-MAX_PATH_STEPS = 2**24  # largest rows x lockstep steps one kernel call may draw
+MAX_PATH_STEPS = 2**24  # largest rows x lockstep steps one sampling call may draw
 
 
 class ProcessError(ValueError):
@@ -295,17 +295,20 @@ def block_embedding(spec: MarkovChainSpec) -> MarkovChainSpec:
 # are indexed arithmetically: after ctx and state s comes ctx*k mod k^order + s.
 
 
-def sample_in_chunks(draw, n, seed):
+def sample_in_chunks(draw, n, seed, steps=1):
     """Rows of draw(m, rng) stacked over fixed-size chunks of n paths.
 
     Chunk i of CHUNK rows (the last one possibly shorter) draws from its own
     Generator, seeded by child i of the seed's SeedSequence (seed is an int
     or a SeedSequence), so its rows depend only on the seed, the chunk index
-    and the chunk size, not on how or in what order chunks are drawn.
+    and the chunk size, not on how or in what order chunks are drawn.  The
+    whole request, n paths of steps lockstep steps each, is checked against
+    MAX_PATH_STEPS before the first chunk.
     """
     n = int(n)
     if n < 1:
         raise ProcessError("need at least one path")
+    check_path_steps(n, steps)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     parts = []
     for i, lo in enumerate(range(0, n, CHUNK)):
@@ -383,8 +386,19 @@ def _chain_lockstep(spec: MarkovChainSpec, length, n, rng):
 
 def chain_codes(spec: MarkovChainSpec, grid, n, rng):
     """State indices (n, len(grid)) of n stationary paths read at floor(t)."""
-    steps = np.floor(as_grid(grid)).astype(np.intp)
-    return _chain_lockstep(spec, int(steps[-1]) + 1, n, rng)[:, steps]
+    grid = as_grid(grid)
+    return _chain_lockstep(spec, chain_steps(grid), n, rng)[:, np.floor(grid).astype(np.intp)]
+
+
+def chain_steps(grid):
+    """Lockstep steps of one chain path read on the grid (floor(t) for t)."""
+    return math.floor(grid[-1]) + 1
+
+
+def sojourn_steps(horizon, shortest):
+    """Lockstep steps of one path of sojourns at least shortest long that
+    passes horizon: a bound on the sojourns it draws."""
+    return horizon / shortest + 2
 
 
 def sample_chain(spec: MarkovChainSpec, length, seed_or_rng):
@@ -519,7 +533,7 @@ def _semi_markov_lockstep(spec: SemiMarkovSpec, horizon, n, rng):
     straddles time 0 and ends at the first-jump offset T_0.
     """
     start, cum, hold = _semi_markov_tables(spec)
-    check_path_steps(n, horizon / hold.min() + 2)
+    check_path_steps(n, sojourn_steps(horizon, hold.min()))
     k = spec.chain.n_states
     ctx = _draw(start, rng.random(n))
     s = ctx % k

@@ -20,11 +20,13 @@ from .processes import (
     as_grid,
     block_embedding,
     chain_codes,
+    chain_steps,
     check_path_steps,
     sample_chain,
     sample_in_chunks,
     sample_semi_markov,
     semi_markov_codes,
+    sojourn_steps,
 )
 from .systems import RoofFunction, SuspensionFlow
 
@@ -88,7 +90,12 @@ class ShiftRepresentation:
         realization at time t, so the shift is applied to the whole grid at
         once by the process kernel.
         """
-        return sample_in_chunks(lambda m, rng: self._codes(grid, m, rng), n, seed)
+        grid = as_grid(grid)
+        if isinstance(self.spec, SemiMarkovSpec):
+            steps = sojourn_steps(grid[-1], min(map(self.spec.u, self.spec.states)))
+        else:
+            steps = chain_steps(grid)
+        return sample_in_chunks(lambda m, rng: self._codes(grid, m, rng), n, seed, steps)
 
     def sample_path(self, grid, rng):
         """Symbols Phi_0(T_t(r)) for t in grid, for one sampled realization."""
@@ -153,7 +160,8 @@ class _ChainShiftBase:
         return (float(self.chain.states.index(self.label(state))),)
 
     def metric(self, a, b):
-        return 0.0 if self.label(a) == self.label(b) else 1.0
+        """Discrete metric of block coordinates (..., 1): 0 on one block, else 1."""
+        return (np.asarray(a)[..., 0] != np.asarray(b)[..., 0]).astype(float)
 
 
 class SemiMarkovFlowRep(SuspensionFlow):
@@ -188,7 +196,8 @@ class SemiMarkovFlowRep(SuspensionFlow):
     def sample_codes(self, grid, n, seed):
         """Alphabet indices (n, len(grid)) of n flow trajectories on the grid."""
         grid = as_grid(grid)
-        return sample_in_chunks(lambda m, rng: self._codes(grid, m, rng), n, seed)
+        steps = sojourn_steps(grid[-1], self._roofs.min())
+        return sample_in_chunks(lambda m, rng: self._codes(grid, m, rng), n, seed, steps)
 
     def sample_path(self, grid, rng):
         """Delta-observed symbols along one flow trajectory."""
@@ -206,7 +215,7 @@ class SemiMarkovFlowRep(SuspensionFlow):
         forward, a step of the block chain.
         """
         roof = self._roofs
-        check_path_steps(n, grid[-1] / roof.min() + 2)
+        check_path_steps(n, sojourn_steps(grid[-1], roof.min()))
         start, cum = _chain_tables(self.base.chain)
         block = np.empty(n, dtype=np.intp)
         todo = np.arange(n)

@@ -336,7 +336,7 @@ def _run_check(what, f, where, seed) -> CheckReport:
         for sym, cell in zip(obs.symbols, obs.partition.cells)
     }
     return checks.check_epsilon_congruence(
-        system, lambda m: obs(system.coords(m)), lambda sym: centers[sym], f["epsilon"], n, seed
+        system, obs, lambda sym: centers[sym], f["epsilon"], n, seed
     )
 
 

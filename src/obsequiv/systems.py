@@ -6,8 +6,17 @@ discrete base.  Every system exposes:
 
   sample_initial(rng) -> state        draw from the invariant measure
   evolve(state, t)    -> state        deterministic time evolution
-  coords(state)       -> tuple        coordinates for partitions/observations
-  metric(a, b)        -> float        phase-space distance
+  coords(state)       -> tuple        d coordinates for partitions/observations
+  metric(a, b)        -> distance     phase-space distance of coordinates: of
+                                      two points, or elementwise over arrays
+                                      (..., d), giving an array (...)
+
+The rotation, billiard and baker also have a kernel
+
+  trajectories(grid, m, rng) -> array coordinates (m, len(grid), d) of m paths
+
+which observe_trajectories calls once per chunk; other systems are sampled
+one path after another by sample_initial and evolve.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import numpy as np
 
 from .fdd import SymbolPath
 from .partitions import Box, PhaseSpace, UNIT_INTERVAL, UNIT_SQUARE
-from .processes import ProcessError, _as_rng, as_grid, sample_in_chunks
+from .processes import ProcessError, _as_rng, as_grid, check_path_steps, sample_in_chunks
 
 __all__ = [
     "rotation_system",
@@ -38,7 +47,7 @@ __all__ = [
 ]
 
 MAX_EVENTS = 10_000_000
-GRAZE_GUARD = 1e-12
+GRAZE_GUARD = 1e-12  # shortest event time; relative to r^2 |v|^2 for circle grazes
 
 
 class SystemError(ValueError):
@@ -71,12 +80,18 @@ class RotationFlow:
     def evolve(self, state, t):
         return (state + self.alpha * t) % 1.0
 
+    def trajectories(self, grid, m, rng):
+        """Path j starts at rng.random(m)[j], the draw of sample_initial, and
+        all m paths advance at once by evolve."""
+        return _lockstep(self, rng.random(m), grid)
+
     def coords(self, state):
         return (state,)
 
     def metric(self, a, b):
-        d = abs(a - b) % 1.0
-        return min(d, 1.0 - d)
+        """Circle distance of coordinates (..., 1)."""
+        d = np.abs(np.asarray(a)[..., 0] - np.asarray(b)[..., 0]) % 1.0
+        return np.minimum(d, 1.0 - d)
 
 
 def rotation_system(alpha) -> RotationFlow:
@@ -100,8 +115,9 @@ class BilliardFlow:
     """Free flight at constant speed with specular reflection.
 
     Walls of a width x height table and circular obstacles reflect the
-    velocity about the inward normal.  Grazing circle hits (near-zero
-    discriminant or tangential incidence) are treated as no-hit.
+    velocity about the inward normal.  Grazing circle hits (a discriminant
+    below GRAZE_GUARD r^2 |v|^2, at any table scale, or tangential
+    incidence) are treated as no-hit.
     """
 
     def __init__(self, width, height, obstacles, speed):
@@ -167,8 +183,8 @@ class BilliardFlow:
             dx, dy = x - cx, y - cy
             b = dx * vx + dy * vy
             c = dx * dx + dy * dy - r * r
-            disc = b * b - v2 * c
-            if disc < GRAZE_GUARD:
+            disc = b * b - v2 * c  # v2 (r^2 - squared miss distance)
+            if disc < GRAZE_GUARD * v2 * r * r:
                 continue
             t = (-b - math.sqrt(disc)) / v2
             if GRAZE_GUARD < t < best_t:
@@ -178,23 +194,42 @@ class BilliardFlow:
     def evolve(self, state, t):
         if t < 0:
             raise SystemError(f"billiard flow runs forward only, got t={t}")
-        x, y = state.x, state.y
-        vx = self.speed * math.cos(state.theta)
-        vy = self.speed * math.sin(state.theta)
-        remaining = float(t)
-        events = 0
-        while remaining > 0.0:
-            t_hit, kind, data = self._next_event(x, y, vx, vy)
-            if t_hit >= remaining:
-                x += vx * remaining
-                y += vy * remaining
-                break
-            x, y, vx, vy = _bounce(x, y, vx, vy, t_hit, kind, data)
-            remaining -= t_hit
-            events += 1
-            if events > MAX_EVENTS:
-                raise SystemError("event cap exceeded in one evolve call")
-        return BilliardState(x, y, math.atan2(vy, vx) % (2 * math.pi))
+        return BilliardState(*self._flight(state, (float(t),)))
+
+    def trajectories(self, grid, m, rng):
+        """Each path drawn by sample_initial and flown along the grid in turn."""
+        out = np.empty((m, 3 * len(grid)))
+        for i in range(m):  # one path's floats at a time, not all m paths'
+            out[i] = self._flight(self.sample_initial(rng), grid)
+        return out.reshape(m, len(grid), 3)
+
+    def _flight(self, state, grid):
+        """[x, y, theta, x, y, theta, ...], one flat triple per time of the
+        ascending nonnegative grid, of the path from state: each grid
+        increment is one evolve call, which starts from the direction theta
+        and ends by recomputing it.  The row holds bare floats, so a long
+        flight allocates no container the garbage collector must scan."""
+        x, y, theta = state.x, state.y, state.theta
+        speed, next_event = self.speed, self._next_event
+        t_now, row = 0.0, []
+        for t in grid:
+            vx, vy = speed * math.cos(theta), speed * math.sin(theta)
+            remaining, t_now = t - t_now, t
+            events = 0
+            while remaining > 0.0:
+                t_hit, kind, data = next_event(x, y, vx, vy)
+                if t_hit >= remaining:
+                    x += vx * remaining
+                    y += vy * remaining
+                    break
+                x, y, vx, vy = _bounce(x, y, vx, vy, t_hit, kind, data)
+                remaining -= t_hit
+                events += 1
+                if events > MAX_EVENTS:
+                    raise SystemError("event cap exceeded in one evolve call")
+            theta = math.atan2(vy, vx) % (2 * math.pi)
+            row += (x, y, theta)
+        return row
 
     def speed_drift(self, state, n_events):
         """Max deviation of |v| from the nominal speed over consecutive events.
@@ -218,9 +253,12 @@ class BilliardFlow:
         return (state.x, state.y, state.theta)
 
     def metric(self, a, b):
-        dth = abs(a.theta - b.theta) % (2 * math.pi)
-        dth = min(dth, 2 * math.pi - dth)
-        return math.hypot(a.x - b.x, a.y - b.y) + self._diag * dth
+        """Position distance plus the table diagonal times the angle
+        distance, of coordinates (..., 3)."""
+        a, b = np.asarray(a), np.asarray(b)
+        dth = np.abs(a[..., 2] - b[..., 2]) % (2 * math.pi)
+        dth = np.minimum(dth, 2 * math.pi - dth)
+        return np.hypot(a[..., 0] - b[..., 0], a[..., 1] - b[..., 1]) + self._diag * dth
 
 
 def _bounce(x, y, vx, vy, t_hit, kind, data):
@@ -250,7 +288,12 @@ def billiard_system(width, height, obstacles, speed) -> BilliardFlow:
 
 
 class BakerMap:
-    """B(x,y) = (2x mod 1, (y + floor(2x))/2) on the unit square."""
+    """B(x,y) = (2x mod 1, (y + floor(2x))/2) on the unit square.
+
+    A state is a pair (x, y) of floats, or of arrays for many points at once;
+    evolve(state, t) applies int(t) steps, so one path costs a step per unit
+    of time.
+    """
 
     space = UNIT_SQUARE
 
@@ -259,12 +302,12 @@ class BakerMap:
 
     def step(self, state):
         x, y = state
-        k = math.floor(2.0 * x)
+        k = np.floor(2.0 * x)
         return ((2.0 * x) % 1.0, (y + k) / 2.0)
 
     def inverse(self, state):
         x, y = state
-        k = math.floor(2.0 * y)
+        k = np.floor(2.0 * y)
         return ((x + k) / 2.0, (2.0 * y) % 1.0)
 
     def evolve(self, state, n):
@@ -274,11 +317,18 @@ class BakerMap:
             state = f(state)
         return state
 
+    def trajectories(self, grid, m, rng):
+        """Path j starts at rng.random((m, 2))[j], the draws of
+        sample_initial, and all m paths advance at once by evolve."""
+        return _lockstep(self, tuple(rng.random((m, 2)).T), grid)
+
     def coords(self, state):
         return state
 
     def metric(self, a, b):
-        return math.hypot(a[0] - b[0], a[1] - b[1])
+        """Euclidean distance of coordinates (..., 2)."""
+        a, b = np.asarray(a), np.asarray(b)
+        return np.hypot(a[..., 0] - b[..., 0], a[..., 1] - b[..., 1])
 
 
 def baker_system() -> BakerMap:
@@ -348,7 +398,9 @@ class SuspensionFlow:
         return tuple(self.base.coords(k)) + (v,)
 
     def metric(self, a, b):
-        return self.base.metric(a[0], b[0]) + abs(a[1] - b[1])
+        """The base metric of the base coordinates plus the height difference."""
+        a, b = np.asarray(a), np.asarray(b)
+        return self.base.metric(a[..., :-1], b[..., :-1]) + np.abs(a[..., -1] - b[..., -1])
 
     def observe(self, state):
         """Base symbol of the current fiber (the Delta-style observation)."""
@@ -364,44 +416,66 @@ def build_flow_under_function(base, roof: RoofFunction) -> SuspensionFlow:
 
 
 def observe_trajectories(system, f, grid, n, seed):
-    """Array (n, len(grid), ...) of f(state) along n trajectories on the grid.
+    """f of the coordinates of n trajectories on the grid, stacked over chunks.
 
     The grid must be ascending and nonnegative.  Paths come in the chunks of
-    processes.sample_in_chunks: chunk i draws from child i of the seed's
-    SeedSequence, and its paths are drawn one after another, each by
-    sample_initial and then evolved by every grid increment from time 0.
+    processes.sample_in_chunks: chunk i draws its m paths from child i of the
+    seed's SeedSequence, and f receives their coordinates (m, len(grid), d)
+    and returns an array with leading axis m.  The system's trajectories
+    kernel draws the chunk when it has one; otherwise its paths are drawn
+    one after another, each by sample_initial and then evolved by every grid
+    increment from time 0.  n times the path steps (one per grid time, and
+    for the baker one per unit of time) is checked against
+    processes.MAX_PATH_STEPS before anything is drawn.
     """
     grid = as_grid(grid).tolist()
     return sample_in_chunks(
-        lambda m, rng: np.array(_trajectories(system, f, grid, m, rng)), n, seed
+        lambda m, rng: f(_coordinates(system, grid, m, rng)), n, seed, _path_steps(system, grid)
     )
 
 
-def _trajectories(system, f, grid, m, rng):
-    """[f(state) at each grid time] for m trajectories drawn in turn from rng."""
-    rows = []
-    for _ in range(m):
-        state = system.sample_initial(rng)
-        t_now, row = 0.0, []
-        for t in grid:
-            state = system.evolve(state, t - t_now)
-            t_now = t
-            row.append(f(state))
-        rows.append(row)
-    return rows
+def _path_steps(system, grid):
+    """Steps of one path on the grid: a point per grid time, and a map step
+    per unit of time for the baker."""
+    return len(grid) + (math.floor(grid[-1]) if isinstance(system, BakerMap) else 0)
+
+
+def _coordinates(system, grid, m, rng):
+    """Coordinates (m, len(grid), d) of m trajectories drawn from rng."""
+    if hasattr(system, "trajectories"):
+        return system.trajectories(grid, m, rng)
+    paths = [_along(system, system.sample_initial(rng), grid) for _ in range(m)]
+    return np.array(paths, dtype=float)
+
+
+def _along(system, state, grid):
+    """[coords(state) at each grid time], the state evolved by every grid
+    increment from time 0."""
+    t_now, row = 0.0, []
+    for t in grid:
+        state = system.evolve(state, t - t_now)
+        t_now = t
+        row.append(system.coords(state))
+    return row
+
+
+def _lockstep(system, state, grid):
+    """Coordinates (m, len(grid), d) along the grid of a state whose
+    coordinates are arrays of m paths."""
+    return np.array(_along(system, state, grid)).transpose(2, 0, 1)
 
 
 def trajectory_symbols(system, obs, grid, seed_or_rng) -> SymbolPath:
     """Symbols of one trajectory, sampled at the grid times.
 
-    Deterministic given the seed: the initial state is drawn once and
-    evolved incrementally along the sorted grid.
+    Deterministic given the seed: the path is the one-path case of
+    observe_trajectories, drawn from the generator, and obs codes its
+    coordinates at once.
     """
     try:
         grid = as_grid(grid).tolist()
+        check_path_steps(1, _path_steps(system, grid))
     except ProcessError as exc:
         raise SystemError(str(exc)) from None
-    (symbols,) = _trajectories(
-        system, lambda s: obs(system.coords(s)), grid, 1, _as_rng(seed_or_rng)
-    )
-    return SymbolPath(tuple(grid), tuple(symbols))
+    (symbols,) = obs(_coordinates(system, grid, 1, _as_rng(seed_or_rng)))
+    return SymbolPath(tuple(grid), tuple(symbols.tolist()))

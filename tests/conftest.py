@@ -97,7 +97,7 @@ class ContractionMap:
         return (state,)
 
     def metric(self, a, b):
-        return abs(a - b)
+        return np.abs(np.asarray(a)[..., 0] - np.asarray(b)[..., 0])
 
 
 @pytest.fixture

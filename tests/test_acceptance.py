@@ -205,7 +205,7 @@ def test_criterion_07_epsilon_congruence():
     coarse = observation_from_partition(interval_partition([0.0, 0.5, 1.0], ["L", "R"]))
     coarse_centers = {"L": (0.25, 0.5), "R": (0.75, 0.5)}
     bad = check_epsilon_congruence(
-        bk, lambda m: coarse((m[0],)), lambda s: coarse_centers[s], 0.1, 10_000, 149
+        bk, lambda c: coarse(c[..., :1]), lambda s: coarse_centers[s], 0.1, 10_000, 149
     )
     ok = good.passed and bound_ok and bad.verdict == "fail"
     assert _verdict(7, "epsilon congruence", ok), (good.verdict, bound_ok, bad.verdict)
@@ -339,7 +339,8 @@ def test_criterion_10_mechanics():
     for _ in range(1000):
         x = rot.sample_initial(rng)
         t1, t2 = 3 * rng.random(), 3 * rng.random()
-        if rot.metric(rot.evolve(x, t1 + t2), rot.evolve(rot.evolve(x, t1), t2)) >= 1e-9:
+        one, two = rot.evolve(x, t1 + t2), rot.evolve(rot.evolve(x, t1), t2)
+        if rot.metric(rot.coords(one), rot.coords(two)) >= 1e-9:
             rot_ok = False
             break
 
@@ -350,7 +351,8 @@ def test_criterion_10_mechanics():
     for _ in range(1000):
         s = flow.sample_initial(rng)
         t1, t2 = 3 * rng.random(), 3 * rng.random()
-        if flow.metric(flow.evolve(s, t1 + t2), flow.evolve(flow.evolve(s, t1), t2)) >= 1e-9:
+        one, two = flow.evolve(s, t1 + t2), flow.evolve(flow.evolve(s, t1), t2)
+        if flow.metric(flow.coords(one), flow.coords(two)) >= 1e-9:
             susp_ok = False
             break
     ok = drift_ok and rot_ok and susp_ok

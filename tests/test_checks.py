@@ -131,7 +131,7 @@ def test_nontriviality_pair_counts_match_brute_force():
         lambda s: check_nontriviality(rotation_system(0.3), HALVES, [], 10, 1),
         lambda s: check_measure_preservation(rotation_system(0.3), [], [1.0], 10, 1),
         lambda s: check_measure_preservation(
-            rotation_system(0.3), [("left", lambda c: c[0] < 0.5, 0.5)], [], 10, 1
+            rotation_system(0.3), [("left", lambda c: c[..., 0] < 0.5, 0.5)], [], 10, 1
         ),
     ],
     ids=["grids", "shifts", "lags", "sets", "times"],
@@ -154,7 +154,7 @@ def test_stationarity_deterministic_start_fails(deterministic_start_source):
 
 
 def test_measure_preservation_rotation_passes():
-    sets = [("left", lambda c: c[0] < 0.5, 0.5), ("tenth", lambda c: c[0] < 0.1, 0.1)]
+    sets = [("left", lambda c: c[..., 0] < 0.5, 0.5), ("tenth", lambda c: c[..., 0] < 0.1, 0.1)]
     rep = check_measure_preservation(
         rotation_system(math.sqrt(2) - 1), sets, [0.5, 1.7], 8000, 29
     )
@@ -167,7 +167,7 @@ def test_measure_preservation_false_fail_rate_is_nominal():
     The family-wise level is THREE_SIGMA_ALPHA (0.27%, so about 0.5 expected
     false fails); per-pair uncorrected 3-sigma tests failed 5 of these 200.
     """
-    sets = [("left", lambda c: c[0] < 0.5, 0.5), ("tenth", lambda c: c[0] < 0.1, 0.1)]
+    sets = [("left", lambda c: c[..., 0] < 0.5, 0.5), ("tenth", lambda c: c[..., 0] < 0.1, 0.1)]
     rot = rotation_system(math.sqrt(2) - 1)
     reports = [
         check_measure_preservation(rot, sets, [0.5, 1.7, 3.1], 200, seed)
@@ -179,7 +179,7 @@ def test_measure_preservation_false_fail_rate_is_nominal():
 
 
 def test_measure_preservation_contraction_fails(contraction_map):
-    sets = [("left", lambda c: c[0] < 0.5, 0.5)]
+    sets = [("left", lambda c: c[..., 0] < 0.5, 0.5)]
     rep = check_measure_preservation(contraction_map, sets, [2.0], 4000, 31)
     assert rep.verdict == "fail"
     assert rep.witnesses()
@@ -293,7 +293,7 @@ def test_epsilon_congruence_coarse_coding_fails():
     obs = observation_from_partition(interval_partition([0.0, 0.5, 1.0], ["L", "R"]))
     centers = {"L": (0.25, 0.5), "R": (0.75, 0.5)}
     rep = check_epsilon_congruence(
-        bk, lambda m: obs((m[0],)), lambda s: centers[s], 0.1, 2000, 47
+        bk, lambda c: obs(c[..., :1]), lambda s: centers[s], 0.1, 2000, 47
     )
     assert rep.verdict == "fail"
 

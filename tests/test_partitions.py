@@ -48,10 +48,10 @@ def test_box_intersection():
 
 
 def test_phase_space_wrap():
-    assert UNIT_INTERVAL.wrap((1.25,)) == (0.25,)
-    assert UNIT_INTERVAL.wrap((-0.25,)) == (0.75,)
+    assert UNIT_INTERVAL.wrap((1.25,)).tolist() == [0.25]
+    assert UNIT_INTERVAL.wrap((-0.25,)).tolist() == [0.75]
     # non-periodic coordinates untouched
-    assert UNIT_SQUARE.wrap((1.25, 0.5)) == (1.25, 0.5)
+    assert UNIT_SQUARE.wrap((1.25, 0.5)).tolist() == [1.25, 0.5]
 
 
 def test_partition_validation_rejects_gaps_and_overlaps():
@@ -236,6 +236,46 @@ def test_cell_index_matches_first_match_scan(seed):
                 p.cell_index(point)
         else:
             assert p.cell_index(point) == ref, point
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_batched_cell_index_is_the_per_point_coding(seed, with_hole):
+    """Random points, every corner of the bound lattice and wrapped periodic
+    coordinates, coded at once as an array (k, 2, 2) and point by point; an
+    uncovered point raises the same PartitionError either way."""
+    rng = np.random.default_rng(seed)
+    cells = _random_cells(rng, CYLINDER)
+    if with_hole:
+        lo, hi = cells[0][0]
+        cells[0][0] = ((lo[0], lo[1] + 2.0), (hi[0], hi[1] + 2.0))
+    p = _partition(CYLINDER, cells)
+    points = _probe_points(rng, p)
+    points = [points[i] for i in rng.permutation(len(points))][: len(points) // 4 * 4]
+    per_point, first_error = [], None
+    for q in points:
+        try:
+            per_point.append(p.cell_index(q))
+        except PartitionError as exc:
+            first_error = first_error or str(exc)
+    batch = np.array(points).reshape(-1, 2, 2, 2)
+    if first_error is None:
+        assert p.cell_index(batch).tolist() == np.reshape(per_point, (-1, 2, 2)).tolist()
+    else:
+        with pytest.raises(PartitionError) as err:
+            p.cell_index(batch)
+        assert str(err.value) == first_error
+
+
+def test_observation_codes_arrays_as_points():
+    p = interval_partition([0.0, 0.25, 0.5, 1.0], ["a", "b", "c"])
+    obs = ObservationFunction(p, symbols=(("x", 1), ("y", 2), ("x", 1)))
+    points = np.array([[[0.1], [0.3]], [[0.7], [1.2]]])
+    assert obs(points).shape == (2, 2)
+    assert obs(points).tolist() == [[("x", 1), ("y", 2)], [("x", 1), ("x", 1)]]
+    assert obs.codes(points).tolist() == [[0, 1], [0, 0]]
+    assert obs((0.3,)) == ("y", 2)
+    assert Box((0.0,), (0.5,)).contains(points).tolist() == [[True, True], [False, False]]
 
 
 def test_cell_index_takes_first_cell_on_tolerated_overlap():

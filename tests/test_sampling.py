@@ -19,7 +19,12 @@ from obsequiv.checks import (
     check_stationarity,
 )
 from obsequiv.fdd import compare_fdd, estimate_fdd
-from obsequiv.partitions import grid_partition, interval_partition, observation_from_partition
+from obsequiv.partitions import (
+    Partition,
+    grid_partition,
+    interval_partition,
+    observation_from_partition,
+)
 from obsequiv.processes import (
     CHUNK,
     HoldingTime,
@@ -125,10 +130,37 @@ def test_rotation_and_baker_streams_match_batched_draws():
     """Rotation path j starts at rng.random(m)[j], baker path j at
     rng.random((m, 2))[j]: the layout a batched kernel can keep."""
     m, child = 50, np.random.SeedSequence(5, spawn_key=(0,))
-    rot = observe_trajectories(rotation_system(0.3), lambda x: x, (0.0,), m, 5)
-    assert np.array_equal(rot[:, 0], np.random.default_rng(child).random(m))
-    bk = observe_trajectories(baker_system(), lambda p: p, (0.0,), m, 5)
+    rot = observe_trajectories(rotation_system(0.3), lambda c: c, (0.0,), m, 5)
+    assert np.array_equal(rot[:, 0, 0], np.random.default_rng(child).random(m))
+    bk = observe_trajectories(baker_system(), lambda c: c, (0.0,), m, 5)
     assert np.array_equal(bk[:, 0], np.random.default_rng(child).random((m, 2)))
+
+
+def test_one_cell_index_call_per_coded_chunk(monkeypatch):
+    """System sources and checkers code each chunk of sampled coordinates
+    with one Partition.cell_index call, never point by point."""
+    calls = []
+    cell_index = Partition.cell_index
+
+    def counted(self, point):
+        calls.append(np.shape(point))
+        return cell_index(self, point)
+
+    monkeypatch.setattr(Partition, "cell_index", counted)
+    rot = rotation_system(math.sqrt(2) - 1)
+    for system, obs in _observed_systems():
+        ObservedSystemSource(system, obs).sample_codes((0.0, 1.0), 2 * CHUNK + 3, 5)
+        assert [c[0] for c in calls] == [CHUNK, CHUNK, 3]
+        calls.clear()
+        trajectory_symbols(system, obs, (0.0, 1.0, 2.0), np.random.default_rng(1))
+        assert len(calls) == 1
+        calls.clear()
+    check_nontriviality(rot, HALVES, [1.0, 2.0], 300, 3)
+    check_invariant_union(rot, HALVES.partition, 1.0, 300, 5)
+    check_epsilon_congruence(rot, HALVES, lambda s: (0.25,) if s == "a" else (0.75,),
+                             0.5, 300, 7)
+    check_simulation("strong", rot, HALVES, HALVES, 0.1, [(0.0, 1.0)], 300, 9)
+    assert len(calls) == 2 + 1 + 1 + (2 + 1)
 
 
 def _reference_semi_markov(spec, horizon, rng):
@@ -268,9 +300,9 @@ def test_process_checks_spawn_no_generators_and_read_no_paths(monkeypatch, fair_
         check_observational_equivalence((rot, HALVES), (rot, HALVES), grids, 500, 7),
         check_stationarity((rot, HALVES), (0.0, 1.0), [0.5], 500, 11),
         check_nontriviality(rot, HALVES, [1.0], 500, 13),
-        check_measure_preservation(rot, [("a", lambda c: c[0] < 0.5, 0.5)], [1.0], 500, 17),
+        check_measure_preservation(rot, [("a", lambda c: c[..., 0] < 0.5, 0.5)], [1.0], 500, 17),
         check_invariant_union(rot, HALVES.partition, 1.0, 500, 19),
-        check_epsilon_congruence(rot, lambda m: HALVES((m,)), lambda s: 0.5, 0.9, 500, 23),
+        check_epsilon_congruence(rot, HALVES, lambda s: 0.5, 0.9, 500, 23),
         check_simulation("weak", rot, HALVES, HALVES, 0.1, grids, 500, 29, gamma=gamma),
     ]
     assert all(r.verdict == "pass" for r in reports), [r.kind for r in reports if not r.passed]

@@ -376,11 +376,21 @@ def test_scenario_without_misspelling_runs(tmp_path):
         {"kind": "simulate", "process": "sm", "grid": [0.0, 1e9]},
         {"kind": "simulate", "process": "sm", "representation": "flow", "grid": [0.0, 1e9]},
         {"kind": "entropy", "source": {"process": "chain"}, "length": 10**9, "L_max": 2},
+        {"kind": "simulate", "system": "baker", "observation": "quad", "grid": [0.0, 1e9]},
+        {"kind": "simulate", "process": "chain", "grid": [0.0, 1.0], "n": 10**9},
+        {"kind": "simulate", "system": "baker", "observation": "quad", "grid": [0.0],
+         "n": 10**9},
     ],
-    ids=["markov", "semi_markov", "flow", "entropy_length"],
+    ids=["markov", "semi_markov", "flow", "entropy_length", "baker_grid", "markov_n",
+         "baker_n"],
 )
 def test_oversized_request_exits_two_within_a_second(tmp_path, capsys, within_a_second, task):
+    """The bound covers the whole request, checked before the first chunk:
+    n = 10^9 rows would need tens of GB, and a baker grid time of 10^9 is
+    10^9 map steps per path."""
     doc = {"seed": 1, "processes": dict(SEMI_MARKOV, chain=PASSING["processes"]["p"]),
+           "systems": {"baker": {"kind": "baker"}},
+           "observations": {"quad": {"kind": "grid", "system": "baker"}},
            "tasks": [task]}
     assert run_scenario(_write(tmp_path, "big.json", doc), out_dir=tmp_path / "o") == 2
     out = capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Deterministic systems: rotation, billiard, baker, suspension flows."""
 
+import gc
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from obsequiv.systems import (
     baker_system,
     billiard_system,
     build_flow_under_function,
+    observe_trajectories,
     rotation_system,
     spawn_rngs,
     trajectory_symbols,
@@ -44,8 +46,8 @@ def test_rotation_rejects_frozen_flow():
 
 def test_rotation_metric_is_circle_distance():
     rot = rotation_system(1.0)
-    assert rot.metric(0.05, 0.95) == pytest.approx(0.1)
-    assert rot.metric(0.2, 0.6) == pytest.approx(0.4)
+    assert rot.metric((0.05,), (0.95,)) == pytest.approx(0.1)
+    assert rot.metric((0.2,), (0.6,)) == pytest.approx(0.4)
 
 
 @given(st.floats(0.0, 0.999), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
@@ -54,7 +56,7 @@ def test_rotation_semigroup(x, t1, t2):
     rot = rotation_system(math.sqrt(2) - 1.0)
     one = rot.evolve(x, t1 + t2)
     two = rot.evolve(rot.evolve(x, t1), t2)
-    assert rot.metric(one, two) < 1e-9
+    assert rot.metric(rot.coords(one), rot.coords(two)) < 1e-9
 
 
 # -- billiard ---------------------------------------------------------------
@@ -101,6 +103,72 @@ def test_billiard_head_on_obstacle_reflection(table):
     assert s.x == pytest.approx(0.1)
 
 
+def _scaled_table(scale):
+    """The unit table with its central obstacle, every length times scale."""
+    return billiard_system(scale, scale, [((0.5 * scale, 0.5 * scale), 0.2 * scale)], 1.0)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3])
+def test_billiard_head_on_reflection_at_every_table_scale(scale):
+    # the grazing guard is relative to r^2 |v|^2: with an absolute 1e-12 a
+    # particle aimed at the centre flew through the obstacle of a 1e-6 table
+    s = _scaled_table(scale).evolve(BilliardState(0.1 * scale, 0.5 * scale, 0.0), 0.4 * scale)
+    assert s.theta == pytest.approx(math.pi)
+    assert s.y == pytest.approx(0.5 * scale)
+    assert s.x == pytest.approx(0.1 * scale)
+
+
+@given(st.sampled_from([1e-6, 1e-3, 1.0, 1e3]), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_billiard_points_never_inside_the_obstacle(scale, seed):
+    table = _scaled_table(scale)
+    grid = [t * scale for t in (0.0, 0.7, 2.3, 5.0)]
+    x, y, _ = observe_trajectories(table, lambda c: c, grid, 40, seed).T
+    assert np.all((x >= 0.0) & (x <= scale) & (y >= 0.0) & (y <= scale))
+    assert np.all(np.hypot(x - 0.5 * scale, y - 0.5 * scale) >= 0.2 * scale * (1 - 1e-9))
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.floats(0.0, 6.0), min_size=1, max_size=6),
+    st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_billiard_kernel_rows_are_chained_evolve_calls(seed, times, from_zero):
+    """Bit for bit: each grid increment of a kernel row is one evolve call."""
+    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    grid = sorted(times + [0.0] if from_zero else times)
+    rows = table.trajectories(grid, 5, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    for row in rows.tolist():
+        state, t_now, expect = table.sample_initial(rng), 0.0, []
+        for t in grid:
+            state = table.evolve(state, t - t_now)
+            t_now = t
+            expect.append(list(table.coords(state)))
+        assert row == expect
+
+
+def test_long_billiard_flight_runs_no_garbage_collection():
+    """A 20,000-point row keeps bare floats, so the flight never reaches the
+    collector's allocation threshold (a tuple per point would, about 28 times)."""
+    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    grid = (np.arange(20_000) * 0.5).tolist()
+    runs = []
+
+    def callback(phase, info):
+        if phase == "start":
+            runs.append(info)
+
+    gc.collect()
+    gc.callbacks.append(callback)
+    try:
+        table.trajectories(grid, 1, np.random.default_rng(3))
+    finally:
+        gc.callbacks.remove(callback)
+    assert runs == []
+
+
 def test_billiard_stays_inside(table):
     for rng in spawn_rngs(3, 20):
         s = table.sample_initial(rng)
@@ -122,7 +190,7 @@ def test_forward_only_flows_reject_negative_time(table):
     flow = build_flow_under_function(_TwoPointBase(), RoofFunction({"a": 1.0, "b": 2.0}))
     with pytest.raises(SystemError):
         flow.evolve(("a", 0.5), -0.3)
-    assert table.metric(table.evolve(state, 0.0), state) < 1e-12
+    assert table.metric(table.coords(table.evolve(state, 0.0)), table.coords(state)) < 1e-12
     assert flow.evolve(("a", 0.5), 0.0) == ("a", 0.5)
 
 
@@ -131,7 +199,7 @@ def test_billiard_time_additivity(table):
     s0 = table.sample_initial(rng)
     a = table.evolve(table.evolve(s0, 1.3), 2.1)
     b = table.evolve(s0, 3.4)
-    assert table.metric(a, b) < 1e-7
+    assert table.metric(table.coords(a), table.coords(b)) < 1e-7
 
 
 # -- baker ------------------------------------------------------------------
@@ -182,7 +250,7 @@ class _TwoPointBase:
         return (0.0,) if s == "a" else (1.0,)
 
     def metric(self, x, y):
-        return 0.0 if x == y else 1.0
+        return np.abs(np.asarray(x)[..., 0] - np.asarray(y)[..., 0])
 
 
 def test_roof_function_rejects_nonpositive():
@@ -219,7 +287,8 @@ def test_suspension_semigroup():
     for _ in range(200):
         s = flow.sample_initial(rng)
         t1, t2 = 3 * rng.random(), 3 * rng.random()
-        assert flow.metric(flow.evolve(s, t1 + t2), flow.evolve(flow.evolve(s, t1), t2)) < 1e-9
+        one, two = flow.evolve(s, t1 + t2), flow.evolve(flow.evolve(s, t1), t2)
+        assert flow.metric(flow.coords(one), flow.coords(two)) < 1e-9
 
 
 # -- observed trajectories ----------------------------------------------------
