@@ -48,7 +48,6 @@ from .representation import (
     SemiMarkovFlowRep,
     ShiftRepresentation,
     observe_at_zero,
-    semi_markov_flow_representation,
     shift_representation,
 )
 from .checks import (

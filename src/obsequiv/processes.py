@@ -295,7 +295,7 @@ def block_embedding(spec: MarkovChainSpec) -> MarkovChainSpec:
 # are indexed arithmetically: after ctx and state s comes ctx*k mod k^order + s.
 
 
-def sample_in_chunks(draw, n, seed, steps=1):
+def sample_in_chunks(draw, n, seed, steps):
     """Rows of draw(m, rng) stacked over fixed-size chunks of n paths.
 
     Chunk i of CHUNK rows (the last one possibly shorter) draws from its own

@@ -2,8 +2,8 @@
 
 The shift construction (phase space = realizations, evolution = time shift,
 observation = value at time zero) and the flow-under-a-function
-representation of semi-Markov processes over the block shift of the
-embedded chain.
+representation of semi-Markov processes over the shift of the context chain
+of the embedded chain.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .processes import (
     _chain_tables,
     _draw,
     as_grid,
-    block_embedding,
     chain_codes,
     chain_steps,
     check_path_steps,
@@ -34,7 +33,6 @@ __all__ = [
     "ShiftRepresentation",
     "SemiMarkovFlowRep",
     "shift_representation",
-    "semi_markov_flow_representation",
     "observe_at_zero",
 ]
 
@@ -112,52 +110,38 @@ def shift_representation(spec) -> ShiftRepresentation:
     return ShiftRepresentation(spec)
 
 
-class _LazyChainPath:
-    """Forward sample path of an order-1 chain, extended on demand.
+class _ContextShift:
+    """Shift on stationary paths of a flow's context chain.
 
-    Memoization makes base states immutable values: the symbol at a given
-    index never changes once drawn, so the shift semigroup law holds exactly.
+    A base state is (path, i), position i of a path (rng, contexts) whose
+    contexts are drawn from rng on demand by the flow's draw rule and
+    memoized: the context at a position never changes once drawn, so the
+    shift semigroup law holds exactly.  Each context is a one-row index
+    array, so the scalar walk is the one-path case of the flow's kernel.
     """
 
-    def __init__(self, states, table, stationary, rng):
-        self._states = states
-        self._table = table
-        self._rng = rng
-        self._blocks = [states[rng.choice(len(states), p=stationary)]]
-
-    def block(self, i):
-        while len(self._blocks) <= i:
-            row = self._table[self._states.index(self._blocks[-1])]
-            self._blocks.append(self._states[self._rng.choice(len(self._states), p=row)])
-        return self._blocks[i]
-
-
-class _ChainShiftBase:
-    """Shift on chain paths; a base state is (lazy path, position)."""
-
-    def __init__(self, block_chain: MarkovChainSpec):
-        self.chain = block_chain
-        diag = block_chain.validate()
-        if not diag.valid:
-            raise ProcessError("block chain invalid")
-        self.stationary = diag.stationary
+    def __init__(self, flow):
+        self.flow = flow
 
     def sample_initial(self, rng):
-        path = _LazyChainPath(
-            list(self.chain.states), self.chain.table, self.stationary, rng
-        )
-        return (path, 0)
+        return ((rng, [_draw(self.flow._start, rng.random(1))]), 0)
 
     def step(self, state):
         path, i = state
         return (path, i + 1)
 
+    def code(self, state):
+        """Alphabet index of the context at the state's position."""
+        (rng, contexts), i = state
+        while len(contexts) <= i:
+            contexts.append(self.flow._next(contexts[-1], rng))
+        return int(self.flow._code[contexts[i]][0])
+
     def label(self, state):
-        path, i = state
-        return path.block(i)
+        return self.flow.alphabet[self.code(state)]
 
     def coords(self, state):
-        return (float(self.chain.states.index(self.label(state))),)
+        return (float(self.code(state)),)
 
     def metric(self, a, b):
         """Discrete metric of block coordinates (..., 1): 0 on one block, else 1."""
@@ -165,11 +149,15 @@ class _ChainShiftBase:
 
 
 class SemiMarkovFlowRep(SuspensionFlow):
-    """Flow built under the holding-time roof over the block shift.
+    """Flow built under the holding-time roof over the shift of the context
+    chain of the embedded chain.
 
-    The fiber observation (base block, height) -> block reproduces the
-    semi-Markov process: sojourns equal the holding time of the current
-    outcome exactly and jump targets follow the embedded chain.
+    A base point is a context, the block of the last order states; its roof
+    is the holding time of its first state.  The fiber observation (base
+    block, height) -> block reproduces the semi-Markov process: sojourns
+    equal the holding time of the current outcome exactly and jump targets
+    follow the embedded chain.  The alphabet is the recurrent blocks in
+    context order (states for order 1, tuples of states above).
     """
 
     def __init__(self, spec: SemiMarkovSpec):
@@ -178,20 +166,22 @@ class SemiMarkovFlowRep(SuspensionFlow):
         if not spec.irrationally_related():
             raise ProcessError("holding-time set is not irrationally related")
         self.spec = spec
-        blocks = block_embedding(spec.chain)
-        base = _ChainShiftBase(blocks)
+        chain = spec.chain
+        self._start, self._cum = _chain_tables(chain)
+        contexts = chain.contexts()
+        recurrent = np.flatnonzero(chain.validate().stationary > 0)
+        self.alphabet = tuple(contexts[i][0] if chain.order == 1 else contexts[i] for i in recurrent)
+        self._code = np.full(len(contexts), -1, dtype=np.intp)
+        self._code[recurrent] = np.arange(len(recurrent))
+        self._roofs = np.array([spec.u(c[0]) for c in contexts])
+        roof = RoofFunction(dict(zip(self.alphabet, self._roofs[recurrent])))
+        super().__init__(_ContextShift(self), roof)
 
-        def block_holding(block):
-            first = block[0] if isinstance(block, tuple) else block
-            return spec.u(first)
-
-        roof = RoofFunction({b: block_holding(b) for b in blocks.states})
-        super().__init__(base, roof)
-        self._roofs = np.array([roof(b) for b in blocks.states])
-
-    @property
-    def alphabet(self):
-        return tuple(self.base.chain.states)
+    def _next(self, ctx, rng):
+        """Contexts after the context indices ctx: ctx*k mod k^order + s,
+        with the state s drawn from the table row of each context."""
+        s = _draw(self._cum[ctx], rng.random(ctx.size))
+        return ctx * self.spec.chain.n_states % len(self._cum) + s
 
     def sample_codes(self, grid, n, seed):
         """Alphabet indices (n, len(grid)) of n flow trajectories on the grid."""
@@ -205,40 +195,35 @@ class SemiMarkovFlowRep(SuspensionFlow):
 
     def _codes(self, grid, n, rng):
         """Block indices (n, len(grid)) of n flow trajectories, evolved in
-        lockstep as (block, height) arrays.
+        lockstep as (context, height) arrays.
 
-        The initial point is drawn from the invariant measure: a block from
-        the block chain's stationary law, kept with probability roof/max
-        roof (length bias by rejection), then a height uniform under its
-        roof.  Along the grid the height rises at unit rate; each time it
-        reaches the roof it drops by the roof and the base shifts one block
-        forward, a step of the block chain.
+        The initial point is drawn from the invariant measure: a context
+        from the chain's stationary law, kept with probability roof/max roof
+        (length bias by rejection), then a height uniform under its roof.
+        Along the grid the height rises at unit rate; each time it reaches
+        the roof it drops by the roof and the base shifts one context
+        forward by _next.
         """
         roof = self._roofs
         check_path_steps(n, sojourn_steps(grid[-1], roof.min()))
-        start, cum = _chain_tables(self.base.chain)
-        block = np.empty(n, dtype=np.intp)
+        ctx = np.empty(n, dtype=np.intp)
         todo = np.arange(n)
         while todo.size:
-            proposed = _draw(start, rng.random(todo.size))
+            proposed = _draw(self._start, rng.random(todo.size))
             keep = rng.random(todo.size) * roof.max() < roof[proposed]
-            block[todo[keep]] = proposed[keep]
+            ctx[todo[keep]] = proposed[keep]
             todo = todo[~keep]
-        height = rng.random(n) * roof[block]
+        height = rng.random(n) * roof[ctx]
         out = np.empty((n, len(grid)), dtype=np.intp)
         t_now = 0.0
         for j, t in enumerate(grid):
             height += t - t_now
             t_now = t
             while True:
-                up = np.flatnonzero(height >= roof[block])
+                up = np.flatnonzero(height >= roof[ctx])
                 if not up.size:
                     break
-                height[up] -= roof[block[up]]
-                block[up] = _draw(cum[block[up]], rng.random(up.size))
-            out[:, j] = block
-        return out
-
-
-def semi_markov_flow_representation(spec: SemiMarkovSpec) -> SemiMarkovFlowRep:
-    return SemiMarkovFlowRep(spec)
+                height[up] -= roof[ctx[up]]
+                ctx[up] = self._next(ctx[up], rng)
+            out[:, j] = ctx
+        return self._code[out]

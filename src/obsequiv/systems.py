@@ -124,8 +124,8 @@ class BilliardFlow:
         if not all(math.isfinite(v) and v > 0 for v in (width, height)):
             raise SystemError(f"table width and height must be finite and positive, "
                               f"got {width!r} x {height!r}")
-        if speed <= 0:
-            raise SystemError("speed must be positive")
+        if not (math.isfinite(speed) and speed > 0):
+            raise SystemError(f"speed must be finite and positive, got {speed!r}")
         self.width, self.height, self.speed = float(width), float(height), float(speed)
         self.obstacles = [((float(cx), float(cy)), float(r)) for (cx, cy), r in obstacles]
         for (cx, cy), r in self.obstacles:
@@ -292,7 +292,7 @@ class BakerMap:
 
     A state is a pair (x, y) of floats, or of arrays for many points at once;
     evolve(state, t) applies int(t) steps, so one path costs a step per unit
-    of time.
+    of time, and a path is read at floor(t) for each grid time t.
     """
 
     space = UNIT_SQUARE
@@ -319,8 +319,10 @@ class BakerMap:
 
     def trajectories(self, grid, m, rng):
         """Path j starts at rng.random((m, 2))[j], the draws of
-        sample_initial, and all m paths advance at once by evolve."""
-        return _lockstep(self, tuple(rng.random((m, 2)).T), grid)
+        sample_initial, and all m paths advance at once by evolve over the
+        floored grid, so the point at t is evolve(start, t) also when the
+        grid increments are fractional."""
+        return _lockstep(self, tuple(rng.random((m, 2)).T), np.floor(grid))
 
     def coords(self, state):
         return state
@@ -341,14 +343,14 @@ def baker_system() -> BakerMap:
 
 @dataclass(frozen=True)
 class RoofFunction:
-    """Holding time over each base symbol; all values strictly positive."""
+    """Holding time over each base symbol; all values finite and strictly positive."""
 
     heights: dict
 
     def __post_init__(self):
         object.__setattr__(self, "heights", {k: float(v) for k, v in self.heights.items()})
-        if any(v <= 0 for v in self.heights.values()):
-            raise SystemError("roof values must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in self.heights.values()):
+            raise SystemError("roof values must be finite and positive")
 
     def __call__(self, symbol):
         return self.heights[symbol]

@@ -14,6 +14,7 @@ from obsequiv.processes import (
     SemiMarkovSpec,
     as_grid,
     sample_in_chunks,
+    sojourn_steps,
 )
 
 
@@ -57,7 +58,8 @@ class DeterministicStartSource:
 
     def sample_codes(self, grid, n, seed):
         grid = as_grid(grid)
-        return sample_in_chunks(lambda m, rng: self._codes(grid, m, rng), n, seed)
+        steps = sojourn_steps(grid[-1], min(map(self.spec.u, self.spec.states)))
+        return sample_in_chunks(lambda m, rng: self._codes(grid, m, rng), n, seed, steps)
 
     def _codes(self, grid, m, rng):
         """m paths in lockstep: s1 on [0, u(s1)), then each jump drawn by

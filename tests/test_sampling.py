@@ -97,11 +97,16 @@ def test_first_chunk_does_not_depend_on_later_chunks(fair_semi_markov):
 
 def test_scalar_sample_path_is_the_one_path_kernel(fair_semi_markov):
     grid = (0.0, 0.5, 1.3, 4.0)
-    child = np.random.SeedSequence(23, spawn_key=(0,))
-    for src in _process_sources(fair_semi_markov):
-        row = src.sample_codes(grid, 1, 23)[0]
-        path = src.sample_path(grid, np.random.default_rng(child))
-        assert path == tuple(src.alphabet[c] for c in row)
+    sources = _process_sources(fair_semi_markov) + [SemiMarkovFlowRep(_order2_semi_markov())]
+    for seed in range(23, 33):
+        child = np.random.SeedSequence(seed, spawn_key=(0,))
+        for src in sources:
+            row = tuple(src.alphabet[c] for c in src.sample_codes(grid, 1, seed)[0])
+            assert src.sample_path(grid, np.random.default_rng(child)) == row
+            if isinstance(src, SemiMarkovFlowRep):
+                # the flow's deterministic system (sample_initial, then evolve
+                # and observe per grid time) draws as its kernel does
+                assert _scalar_flow_paths(src, grid, [np.random.default_rng(child)]) == [row]
 
 
 def _observed_systems():
@@ -228,10 +233,10 @@ def test_chain_kernel_never_takes_a_zero_probability_step():
     assert not np.any((codes[:, :-1] == 0) & (codes[:, 1:] == 0))
 
 
-def _scalar_flow_paths(flow, grid, n, seed):
+def _scalar_flow_paths(flow, grid, rngs):
     """Reference: one scalar SuspensionFlow trajectory per generator."""
     paths = []
-    for rng in spawn_rngs(seed, n):
+    for rng in rngs:
         state = flow.sample_initial(rng)
         t_now, row = 0.0, []
         for t in grid:
@@ -249,7 +254,7 @@ def test_flow_kernel_matches_scalar_flow_evolution(fair_semi_markov, order):
     grid = (0.0, 0.4, 1.1, 2.3)
     n = 6000
     batch = flow.sample_codes(grid, n, 41)
-    scalar = _scalar_flow_paths(flow, grid, n, 43)
+    scalar = _scalar_flow_paths(flow, grid, spawn_rngs(43, n))
     batch_symbols = {flow.alphabet[c] for row in batch.tolist() for c in row}
     assert batch_symbols == {s for p in scalar for s in p}
     if order == 2:

@@ -256,10 +256,13 @@ def test_bad_observation_exit_two(tmp_path, capsys, observation, message):
          "processes.d: field 'holding' must be an object, got ['a', 'b']"),
         ("systems", {"kind": "billiard", "width": -1.0, "height": 1.0, "speed": 1.0},
          "systems.d: table width and height must be finite and positive, got -1.0 x 1.0"),
+        ("systems", {"kind": "billiard", "width": 1.0, "height": 1.0, "speed": math.nan},
+         "systems.d: speed must be finite and positive, got nan"),
     ],
     ids=["alpha_a_string", "radius_a_list", "rows_off_one", "order_a_bool", "coeff_not_a_fraction",
          "states_a_string", "states_a_number", "duplicate_states", "matrix_entry_an_object",
-         "matrix_entry_a_string", "matrix_entry_nan", "holding_a_list", "negative_width"],
+         "matrix_entry_a_string", "matrix_entry_nan", "holding_a_list", "negative_width",
+         "speed_nan"],
 )
 def test_bad_definition_names_its_location(tmp_path, capsys, section, definition, message):
     doc = {"seed": 1, section: {"d": definition}, "tasks": []}

@@ -70,8 +70,9 @@ def table():
 def test_billiard_validation(table):
     with pytest.raises(SystemError):
         billiard_system(1.0, 1.0, [((0.5, 0.5), 0.6)], 1.0)  # pokes out
-    with pytest.raises(SystemError):
-        billiard_system(1.0, 1.0, [], 0.0)  # zero speed
+    for speed in (0.0, math.nan, math.inf):
+        with pytest.raises(SystemError, match="speed must be finite and positive"):
+            billiard_system(1.0, 1.0, [], speed)
     with pytest.raises(SystemError):
         billiard_system(
             2.0, 1.0, [((0.5, 0.5), 0.2), ((0.8, 0.5), 0.2)], 1.0
@@ -231,6 +232,18 @@ def test_baker_preserves_lebesgue_empirically():
     assert abs(inside / n - 0.125) < 3 * math.sqrt(0.125 * 0.875 / n)
 
 
+def test_baker_paths_on_a_fractional_grid_are_read_at_the_floor():
+    # the path at t is evolve(start, t), floor(t) map steps, also when the
+    # grid increments are not whole
+    bk = baker_system()
+    grid = (0.0, 0.5, 1.0, 1.5, 2.0, 2.7, 4.2)
+    coords = observe_trajectories(bk, lambda c: c, grid, 3, 1)
+    for row in coords:
+        start = tuple(row[0])
+        for t, point in zip(grid, row):
+            assert tuple(point) == bk.evolve(start, t)
+
+
 # -- suspension flow ---------------------------------------------------------
 
 
@@ -254,8 +267,11 @@ class _TwoPointBase:
 
 
 def test_roof_function_rejects_nonpositive():
-    with pytest.raises(SystemError):
-        RoofFunction({"a": 0.0})
+    # an infinite roof never lets sample_initial accept a base point, and a
+    # NaN roof's base point is never visited
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(SystemError, match="finite and positive"):
+            RoofFunction({"a": 1.0, "b": bad})
 
 
 def test_suspension_flow_sojourn_lengths():
