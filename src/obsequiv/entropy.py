@@ -63,29 +63,26 @@ class EntropyTrend:
 
 
 def _encode(sequences):
+    """Code arrays over 0..k-1 and k, the observed symbol count: 1-D integer
+    or bool array rows by one sort of their values, other rows by a dict."""
+    if isinstance(sequences, str) or getattr(sequences, "ndim", 2) != 2:
+        raise EntropyError("sequences must be a collection of 1-D sequences")
+    rows = list(sequences)
+    if rows and all(isinstance(r, np.ndarray) and r.ndim == 1 and r.dtype.kind in "biu"
+                    for r in rows):
+        values = np.sort(np.concatenate(rows))
+        if values.dtype.kind in "biu":  # int64 with uint64 would mix into float64
+            alphabet = np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
+            return [np.searchsorted(alphabet, r) for r in rows], len(alphabet)
     # ndarray rows become lists first: the dict then hashes Python scalars
-    rows = [seq.tolist() if isinstance(seq, np.ndarray) else seq for seq in sequences]
-    alphabet = sorted(set().union(*rows), key=str)
-    index = {s: i for i, s in enumerate(alphabet)}
-    codes = [np.fromiter(map(index.__getitem__, row), np.int64, len(row)) for row in rows]
+    rows = [r.tolist() if isinstance(r, np.ndarray) else r for r in rows]
+    try:
+        alphabet = sorted(set().union(*rows), key=str)
+        index = {s: i for i, s in enumerate(alphabet)}
+        codes = [np.fromiter(map(index.__getitem__, row), np.int64, len(row)) for row in rows]
+    except TypeError:
+        raise EntropyError("sequences must be a collection of 1-D sequences") from None
     return codes, len(alphabet)
-
-
-def _block_counts(encoded, k, L):
-    counts = {}
-    for seq in encoded:
-        if len(seq) < L:
-            continue
-        m = len(seq) - L + 1
-        # incremental base-k code: one O(m) buffer instead of an m*L window
-        codes = seq[:m].copy()
-        for j in range(1, L):
-            codes *= k
-            codes += seq[j : j + m]
-        uniq, cnt = np.unique(codes, return_counts=True)
-        for u, c in zip(uniq.tolist(), cnt.tolist()):
-            counts[u] = counts.get(u, 0) + c
-    return counts
 
 
 def block_entropy(sequences, L) -> EntropyEstimate:
@@ -109,10 +106,9 @@ def entropy_rate(sequences, L_max) -> EntropyTrend:
 
 
 def _block_entropies(sequences, lengths):
-    """block_entropy for each block length, from one encoding of the sequences."""
-    encoded, k = _encode(sequences)
-    total = sum(len(s) for s in encoded)
-    estimates = []
+    """block_entropy per length; a sequence's base-k L-block codes extend its L-1 codes."""
+    codes, k = _encode(sequences)
+    total, longest = sum(map(len, codes)), max(map(len, codes), default=0)
     for L in lengths:
         if L < 1:
             raise EntropyError("block length must be >= 1")
@@ -121,15 +117,28 @@ def _block_entropies(sequences, lengths):
                 f"undersampled: need >= {UNDERSAMPLING_FACTOR * k ** L} symbols "
                 f"for L={L} over {k} symbols, got {total}"
             )
-        counts = _block_counts(encoded, k, L)
-        n = sum(counts.values())
-        if n == 0:
+        if longest < L:
             raise EntropyError(f"no sequence is as long as the block length L={L}")
+    # the guard keeps k^L within 1% of the input, and the int64 codes exact
+    counts = {L: np.zeros(k**L, np.int64) for L in lengths}
+    for seq in codes:
+        block = seq.astype(np.int64)  # a copy: the codes are extended in place
+        for L in range(1, min(max(counts), len(seq)) + 1):
+            if L > 1:
+                block = block[: len(seq) - L + 1]
+                block *= k
+                block += seq[L - 1 :]
+            if L in counts:
+                counts[L] += np.bincount(block, minlength=k**L)
+    estimates = []
+    for L in lengths:
+        c = counts[L][counts[L] > 0]
+        n = int(c.sum())
         # canonical summation order: relabeling the alphabet permutes the block
         # counts, sorting makes the entropy bit-for-bit invariant under it
-        p = np.sort(np.fromiter(counts.values(), dtype=float)) / n
+        p = np.sort(c) / n
         h = float(-np.sum(p * np.log2(p)))
-        h += (len(counts) - 1) / (2.0 * n * np.log(2.0))  # Miller-Madow
+        h += (len(c) - 1) / (2.0 * n * np.log(2.0))  # Miller-Madow
         h = min(h, float(L * np.log2(k))) if k > 1 else 0.0
-        estimates.append(EntropyEstimate(int(L), float(h), int(n), int(k)))
+        estimates.append(EntropyEstimate(int(L), float(h), n, int(k)))
     return estimates

@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 MAX_EVENTS = 10_000_000
-GRAZE_GUARD = 1e-12  # shortest event time; relative to r^2 |v|^2 for circle grazes
+GRAZE_GUARD = 1e-12  # circle hits only: shortest hit time, and the graze bound over r^2 |v|^2
 
 
 class SystemError(ValueError):
@@ -117,7 +117,8 @@ class BilliardFlow:
     Walls of a width x height table and circular obstacles reflect the
     velocity about the inward normal.  Grazing circle hits (a discriminant
     below GRAZE_GUARD r^2 |v|^2, at any table scale, or tangential
-    incidence) are treated as no-hit.
+    incidence) are no-hit.  Walls have no time guard: a wall just reflected
+    is not approached, so both walls of a corner hit reflect.
     """
 
     def __init__(self, width, height, obstacles, speed):
@@ -162,21 +163,11 @@ class BilliardFlow:
     def _next_event(self, x, y, vx, vy):
         """Time to the next wall or obstacle hit and the reflected velocity."""
         best_t, kind, data = math.inf, None, None
-        if vx > 0:
-            t = (self.width - x) / vx
-            if GRAZE_GUARD < t < best_t:
-                best_t, kind = t, "vx"
-        elif vx < 0:
-            t = -x / vx
-            if GRAZE_GUARD < t < best_t:
-                best_t, kind = t, "vx"
-        if vy > 0:
-            t = (self.height - y) / vy
-            if GRAZE_GUARD < t < best_t:
-                best_t, kind = t, "vy"
-        elif vy < 0:
-            t = -y / vy
-            if GRAZE_GUARD < t < best_t:
+        if vx:
+            best_t, kind = ((self.width - x) if vx > 0 else -x) / vx, "vx"
+        if vy:
+            t = ((self.height - y) if vy > 0 else -y) / vy
+            if t < best_t:
                 best_t, kind = t, "vy"
         v2 = vx * vx + vy * vy
         for (cx, cy), r in self.obstacles:

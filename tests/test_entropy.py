@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from obsequiv.entropy import (
@@ -152,3 +152,134 @@ def test_entropy_rate_equals_block_entropy_at_every_length():
     assert trend.estimates == [block_entropy(seqs, L) for L in (1, 2, 3)]
     with pytest.raises(EntropyError, match="L=5"):  # needs 100 * 3^5 symbols
         entropy_rate(seqs, 5)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.array([0, 1] * 5000), np.zeros((2, 3, 400), int), "01" * 2000],
+    ids=["bare-1d-array", "3d-array", "bare-str"],
+)
+def test_malformed_sequences_raise_entropy_error(bad):
+    # unchecked, a bare str reads as one-symbol rows, and a bare row or a 3-D
+    # array fails in the symbol dict with a TypeError
+    for call in (lambda: entropy_rate(bad, 2), lambda: block_entropy(bad, 1)):
+        with pytest.raises(EntropyError, match="must be a collection of 1-D sequences"):
+            call()
+
+
+# -- oracle: the dict coding and per-sequence np.unique merge the counter replaced
+
+
+def _reference_encode(sequences):
+    rows = [seq.tolist() if isinstance(seq, np.ndarray) else seq for seq in sequences]
+    alphabet = sorted(set().union(*rows), key=str)
+    index = {s: i for i, s in enumerate(alphabet)}
+    codes = [np.fromiter(map(index.__getitem__, row), np.int64, len(row)) for row in rows]
+    return codes, len(alphabet)
+
+
+def _reference_block_counts(encoded, k, L):
+    counts = {}
+    for seq in encoded:
+        if len(seq) < L:
+            continue
+        m = len(seq) - L + 1
+        codes = seq[:m].copy()
+        for j in range(1, L):
+            codes *= k
+            codes += seq[j : j + m]
+        uniq, cnt = np.unique(codes, return_counts=True)
+        for u, c in zip(uniq.tolist(), cnt.tolist()):
+            counts[u] = counts.get(u, 0) + c
+    return counts
+
+
+def _reference_entropies(sequences, lengths):
+    """(L, bits, n_blocks, alphabet_size) per length, or the error message."""
+    encoded, k = _reference_encode(sequences)
+    total = sum(len(s) for s in encoded)
+    out = []
+    for L in lengths:
+        if L < 1:
+            return "block length must be >= 1"
+        if total < 100 * k**L:
+            return (f"undersampled: need >= {100 * k ** L} symbols "
+                    f"for L={L} over {k} symbols, got {total}")
+        counts = _reference_block_counts(encoded, k, L)
+        n = sum(counts.values())
+        if n == 0:
+            return f"no sequence is as long as the block length L={L}"
+        p = np.sort(np.fromiter(counts.values(), dtype=float)) / n
+        h = float(-np.sum(p * np.log2(p)))
+        h += (len(counts) - 1) / (2.0 * n * np.log(2.0))
+        h = min(h, float(L * np.log2(k))) if k > 1 else 0.0
+        out.append((L, h, n, k))
+    return out
+
+
+def _entropies_or_message(call):
+    try:
+        return [(e.block_length, e.bits, e.n_blocks, e.alphabet_size) for e in call()]
+    except EntropyError as err:
+        return str(err)
+
+
+_LABELS = {
+    "int8": lambda c: c.astype(np.int8),
+    "uint64": lambda c: np.array([0, 2**40, 2**64 - 1], np.uint64)[c],
+    "bool": lambda c: c % 2 == 1,
+    "negative": lambda c: np.array([-5, -1, 3])[c],
+    "sparse": lambda c: np.array([0, 10**12, 7])[c],
+    "ints": lambda c: c.tolist(),
+    "strings": lambda c: [("a", "bb", "c")[v] for v in c],
+    "tuples": lambda c: [("x", v) for v in c.tolist()],
+}
+
+
+def _rows(kind, sizes, k, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "2d":
+        return rng.integers(0, k, (len(sizes), sizes[0]))
+    codes = [rng.integers(0, k, size) for size in sizes]
+    if kind == "mixed":  # int64 and uint64 rows together
+        return [c if i % 2 else c.astype(np.uint64) for i, c in enumerate(codes)]
+    return [_LABELS[kind](c) for c in codes]
+
+
+@given(
+    st.sampled_from(sorted(_LABELS) + ["2d", "mixed"]),
+    st.lists(st.integers(0, 1500), min_size=1, max_size=4),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+@example("int8", [1500, 2, 1500], 2, 4, 0)  # a middle row shorter than L=3 < L_max
+@example("strings", [900, 1, 900, 3], 3, 2, 1)
+@example("sparse", [1000, 2, 1000], 2, 3, 2)
+@settings(max_examples=80, deadline=None)
+def test_counter_matches_the_dict_and_unique_reference(kind, sizes, k, L_max, seed):
+    seqs = _rows(kind, sizes, k, seed)
+    assert _entropies_or_message(lambda: entropy_rate(seqs, L_max).estimates) == (
+        _reference_entropies(seqs, range(1, L_max + 1))
+    )
+    for L in range(L_max + 1):
+        assert _entropies_or_message(lambda: [block_entropy(seqs, L)]) == (
+            _reference_entropies(seqs, [L])
+        )
+
+
+def test_error_messages_match_the_reference():
+    rng = np.random.default_rng(15)
+    coin = [rng.integers(0, 2, 1000)]
+    short = [[i % 2] for i in range(400)]
+    cases = [(coin, [0]), (coin, [1, 2, 3, 4]), (short, [1, 2])]
+    expect = [
+        "block length must be >= 1",
+        "undersampled: need >= 1600 symbols for L=4 over 2 symbols, got 1000",
+        "no sequence is as long as the block length L=2",
+    ]
+    for (seqs, lengths), message in zip(cases, expect):
+        assert _reference_entropies(seqs, lengths) == message
+        call = (lambda: [block_entropy(seqs, 0)]) if lengths == [0] else (
+            lambda: entropy_rate(seqs, lengths[-1]).estimates)
+        assert _entropies_or_message(call) == message

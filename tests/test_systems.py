@@ -119,6 +119,27 @@ def test_billiard_head_on_reflection_at_every_table_scale(scale):
     assert s.x == pytest.approx(0.1 * scale)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3])
+@pytest.mark.parametrize("corner", range(4))
+@pytest.mark.parametrize("offset", [0.0, 1e-15, -1e-15, 1e-13])
+def test_billiard_corner_hits_reflect_at_every_table_scale(scale, corner, offset):
+    # from the centre of an empty table at a corner: the two wall times differ
+    # in their last bits, and an absolute time guard on the second wall let
+    # the particle fly out of the table, to (0.8, 1.2) * scale at t = scale
+    table = billiard_system(scale, scale, [], 1.0)
+    theta = (2 * corner + 1) * math.pi / 4 + offset
+    start = BilliardState(0.5 * scale, 0.5 * scale, theta)
+    half_diagonal = math.sqrt(0.5) * scale
+    for i in range(40):
+        t = 0.25 * scale * i
+        s = table.evolve(start, t)
+        assert 0.0 <= s.x <= scale and 0.0 <= s.y <= scale
+        # each corner hit reverses the direction: theta + pi on odd legs
+        legs = math.floor((t + half_diagonal) / (2 * half_diagonal))
+        turn = abs(s.theta - theta - legs * math.pi) % (2 * math.pi)
+        assert min(turn, 2 * math.pi - turn) < 1e-9
+
+
 @given(st.sampled_from([1e-6, 1e-3, 1.0, 1e3]), st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_billiard_points_never_inside_the_obstacle(scale, seed):
