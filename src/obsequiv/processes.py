@@ -342,10 +342,10 @@ def as_grid(grid):
 
 
 def _inverse_cdf(p):
-    """Cumulative rows of p, set to exactly 1 from each row's last positive
-    entry on, so that rounding never selects a zero-probability outcome."""
+    """Cumulative rows of p, nondecreasing: clipped at 1, and exactly 1 from
+    each row's last positive entry on, so no zero-probability outcome is drawn."""
     p = np.atleast_2d(np.asarray(p, dtype=float))
-    cum = np.cumsum(p, axis=1)
+    cum = np.minimum(np.cumsum(p, axis=1), 1.0)
     for row, q in zip(cum, p):
         row[np.flatnonzero(q > 0)[-1]:] = 1.0
     return cum
@@ -354,6 +354,8 @@ def _inverse_cdf(p):
 def _draw(cum, u):
     """One inverse-CDF draw per u: the first entry above u in the matching
     row of a 2-D cum, or in cum itself when it is 1-D."""
+    if cum.ndim == 1:
+        return np.searchsorted(cum, u, side="right")
     return (cum > u[:, None]).argmax(axis=1)
 
 

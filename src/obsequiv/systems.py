@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 MAX_EVENTS = 10_000_000
+DRAW_BLOCK = 256  # most uniforms one billiard refill draws
 GRAZE_GUARD = 1e-12  # circle hits only: shortest hit time, and the graze bound over r^2 |v|^2
 
 
@@ -128,16 +129,15 @@ class BilliardFlow:
         if not (math.isfinite(speed) and speed > 0):
             raise SystemError(f"speed must be finite and positive, got {speed!r}")
         self.width, self.height, self.speed = float(width), float(height), float(speed)
-        self.obstacles = [((float(cx), float(cy)), float(r)) for (cx, cy), r in obstacles]
-        for (cx, cy), r in self.obstacles:
+        self.obstacles = [(float(cx), float(cy), float(r)) for (cx, cy), r in obstacles]
+        for cx, cy, r in self.obstacles:
             if r <= 0:
                 raise SystemError("obstacle radius must be positive")
             if not (r < cx < self.width - r and r < cy < self.height - r):
                 raise SystemError("obstacle not strictly inside the table")
-        for i in range(len(self.obstacles)):
-            for j in range(i + 1, len(self.obstacles)):
-                (c1, r1), (c2, r2) = self.obstacles[i], self.obstacles[j]
-                if math.hypot(c1[0] - c2[0], c1[1] - c2[1]) <= r1 + r2:
+        for i, (x1, y1, r1) in enumerate(self.obstacles):
+            for x2, y2, r2 in self.obstacles[i + 1:]:
+                if math.hypot(x1 - x2, y1 - y2) <= r1 + r2:
                     raise SystemError("obstacles overlap")
         self.space = PhaseSpace(
             "billiard",
@@ -146,74 +146,64 @@ class BilliardFlow:
         )
         self._diag = math.hypot(self.width, self.height)
 
-    def _inside(self, x, y):
-        if not (0.0 <= x <= self.width and 0.0 <= y <= self.height):
-            return False
-        return all(math.hypot(x - cx, y - cy) > r for (cx, cy), r in self.obstacles)
-
     def sample_initial(self, rng):
-        while True:
-            x = rng.random() * self.width
-            y = rng.random() * self.height
-            if self._inside(x, y):
-                break
-        theta = rng.random() * 2 * math.pi
-        return BilliardState(x, y, theta)
+        return BilliardState(*next(self._starts(1, rng)))
 
-    def _next_event(self, x, y, vx, vy):
-        """Time to the next wall or obstacle hit and the reflected velocity."""
-        best_t, kind, data = math.inf, None, None
-        if vx:
-            best_t, kind = ((self.width - x) if vx > 0 else -x) / vx, "vx"
-        if vy:
-            t = ((self.height - y) if vy > 0 else -y) / vy
-            if t < best_t:
-                best_t, kind = t, "vy"
-        v2 = vx * vx + vy * vy
-        for (cx, cy), r in self.obstacles:
-            dx, dy = x - cx, y - cy
-            b = dx * vx + dy * vy
-            c = dx * dx + dy * dy - r * r
-            disc = b * b - v2 * c  # v2 (r^2 - squared miss distance)
-            if disc < GRAZE_GUARD * v2 * r * r:
-                continue
-            t = (-b - math.sqrt(disc)) / v2
-            if GRAZE_GUARD < t < best_t:
-                best_t, kind, data = t, "circle", ((cx, cy), r)
-        return best_t, kind, data
+    def _starts(self, m, rng):
+        """Yield the (x, y, theta) of m sample_initial calls (x and y redrawn
+        off the obstacles, then theta) from blocks of at most DRAW_BLOCK
+        uniforms the paths left surely need: rng ends where m calls leave it."""
+        W, H, circles = self.width, self.height, self.obstacles
+        u, i = [], 0
+        for left in range(m - 1, -1, -1):  # paths after this one
+            while True:
+                if len(u) - i < 2:
+                    u = u[i:] + rng.random(min(3 + 3 * left - (len(u) - i), DRAW_BLOCK)).tolist()
+                    i = 0
+                x, y = u[i] * W, u[i + 1] * H
+                i += 2
+                for cx, cy, r in circles:
+                    if not math.hypot(x - cx, y - cy) > r:
+                        break  # on or in an obstacle: redraw
+                else:
+                    break
+            if i == len(u):
+                u, i = rng.random(min(1 + 3 * left, DRAW_BLOCK)).tolist(), 0
+            yield x, y, u[i] * 2 * math.pi
+            i += 1
 
     def evolve(self, state, t):
         if t < 0:
             raise SystemError(f"billiard flow runs forward only, got t={t}")
-        return BilliardState(*self._flight(state, (float(t),)))
+        return BilliardState(*self._flight((state.x, state.y, state.theta), (float(t),)))
 
     def trajectories(self, grid, m, rng):
-        """Each path drawn by sample_initial and flown along the grid in turn."""
+        """Each path started by _starts and flown along the grid in turn."""
         out = np.empty((m, 3 * len(grid)))
-        for i in range(m):  # one path's floats at a time, not all m paths'
-            out[i] = self._flight(self.sample_initial(rng), grid)
+        for i, start in enumerate(self._starts(m, rng)):  # one path's floats at a time
+            out[i] = self._flight(start, grid)
         return out.reshape(m, len(grid), 3)
 
-    def _flight(self, state, grid):
+    def _flight(self, start, grid):
         """[x, y, theta, x, y, theta, ...], one flat triple per time of the
-        ascending nonnegative grid, of the path from state: each grid
-        increment is one evolve call, which starts from the direction theta
-        and ends by recomputing it.  The row holds bare floats, so a long
-        flight allocates no container the garbage collector must scan."""
-        x, y, theta = state.x, state.y, state.theta
-        speed, next_event = self.speed, self._next_event
+        ascending nonnegative grid, of the path from start (x, y, theta): each
+        grid increment is one evolve call, which starts from the direction
+        theta and ends by recomputing it.  The row holds bare floats, so a
+        long flight allocates no container the garbage collector must scan."""
+        x, y, theta = start
+        W, H, circles, speed = self.width, self.height, self.obstacles, self.speed
         t_now, row = 0.0, []
         for t in grid:
             vx, vy = speed * math.cos(theta), speed * math.sin(theta)
             remaining, t_now = t - t_now, t
             events = 0
             while remaining > 0.0:
-                t_hit, kind, data = next_event(x, y, vx, vy)
-                if t_hit >= remaining:
+                hit = _event(W, H, circles, x, y, vx, vy, remaining)
+                if hit is None:
                     x += vx * remaining
                     y += vy * remaining
                     break
-                x, y, vx, vy = _bounce(x, y, vx, vy, t_hit, kind, data)
+                t_hit, x, y, vx, vy = hit
                 remaining -= t_hit
                 events += 1
                 if events > MAX_EVENTS:
@@ -228,16 +218,15 @@ class BilliardFlow:
         Tracks the velocity through n_events reflections without
         renormalizing, so accumulated floating-point drift is visible.
         """
-        x, y = state.x, state.y
-        vx = self.speed * math.cos(state.theta)
-        vy = self.speed * math.sin(state.theta)
+        x, y, speed = state.x, state.y, self.speed
+        vx, vy = speed * math.cos(state.theta), speed * math.sin(state.theta)
         drift = 0.0
         for _ in range(int(n_events)):
-            t_hit, kind, data = self._next_event(x, y, vx, vy)
-            if not math.isfinite(t_hit):
+            hit = _event(self.width, self.height, self.obstacles, x, y, vx, vy, math.inf)
+            if hit is None:
                 raise SystemError("no further events from this state")
-            x, y, vx, vy = _bounce(x, y, vx, vy, t_hit, kind, data)
-            drift = max(drift, abs(math.hypot(vx, vy) - self.speed))
+            _, x, y, vx, vy = hit
+            drift = max(drift, abs(math.hypot(vx, vy) - speed))
         return drift
 
     def coords(self, state):
@@ -252,22 +241,42 @@ class BilliardFlow:
         return np.hypot(a[..., 0] - b[..., 0], a[..., 1] - b[..., 1]) + self._diag * dth
 
 
-def _bounce(x, y, vx, vy, t_hit, kind, data):
-    """Advance (x, y) by t_hit to the event found by _next_event and
-    reflect the velocity there."""
-    x += vx * t_hit
-    y += vy * t_hit
-    if kind == "vx":
+def _event(W, H, circles, x, y, vx, vy, remaining):
+    """The next hit from (x, y) at velocity (vx, vy) on a W x H table with
+    circles (cx, cy, r), if it comes before remaining: (t_hit, x, y, vx, vy)
+    at the hit, the velocity reflected there; otherwise None."""
+    best_t, kind = math.inf, 0  # kind: 1 and 2 the x and y walls, 3 a circle
+    if vx:
+        best_t, kind = ((W - x) if vx > 0 else -x) / vx, 1
+    if vy:
+        t = ((H - y) if vy > 0 else -y) / vy
+        if t < best_t:
+            best_t, kind = t, 2
+    v2 = vx * vx + vy * vy
+    for cx, cy, r in circles:
+        dx, dy = x - cx, y - cy
+        b = dx * vx + dy * vy
+        c = dx * dx + dy * dy - r * r
+        disc = b * b - v2 * c  # v2 (r^2 - squared miss distance)
+        if disc < GRAZE_GUARD * v2 * r * r:
+            continue
+        t = (-b - math.sqrt(disc)) / v2
+        if GRAZE_GUARD < t < best_t:
+            best_t, kind, hx, hy, hr = t, 3, cx, cy, r
+    if best_t >= remaining:
+        return None
+    x += vx * best_t
+    y += vy * best_t
+    if kind == 1:
         vx = -vx
-    elif kind == "vy":
+    elif kind == 2:
         vy = -vy
     else:
-        (cx, cy), r = data
-        nx, ny = (x - cx) / r, (y - cy) / r
+        nx, ny = (x - hx) / hr, (y - hy) / hr
         dot = vx * nx + vy * ny
         vx -= 2 * dot * nx
         vy -= 2 * dot * ny
-    return x, y, vx, vy
+    return best_t, x, y, vx, vy
 
 
 def billiard_system(width, height, obstacles, speed) -> BilliardFlow:
@@ -417,9 +426,9 @@ def observe_trajectories(system, f, grid, n, seed):
     and returns an array with leading axis m.  The system's trajectories
     kernel draws the chunk when it has one; otherwise its paths are drawn
     one after another, each by sample_initial and then evolved by every grid
-    increment from time 0.  n times the path steps (one per grid time, and
-    for the baker one per unit of time) is checked against
-    processes.MAX_PATH_STEPS before anything is drawn.
+    increment from time 0.  n times the path steps (one per grid time, for
+    the baker one per unit of time, for the billiard its least event count)
+    is checked against processes.MAX_PATH_STEPS before anything is drawn.
     """
     grid = as_grid(grid).tolist()
     return sample_in_chunks(
@@ -428,8 +437,11 @@ def observe_trajectories(system, f, grid, n, seed):
 
 
 def _path_steps(system, grid):
-    """Steps of one path on the grid: a point per grid time, and a map step
-    per unit of time for the baker."""
+    """Steps of one path on the grid: a point per grid time, a map step per
+    unit of time for the baker, and for the billiard at least one event per
+    diagonal flown (speed * max grid / diagonal, a float: a huge speed fails)."""
+    if isinstance(system, BilliardFlow):
+        return len(grid) + system.speed * grid[-1] / system._diag
     return len(grid) + (math.floor(grid[-1]) if isinstance(system, BakerMap) else 0)
 
 

@@ -115,6 +115,55 @@ def test_kernels_refuse_more_than_max_path_steps(fair_semi_markov, within_a_seco
         draw(fair_semi_markov)
 
 
+def _argmax_draws(p, u):
+    """The former 1-D draw rule, the oracle: the first entry above u of the
+    unclipped cumulative law, set to 1 from its last positive entry on."""
+    cum = np.cumsum(p)
+    cum[np.flatnonzero(p > 0)[-1]:] = 1.0
+    return (cum > u[:, None]).argmax(axis=1)
+
+
+def test_one_dimensional_draws_match_the_argmax_rule():
+    """Over random laws with zeros, and laws whose partial sums round above 1
+    before a last tiny entry, np.searchsorted on the clipped law draws what
+    the (n, m) comparison drew, also at u equal to a partial sum."""
+    rng = np.random.default_rng(12)
+    rounding_rows = 0
+    laws = [np.array([0.5, 0.5000000000000002, 1e-17]), np.array([1.0, 0.0, 0.0])]
+    for _ in range(2000):
+        w = rng.random(rng.integers(1, 7)) * (rng.random() < 0.8)
+        w[rng.integers(w.size)] += 0.1
+        w /= w.sum()
+        if rng.random() < 0.5:
+            w = np.concatenate([w * (1 + 4e-16), [1e-17], np.zeros(rng.integers(3))])
+        laws.append(w)
+    for p in laws:
+        cum = processes._inverse_cdf(p)[0]
+        assert np.all(np.diff(cum) >= 0) and cum[-1] == 1.0
+        rounding_rows += bool(np.any(np.cumsum(p)[:-1] > 1.0))
+        partial = np.cumsum(p)
+        u = np.concatenate([rng.random(50), partial[partial < 1.0],
+                            np.nextafter(partial[partial < 1.0], 0.0), [1 - 2**-53, 0.0]])
+        assert np.array_equal(processes._draw(cum, u), _argmax_draws(p, u))
+    assert rounding_rows > 100
+
+
+def test_one_dimensional_draws_allocate_no_n_by_m_array():
+    """Start draws over 4,096 contexts for 2,000 paths hold O(n) memory: the
+    (n, m) comparison would allocate an 8 MB bool array."""
+    import tracemalloc
+
+    cum = processes._inverse_cdf(np.full(4096, 1 / 4096))[0]
+    u = np.random.default_rng(3).random(2000)
+    tracemalloc.start()
+    try:
+        processes._draw(cum, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_stationary_distribution_exact():
     diag = validate_markov_spec(P2)
     assert diag.irreducible and diag.aperiodic and diag.valid

@@ -401,6 +401,22 @@ def test_oversized_request_exits_two_within_a_second(tmp_path, capsys, within_a_
     assert f"more than the {MAX_PATH_STEPS} one sampling call may draw" in out
 
 
+@pytest.mark.parametrize("speed", [1e6, 1e300], ids=["large", "inf"])
+def test_fast_billiard_exits_two_within_a_second(tmp_path, capsys, within_a_second, speed):
+    """Billiard events count in the size bound: speed * max grid / diagonal
+    per path, refused before the first chunk, also when it overflows."""
+    doc = {"seed": 1,
+           "systems": {"table": {"kind": "billiard", "width": 1.0, "height": 1.0,
+                                 "speed": speed}},
+           "observations": {"quad": {"kind": "grid", "system": "table"}},
+           "tasks": [{"kind": "simulate", "system": "table", "observation": "quad",
+                      "grid": [0.0, 1e10], "n": 1}]}
+    assert run_scenario(_write(tmp_path, "fast.json", doc), out_dir=tmp_path / "o") == 2
+    out = capsys.readouterr().out
+    assert out.startswith("configuration error: tasks[0] (simulate): ")
+    assert f"more than the {MAX_PATH_STEPS} one sampling call may draw" in out
+
+
 def test_flow_of_a_markov_chain_exit_two(tmp_path, capsys):
     task = {"kind": "simulate", "process": "p", "representation": "flow", "grid": [0.0]}
     doc = dict(PASSING, tasks=[task])

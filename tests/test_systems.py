@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obsequiv.partitions import grid_partition, interval_partition, observation_from_partition
+from obsequiv.processes import MAX_PATH_STEPS, ProcessError
 from obsequiv.systems import (
+    DRAW_BLOCK,
     BilliardState,
     RoofFunction,
     SystemError,
@@ -157,18 +159,119 @@ def test_billiard_points_never_inside_the_obstacle(scale, seed):
 )
 @settings(max_examples=40, deadline=None)
 def test_billiard_kernel_rows_are_chained_evolve_calls(seed, times, from_zero):
-    """Bit for bit: each grid increment of a kernel row is one evolve call."""
+    """Bit for bit: each grid increment of a kernel row is one evolve call,
+    and the kernel leaves its generator where sequential starts leave it."""
     table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
     grid = sorted(times + [0.0] if from_zero else times)
-    rows = table.trajectories(grid, 5, np.random.default_rng(seed))
+    kernel_rng = np.random.default_rng(seed)
+    rows = table.trajectories(grid, 5, kernel_rng)
     rng = np.random.default_rng(seed)
-    for row in rows.tolist():
-        state, t_now, expect = table.sample_initial(rng), 0.0, []
-        for t in grid:
-            state = table.evolve(state, t - t_now)
-            t_now = t
-            expect.append(list(table.coords(state)))
-        assert row == expect
+    assert rows.tolist() == [_chained_evolve(table, _scalar_start(table, rng), grid)
+                             for _ in range(5)]
+    assert kernel_rng.random() == rng.random()
+
+
+def _scalar_start(table, rng):
+    """The start of one path from scalar draws: x and y, redrawn until the
+    point is off every obstacle, then theta."""
+    while True:
+        x, y = rng.random() * table.width, rng.random() * table.height
+        if all(math.hypot(x - cx, y - cy) > r for cx, cy, r in table.obstacles):
+            return BilliardState(x, y, rng.random() * 2 * math.pi)
+
+
+def _chained_evolve(table, state, grid):
+    t_now, row = 0.0, []
+    for t in grid:
+        state = table.evolve(state, t - t_now)
+        t_now = t
+        row.append(list(table.coords(state)))
+    return row
+
+
+class _RecordingRng:
+    """A Generator that records the size of every random() call."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = np.random.default_rng(seed), []
+
+    def random(self, size=None):
+        self.sizes.append(1 if size is None else size)
+        return self.rng.random(size)
+
+
+@pytest.mark.parametrize("radius", [0.2, 0.45, None], ids=["r0.2", "r0.45", "empty"])
+@pytest.mark.parametrize("m", [1, 2, 257, 3000])
+def test_billiard_block_starts_never_over_draw(radius, m):
+    """m kernel paths use the uniforms of m scalar starts, in blocks of at
+    most DRAW_BLOCK, and leave the generator where those starts leave it.
+    The 0.45 obstacle rejects about 64% of the points."""
+    table = billiard_system(1.0, 1.0, [] if radius is None else [((0.5, 0.5), radius)], 1.0)
+    grid = (0.0, 0.7)
+    kernel_rng, rng = _RecordingRng(m), _RecordingRng(m)
+    rows = table.trajectories(grid, m, kernel_rng)
+    expect = [_chained_evolve(table, _scalar_start(table, rng), grid) for _ in range(m)]
+    assert rows.tolist() == expect
+    assert sum(kernel_rng.sizes) == sum(rng.sizes)
+    assert max(kernel_rng.sizes) <= DRAW_BLOCK
+    if 3 * m > DRAW_BLOCK:
+        assert len(kernel_rng.sizes) > 2
+    assert kernel_rng.random() == rng.random()
+
+
+def test_trajectory_symbols_on_a_shared_generator_are_pinned():
+    """Three paths and one more draw from one generator, as computed by the
+    scalar kernel with one rng.random() call per uniform."""
+    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    obs = observation_from_partition(grid_partition(2, 2, space=table.space))
+    rng = np.random.default_rng(2024)
+    grid = [0.5 * i for i in range(40)]
+    cells = ["".join(str(2 * int(c[1]) + int(c[3])) for c in
+                     trajectory_symbols(table, obs, grid, rng).symbols) for _ in range(3)]
+    assert cells == [
+        "2220133322332233332233100013332220133333",
+        "3320113220001333100220011320011333110011",
+        "0133200113320022000233111133223111331133",
+    ]
+    assert rng.random() == 0.16961924970704834
+
+
+def test_billiard_floats_are_pinned():
+    """Exact results of the event arithmetic: regrouping the hit time, the
+    wall time or the reflection moves them (a one-ulp move of the graze
+    threshold is not reached by these states)."""
+    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    state = table.sample_initial(spawn_rngs(191, 1)[0])  # criterion 10's state
+    assert state == BilliardState(0.7315562929147993, 0.8429089167748404, 4.000538507142786)
+    assert table.speed_drift(state, 10_000) == 1.0194067812108187e-12
+    starts = [BilliardState(0.1, 0.2, 0.3), BilliardState(0.9, 0.75, 2.0),
+              BilliardState(0.25, 0.8, 4.5)]
+    assert [table.evolve(s, 7.3) for s in starts] == [
+        BilliardState(0.7114237562039339, 0.5166741813070621, 2.8747546367031),
+        BilliardState(0.9378611580003176, 0.8594174587278735, 2.1290008157646043),
+        BilliardState(0.6586077623781705, 0.20706832013195828, 2.470840310553112),
+    ]
+    empty = billiard_system(1.0, 1.0, [], 1.0)
+    assert empty.evolve(BilliardState(0.5, 0.5, math.pi / 4), 1.0) == BilliardState(
+        0.7928932188134524, 0.7928932188134525, 3.9269908169872414
+    )
+    assert empty.evolve(BilliardState(0.5, 0.5, 5 * math.pi / 4), 1.0) == BilliardState(
+        0.2071067811865477, 0.20710678118654746, 0.7853981633974482
+    )
+
+
+@pytest.mark.parametrize("speed, t_max", [(1e6, 1e4), (1e300, 1e10)], ids=["large", "inf"])
+def test_billiard_events_count_in_the_size_bound(within_a_second, speed, t_max):
+    """A path flies at least speed * max grid / diagonal events, so a fast
+    billiard is refused before anything is drawn; at 1e300 * 1e10 the count
+    is an infinite float, not an OverflowError."""
+    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], speed)
+    message = f"more than the {MAX_PATH_STEPS} one sampling call may draw"
+    with pytest.raises(ProcessError, match=message):
+        observe_trajectories(table, lambda c: c, [0.0, t_max], 1, 0)
+    obs = observation_from_partition(grid_partition(2, 2, space=table.space))
+    with pytest.raises(SystemError, match=message):
+        trajectory_symbols(table, obs, [0.0, t_max], 0)
 
 
 def test_long_billiard_flight_runs_no_garbage_collection():
