@@ -35,6 +35,8 @@ ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 CHUNK = 8192  # paths per independently seeded chunk of sample_in_chunks
 MAX_PATH_STEPS = 2**24  # largest rows x lockstep steps one sampling call may draw
+WALK_CELLS = 1024  # most steps x paths x contexts one block walk composes
+WALK_ROWS = 16  # fewest rows per block worth a walk; below it the kernels step row by row
 
 
 class ProcessError(ValueError):
@@ -352,11 +354,8 @@ def _inverse_cdf(p):
 
 
 def _draw(cum, u):
-    """One inverse-CDF draw per u: the first entry above u in the matching
-    row of a 2-D cum, or in cum itself when it is 1-D."""
-    if cum.ndim == 1:
-        return np.searchsorted(cum, u, side="right")
-    return (cum > u[:, None]).argmax(axis=1)
+    """One inverse-CDF draw per u: the first entry of the 1-D cum above u."""
+    return np.searchsorted(cum, u, side="right")
 
 
 def _chain_tables(spec: MarkovChainSpec):
@@ -369,6 +368,24 @@ def _chain_tables(spec: MarkovChainSpec):
     )
 
 
+def _step(cum, ctx, u):
+    """Contexts after the contexts ctx, ctx*k mod k^order + s, and the states
+    s drawn by u: the first entry above u in each context's cum row."""
+    s = (cum[ctx] > u[:, None]).argmax(axis=1)
+    return ctx * cum.shape[1] % len(cum) + s, s
+
+
+def _walk(cum, ctx, u):
+    """Contexts (B, n) that B _step calls on the rows of u lead ctx through:
+    each row's successor map over all m contexts, composed with the rows
+    before it by a doubling scan, read at ctx."""
+    m, k = cum.shape
+    succ = np.arange(m) * k % m + (cum > u[..., None, None]).argmax(-1)  # (B, n, m)
+    for d in 2 ** np.arange(math.ceil(math.log2(len(u)))):
+        succ[d:] = np.take_along_axis(succ[d:], succ[:-d], -1)
+    return succ[:, np.arange(len(ctx)), ctx]
+
+
 def _chain_lockstep(spec: MarkovChainSpec, length, n, rng):
     """State indices (n, length) of n stationary chain paths."""
     check_path_steps(n, length)
@@ -379,10 +396,13 @@ def _chain_lockstep(spec: MarkovChainSpec, length, n, rng):
     for j in range(min(length, order)):
         out[:, j] = ctx // k ** (order - 1 - j) % k
     u = rng.random((max(length - order, 0), n))
-    for j in range(order, length):
-        s = _draw(cum[ctx], u[j - order])
-        ctx = ctx * k % len(cum) + s
-        out[:, j] = s
+    rows = WALK_CELLS // (n * len(cum))
+    for j in range(0, len(u), rows if rows >= WALK_ROWS else 1):
+        if rows < WALK_ROWS:
+            ctx, out[:, order + j] = _step(cum, ctx, u[j])
+        else:
+            walk = _walk(cum, ctx, u[j:j + rows])
+            ctx, out[:, order + j:order + j + len(walk)] = walk[-1], (walk % k).T
     return out
 
 
@@ -405,6 +425,8 @@ def sojourn_steps(horizon, shortest):
 
 def sample_chain(spec: MarkovChainSpec, length, seed_or_rng):
     """Stationary sample path of the chain as a tuple of symbols."""
+    if length < 0:
+        raise ProcessError(f"chain length must be nonnegative, got {length}")
     codes = _chain_lockstep(spec, int(length), 1, _as_rng(seed_or_rng))[0]
     return tuple(spec.states[c] for c in codes)
 
@@ -540,14 +562,21 @@ def _semi_markov_lockstep(spec: SemiMarkovSpec, horizon, n, rng):
     ctx = _draw(start, rng.random(n))
     s = ctx % k
     t = hold[s] * (1.0 - rng.random(n))  # uniform on (0, u(S_0)]
-    codes, ends = [s], [t]
+    codes, ends = [s[None]], [t[None]]
+    rows = WALK_CELLS // (n * len(cum))
     while (t <= horizon).any():
-        s = _draw(cum[ctx], rng.random(n))
-        ctx = ctx * k % len(cum) + s
-        t = t + hold[s]
+        block = min(rows, int((horizon - t.min()) // hold.max()))  # steps surely drawn
+        if block < WALK_ROWS:
+            ctx, s = _step(cum, ctx, rng.random(n))
+            s, t = s[None], (t + hold[s])[None]
+        else:
+            walk = _walk(cum, ctx, rng.random((block, n)))
+            ctx, s = walk[-1], walk % k
+            t = np.cumsum(np.vstack([t[None], hold[s]]), axis=0)[1:]
         codes.append(s)
         ends.append(t)
-    return np.array(codes).T, np.array(ends).T
+        t = t[-1]
+    return np.concatenate(codes).T, np.concatenate(ends).T
 
 
 def semi_markov_codes(spec: SemiMarkovSpec, grid, n, rng):
@@ -573,8 +602,8 @@ def sample_semi_markov(spec: SemiMarkovSpec, horizon, seed_or_rng) -> Realizatio
     the holding time); the first-jump offset is uniform on (0, u(S_0)]; every
     later sojourn lasts exactly the holding time of its state.
     """
-    if horizon <= 0:
-        raise ProcessError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ProcessError(f"horizon must be positive and finite, got {horizon}")
     codes, ends = _semi_markov_lockstep(spec, horizon, 1, _as_rng(seed_or_rng))
     codes, ends = codes[0], ends[0]
     t0 = float(ends[0])

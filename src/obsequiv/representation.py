@@ -17,6 +17,7 @@ from .processes import (
     SemiMarkovSpec,
     _chain_tables,
     _draw,
+    _step,
     as_grid,
     chain_codes,
     chain_steps,
@@ -134,7 +135,7 @@ class _ContextShift:
         """Alphabet index of the context at the state's position."""
         (rng, contexts), i = state
         while len(contexts) <= i:
-            contexts.append(self.flow._next(contexts[-1], rng))
+            contexts.append(_step(self.flow._cum, contexts[-1], rng.random(1))[0])
         return int(self.flow._code[contexts[i]][0])
 
     def label(self, state):
@@ -177,12 +178,6 @@ class SemiMarkovFlowRep(SuspensionFlow):
         roof = RoofFunction(dict(zip(self.alphabet, self._roofs[recurrent])))
         super().__init__(_ContextShift(self), roof)
 
-    def _next(self, ctx, rng):
-        """Contexts after the context indices ctx: ctx*k mod k^order + s,
-        with the state s drawn from the table row of each context."""
-        s = _draw(self._cum[ctx], rng.random(ctx.size))
-        return ctx * self.spec.chain.n_states % len(self._cum) + s
-
     def sample_codes(self, grid, n, seed):
         """Alphabet indices (n, len(grid)) of n flow trajectories on the grid."""
         grid = as_grid(grid)
@@ -202,7 +197,7 @@ class SemiMarkovFlowRep(SuspensionFlow):
         (length bias by rejection), then a height uniform under its roof.
         Along the grid the height rises at unit rate; each time it reaches
         the roof it drops by the roof and the base shifts one context
-        forward by _next.
+        forward by one chain step.
         """
         roof = self._roofs
         check_path_steps(n, sojourn_steps(grid[-1], roof.min()))
@@ -224,6 +219,6 @@ class SemiMarkovFlowRep(SuspensionFlow):
                 if not up.size:
                     break
                 height[up] -= roof[ctx[up]]
-                ctx[up] = self._next(ctx[up], rng)
+                ctx[up] = _step(self._cum, ctx[up], rng.random(up.size))[0]
             out[:, j] = ctx
         return self._code[out]

@@ -418,3 +418,15 @@ def test_sample_semi_markov_first_jump_in_range(sm_spec):
 def test_sample_semi_markov_rejects_bad_horizon(sm_spec):
     with pytest.raises(ProcessError):
         sample_semi_markov(sm_spec, 0.0, 1)
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf])
+def test_sample_semi_markov_names_a_non_finite_horizon(sm_spec, horizon):
+    with pytest.raises(ProcessError, match=f"finite, got {horizon}"):
+        sample_semi_markov(sm_spec, horizon, 1)
+
+
+def test_sample_chain_names_a_negative_length(sm_spec):
+    with pytest.raises(ProcessError, match="nonnegative, got -3"):
+        sample_chain(sm_spec.chain, -3, 0)
+    assert sample_chain(sm_spec.chain, 0, 0) == ()

@@ -1,6 +1,7 @@
 """Lockstep sampling kernels and system sources: determinism, chunk layout,
 laws, and the flow kernel against the scalar flow evolution."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -27,11 +28,17 @@ from obsequiv.partitions import (
 )
 from obsequiv.processes import (
     CHUNK,
+    WALK_CELLS,
+    WALK_ROWS,
     HoldingTime,
     MarkovChainSpec,
     ProcessError,
     RealizationPath,
     SemiMarkovSpec,
+    _chain_lockstep,
+    _chain_tables,
+    _semi_markov_lockstep,
+    _semi_markov_tables,
     sample_chain,
     sample_semi_markov,
 )
@@ -203,6 +210,119 @@ def test_one_path_kernels_match_per_path_reference(fair_semi_markov):
         s = spec.states[rng.choice(2, p=spec.table[spec.context_index(tuple(path[-2:]))])]
         path.append(s)
     assert sample_chain(spec, 42, np.random.default_rng(9)) == tuple(path)
+
+
+def _stepwise_chain(spec, length, n, rng):
+    """Reference chain kernel: one inverse-CDF draw per step for all paths."""
+    start, cum = _chain_tables(spec)
+    k, order = spec.n_states, spec.order
+    ctx = (start > rng.random(n)[:, None]).argmax(axis=1)
+    out = np.empty((n, length), dtype=np.intp)
+    for j in range(min(length, order)):
+        out[:, j] = ctx // k ** (order - 1 - j) % k
+    u = rng.random((max(length - order, 0), n))
+    for j in range(order, length):
+        s = (cum[ctx] > u[j - order][:, None]).argmax(axis=1)
+        ctx = ctx * k % len(cum) + s
+        out[:, j] = s
+    return out
+
+
+def _stepwise_semi_markov(spec, horizon, n, rng):
+    """Reference semi-Markov kernel: one row of uniforms per sojourn,
+    epochs summed one sojourn at a time."""
+    start, cum, hold = _semi_markov_tables(spec)
+    k = spec.chain.n_states
+    ctx = (start > rng.random(n)[:, None]).argmax(axis=1)
+    s = ctx % k
+    t = hold[s] * (1.0 - rng.random(n))
+    codes, ends = [s], [t]
+    while (t <= horizon).any():
+        s = (cum[ctx] > rng.random(n)[:, None]).argmax(axis=1)
+        ctx = ctx * k % len(cum) + s
+        t = t + hold[s]
+        codes.append(s)
+        ends.append(t)
+    return np.array(codes).T, np.array(ends).T
+
+
+def _random_semi_markov(rng):
+    """A valid chain of order 1-3 over 2-4 states, some table entries
+    zeroed, with random exact holding times."""
+    order = int(rng.integers(1, 4))
+    k = int(rng.integers(2, 5))
+    states = tuple(f"s{i}" for i in range(k))
+    while True:
+        table = rng.dirichlet(np.ones(k), size=k**order)
+        if rng.random() < 0.5:
+            table[rng.random(table.shape) < 0.3] = 0.0
+            table[table.sum(axis=1) == 0, int(rng.integers(k))] = 1.0
+            table /= table.sum(axis=1, keepdims=True)
+        chain = MarkovChainSpec(states, table, order=order)
+        if chain.validate().valid:
+            break
+    holding = {
+        s: HoldingTime(Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 5))),
+                       int(rng.integers(1, 4)))
+        for s in states
+    }
+    return SemiMarkovSpec(chain, holding)
+
+
+def test_block_walks_match_the_stepwise_kernels():
+    """The block-scanned kernels give the codes, epochs and generator state
+    of one draw per step, whatever the block size and where blocks end."""
+    specs = np.random.default_rng(2024)
+    for case in range(32):
+        spec = _random_semi_markov(specs)
+        chain, m = spec.chain, len(spec.chain.table)
+        for n in (1, 2, 16, 33, 2000):
+            rows = WALK_CELLS // (n * m)
+            rows = rows if rows >= WALK_ROWS else 1
+            lengths = {0, chain.order - 1, chain.order, chain.order + 1}
+            if n < 2000:
+                lengths |= {chain.order + q * rows + e for q in (1, 3) for e in (-1, 0, 1)}
+                horizons = (1.0, float(np.exp(specs.uniform(0.0, math.log(5000.0)))))
+            else:
+                horizons = (1.0, 7.5)
+            if case % 8 == 0 and n == 1:
+                horizons += (5000.0,)
+            for length in sorted(lengths):
+                seed = 1000 * case + length
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert np.array_equal(_chain_lockstep(chain, length, n, a),
+                                      _stepwise_chain(chain, length, n, b))
+                assert a.random() == b.random()
+            for horizon in horizons:
+                seed = 1000 * case + n
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                codes, ends = _semi_markov_lockstep(spec, horizon, n, a)
+                ref_codes, ref_ends = _stepwise_semi_markov(spec, horizon, n, b)
+                assert np.array_equal(codes, ref_codes)
+                assert np.array_equal(ends, ref_ends)
+                assert a.random() == b.random()
+
+
+def _sha256(symbols):
+    return hashlib.sha256("".join(symbols).encode()).hexdigest()
+
+
+def test_long_paths_keep_their_pinned_streams(fair_semi_markov):
+    """One long semi-Markov path and criterion 06's chain path, as the
+    one-step-per-draw kernels drew them from these seeds."""
+    rng = np.random.default_rng(7)
+    r = sample_semi_markov(fair_semi_markov, 5000.0, rng)
+    assert len(r.symbols) == 4150
+    assert r.breaks[-1] == 5000.3542323133115
+    assert _sha256(r.symbols) == (
+        "ad92b8145e510919469ebe7c398d648df12678ee899dd5f7bce50f76aac6c58d"
+    )
+    assert rng.random() == 0.25944036591620057
+    rng = spawn_rngs(137, 1)[0]
+    path = sample_chain(_order2_chain(), 200_000, rng)
+    assert path.count("a") == 120894
+    assert _sha256(path) == "8a0b4bca330271ca453824799e7047400a7bb4af828df0bf5a0d945d7d39b167"
+    assert rng.random() == 0.5472444823547831
 
 
 def test_order2_semi_markov_time0_marginal():
