@@ -70,6 +70,8 @@ class ShiftRepresentation:
         if isinstance(self.spec, SemiMarkovSpec):
             return sample_semi_markov(self.spec, horizon, rng)
         # discrete-time chain as a unit-sojourn step path
+        if not 0 <= horizon < np.inf:
+            raise ProcessError(f"horizon must be nonnegative and finite, got {horizon}")
         length = int(np.ceil(horizon)) + 2
         symbols = sample_chain(self.spec, length, rng)
         return RealizationPath(tuple(range(length + 1)), symbols, 1.0)

@@ -48,6 +48,7 @@ __all__ = [
 
 MAX_EVENTS = 10_000_000
 DRAW_BLOCK = 256  # most uniforms one billiard refill draws
+LOCKSTEP_ROWS = 256  # fewest billiard paths flown in lockstep
 GRAZE_GUARD = 1e-12  # circle hits only: shortest hit time, and the graze bound over r^2 |v|^2
 
 
@@ -173,16 +174,82 @@ class BilliardFlow:
             i += 1
 
     def evolve(self, state, t):
-        if t < 0:
-            raise SystemError(f"billiard flow runs forward only, got t={t}")
+        if not 0 <= t < math.inf:
+            raise SystemError(f"billiard flow runs forward only, for a finite time, got t={t}")
         return BilliardState(*self._flight((state.x, state.y, state.theta), (float(t),)))
 
     def trajectories(self, grid, m, rng):
-        """Each path started by _starts and flown along the grid in turn."""
+        """Each path started by _starts and flown along the grid: a chunk of
+        at least LOCKSTEP_ROWS paths all at once by _flights, a smaller one
+        path by path by _flight, to the same floats."""
+        if m >= LOCKSTEP_ROWS:
+            return self._flights(np.array(list(self._starts(m, rng))), grid)
         out = np.empty((m, 3 * len(grid)))
         for i, start in enumerate(self._starts(m, rng)):  # one path's floats at a time
             out[i] = self._flight(start, grid)
         return out.reshape(m, len(grid), 3)
+
+    def _flights(self, starts, grid):
+        """Coordinates (m, len(grid), 3) of the _flight of every start, flown
+        in lockstep: each pass over the rows still flying finds their next
+        hits by _hits and reflects them as _event does (numpy's + - * / sqrt
+        and comparisons round as math's; the angles stay math calls), and a
+        row with no hit before its time left flies straight and drops out.
+        MAX_EVENTS bounds the passes of an increment: its most events in a row."""
+        speed, disks = self.speed, np.array(self.obstacles).reshape(-1, 3)
+        x, y, theta = np.array(starts, dtype=float).T
+        theta, m = theta.tolist(), len(x)
+        out = np.empty((m, len(grid), 3))
+        t_now = 0.0
+        for j, t in enumerate(grid):
+            vx = speed * np.fromiter(map(math.cos, theta), float, m)
+            vy = speed * np.fromiter(map(math.sin, theta), float, m)
+            act = np.arange(m if t - t_now > 0.0 else 0)
+            ax, ay, avx, avy, rem = x[act], y[act], vx[act], vy[act], np.full(act.size, t - t_now)
+            t_now, events = t, 0
+            while act.size:
+                best, kind = self._hits(ax, ay, avx, avy)
+                stop = best >= rem
+                done = act[stop]
+                x[done] = ax[stop] + avx[stop] * rem[stop]
+                y[done] = ay[stop] + avy[stop] * rem[stop]
+                vx[done], vy[done] = avx[stop], avy[stop]
+                act, ax, ay, avx, avy, rem, best, kind = (
+                    a[~stop] for a in (act, ax, ay, avx, avy, rem, best, kind))
+                events += bool(act.size)
+                if events > MAX_EVENTS:
+                    raise SystemError("event cap exceeded in one evolve call")
+                ax, ay, rem = ax + avx * best, ay + avy * best, rem - best
+                avx[kind == 1] *= -1.0
+                avy[kind == 2] *= -1.0
+                c = kind >= 3
+                hx, hy, hr = disks[kind[c] - 3].T
+                nx, ny = (ax[c] - hx) / hr, (ay[c] - hy) / hr
+                dot = avx[c] * nx + avy[c] * ny
+                avx[c], avy[c] = avx[c] - 2 * dot * nx, avy[c] - 2 * dot * ny
+            theta = [math.atan2(b, a) % (2 * math.pi) for a, b in zip(vx.tolist(), vy.tolist())]
+            out[:, j, 0], out[:, j, 1], out[:, j, 2] = x, y, theta
+        return out
+
+    def _hits(self, x, y, vx, vy):
+        """The search of _event over arrays of rows, by the same expressions
+        in the same order: each row's next hit time and its kind, 1 and 2 the
+        x and y walls, 3 + i circle i, 0 none (an infinite time)."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            best = np.where(vx != 0, np.where(vx > 0, self.width - x, -x) / vx, math.inf)
+            kind = (vx != 0).astype(np.intp)
+            t = np.where(vy > 0, self.height - y, -y) / vy
+            new = (vy != 0) & (t < best)
+            best, kind = np.where(new, t, best), np.where(new, 2, kind)
+            v2 = vx * vx + vy * vy
+            for i, (cx, cy, r) in enumerate(self.obstacles):
+                dx, dy = x - cx, y - cy
+                b = dx * vx + dy * vy
+                disc = b * b - v2 * (dx * dx + dy * dy - r * r)
+                t = (-b - np.sqrt(disc)) / v2
+                new = ~(disc < GRAZE_GUARD * v2 * r * r) & (GRAZE_GUARD < t) & (t < best)
+                best, kind = np.where(new, t, best), np.where(new, 3 + i, kind)
+        return best, kind
 
     def _flight(self, start, grid):
         """[x, y, theta, x, y, theta, ...], one flat triple per time of the
@@ -384,8 +451,8 @@ class SuspensionFlow:
         return (k, float(rng.random() * u))
 
     def evolve(self, state, t):
-        if t < 0:
-            raise SystemError(f"suspension flow runs forward only, got t={t}")
+        if not 0 <= t < math.inf:
+            raise SystemError(f"suspension flow runs forward only, for a finite time, got t={t}")
         k, v = state
         total = v + float(t)
         u = self.roof(self.label(k))

@@ -18,7 +18,7 @@ from obsequiv.representation import (
     observe_at_zero,
     shift_representation,
 )
-from obsequiv.systems import spawn_rngs
+from obsequiv.systems import SystemError, spawn_rngs
 
 P2 = np.array([[0.5, 0.5], [0.75, 0.25]])
 
@@ -45,6 +45,30 @@ def test_shift_representation_discrete_chain_path():
     path = rep.sample_path((0.0, 1.0, 2.0), spawn_rngs(7, 1)[0])
     assert len(path) == 3
     assert all(s in ("a", "b") for s in path)
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -5.0])
+def test_shift_representation_rejects_a_bad_chain_horizon(horizon):
+    rep = shift_representation(MarkovChainSpec(("a", "b"), P2))
+    message = f"horizon must be nonnegative and finite, got {horizon}$"
+    with pytest.raises(ProcessError, match=message):
+        rep.sample_realization(horizon, np.random.default_rng(0))
+
+
+def test_shift_representation_chain_horizon_zero_has_length_two():
+    rep = shift_representation(MarkovChainSpec(("a", "b"), P2))
+    r = rep.sample_realization(0.0, np.random.default_rng(0))
+    assert r.breaks == (0.0, 1.0, 2.0) and len(r.symbols) == 2
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -0.3])
+def test_flow_rep_rejects_a_non_finite_time(fair_semi_markov, within_a_second, t):
+    flow = SemiMarkovFlowRep(fair_semi_markov)
+    state = flow.sample_initial(np.random.default_rng(0))
+    with pytest.raises(SystemError, match=f"runs forward only, for a finite time, got t={t}$"):
+        flow.evolve(state, t)
+    (_, contexts), _ = state[0]
+    assert len(contexts) == 1
 
 
 def test_flow_rep_requires_irrational_ratios():

@@ -1,6 +1,7 @@
 """Deterministic systems: rotation, billiard, baker, suspension flows."""
 
 import gc
+import hashlib
 import math
 
 import numpy as np
@@ -8,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obsequiv import systems
 from obsequiv.partitions import grid_partition, interval_partition, observation_from_partition
 from obsequiv.processes import MAX_PATH_STEPS, ProcessError
 from obsequiv.systems import (
     DRAW_BLOCK,
+    LOCKSTEP_ROWS,
     BilliardState,
     RoofFunction,
     SystemError,
@@ -219,6 +222,102 @@ def test_billiard_block_starts_never_over_draw(radius, m):
     assert kernel_rng.random() == rng.random()
 
 
+_LOCKSTEP_TABLES = {  # width, height, obstacles, speed
+    "empty": (1.0, 1.0, [], 1.0),
+    "r0.2": (1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0),
+    "r0.45": (1.0, 1.0, [((0.5, 0.5), 0.45)], 0.5),
+    "two": (2.0, 1.0, [((0.5, 0.5), 0.45), ((1.5, 0.5), 0.3)], 1.7),
+    "three": (2.0, 1.0, [((0.4, 0.5), 0.25), ((1.0, 0.3), 0.2), ((1.6, 0.6), 0.3)], 3.0),
+}
+
+
+def _per_row(table, grid, m, rng):
+    """The chunk of m paths flown one after another by _flight, each started
+    as the scalar loop draws it."""
+    return [[row[k:k + 3] for k in range(0, len(row), 3)]
+            for row in (table._flight(start, grid) for start in table._starts(m, rng))]
+
+
+@pytest.mark.parametrize("name", sorted(_LOCKSTEP_TABLES))
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("m", [LOCKSTEP_ROWS - 1, LOCKSTEP_ROWS, 2000])
+def test_billiard_lockstep_rows_equal_per_row_flights(name, scale, m):
+    """The lockstep kernel gives the floats of per-row _flight (compared by
+    ==), also on a time 0, a zero increment and a long increment, and both
+    leave the generator at the same next draw."""
+    width, height, obstacles, speed = _LOCKSTEP_TABLES[name]
+    table = billiard_system(width * scale, height * scale,
+                            [((x * scale, y * scale), r * scale) for (x, y), r in obstacles], speed)
+    grid = [t * scale for t in (0.0, 0.0, 0.4, 0.4, 0.9, 3.0)]
+    kernel_rng, rng = np.random.default_rng(m), np.random.default_rng(m)
+    expect = _per_row(table, grid, m, rng)
+    assert table.trajectories(grid, m, kernel_rng).tolist() == expect
+    assert kernel_rng.random() == rng.random()
+    starts = list(table._starts(m, np.random.default_rng(m)))
+    assert table._flights(starts, grid).tolist() == expect
+
+
+def test_billiard_lockstep_chunk_of_8192_rows_equals_per_row_flights():
+    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    grid = [0.0, 0.5, 0.5, 1.0]
+    kernel_rng, rng = np.random.default_rng(8192), np.random.default_rng(8192)
+    assert table.trajectories(grid, 8192, kernel_rng).tolist() == _per_row(table, grid, 8192, rng)
+    assert kernel_rng.random() == rng.random()
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3])
+def test_billiard_lockstep_corner_hits_equal_per_row_flights(scale):
+    """The starts of test_billiard_corner_hits_reflect_at_every_table_scale,
+    repeated across a full lockstep chunk."""
+    table = billiard_system(scale, scale, [], 1.0)
+    starts = [(0.5 * scale, 0.5 * scale, (2 * corner + 1) * math.pi / 4 + offset)
+              for corner in range(4) for offset in (0.0, 1e-15, -1e-15, 1e-13)]
+    starts = (starts * LOCKSTEP_ROWS)[:LOCKSTEP_ROWS]
+    grid = [0.25 * scale * i for i in range(40)]
+    rows = table._flights(starts, grid).reshape(LOCKSTEP_ROWS, -1)
+    assert rows.tolist() == [table._flight(start, grid) for start in starts]
+
+
+def test_billiard_event_cap_is_the_same_in_lockstep(monkeypatch):
+    """The lockstep kernel counts its passes per increment, the largest event
+    count of any row: it raises at the caps where the per-row kernel does."""
+    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    starts, grid = list(table._starts(LOCKSTEP_ROWS, np.random.default_rng(0))), [0.0, 1.0, 2.0]
+    kernels = {"lockstep": lambda: table._flights(starts, grid),
+               "per row": lambda: [table._flight(start, grid) for start in starts]}
+    raised = {}
+    for cap in range(8):
+        monkeypatch.setattr(systems, "MAX_EVENTS", cap)
+        for kernel, fly in kernels.items():
+            try:
+                fly()
+            except SystemError as exc:
+                raised[cap, kernel] = str(exc)
+        assert raised.get((cap, "lockstep")) == raised.get((cap, "per row"))
+    assert raised.get((0, "lockstep")) == "event cap exceeded in one evolve call"
+    assert (7, "lockstep") not in raised
+
+
+@pytest.mark.parametrize("seed, grid, digest, next_draw", [
+    (0, (0.0, 1.0), "8a4d89ad2389f9ee5f62375f61ebdbf1290af52e31e5640d52e8a5ff9fe4341e",
+     0.7967433350611515),
+    (1, (0.0, 0.3), "8f85a3ded2aea98853668bf39e5bbcbdc5c2737a65d89881b55f4f9f3a199f0d",
+     0.10674394861041692),
+    (2, (0.0, 2.0), "2fdd5d70c5011769988a1247603356f7fa9dbab64b66f5cd3a54325b1e3b16c9",
+     0.14365893313212097),
+    (3, (0.5, 1.0, 2.0), "6ef196e784ddb74c7c19a036cf2c8a24d24beb15d18e9701e507e07b20402827",
+     0.36393409124620246),
+])
+def test_billiard_phase_space_chunks_are_pinned(seed, grid, digest, next_draw):
+    """A 2,000-path chunk on each phase-space grid, as the per-row kernel
+    flew it before the lockstep kernel existed."""
+    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    rng = np.random.default_rng(seed)
+    rows = table.trajectories(list(grid), 2000, rng)
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
+    assert rng.random() == next_draw
+
+
 def test_trajectory_symbols_on_a_shared_generator_are_pinned():
     """Three paths and one more draw from one generator, as computed by the
     scalar kernel with one rng.random() call per uniform."""
@@ -317,6 +416,16 @@ def test_forward_only_flows_reject_negative_time(table):
         flow.evolve(("a", 0.5), -0.3)
     assert table.metric(table.coords(table.evolve(state, 0.0)), table.coords(state)) < 1e-12
     assert flow.evolve(("a", 0.5), 0.0) == ("a", 0.5)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -0.3])
+def test_forward_only_flows_reject_a_non_finite_time(table, within_a_second, t):
+    state = BilliardState(0.2, 0.3, 0.4)
+    with pytest.raises(SystemError, match=f"billiard flow runs forward only, .* got t={t}$"):
+        table.evolve(state, t)
+    flow = build_flow_under_function(_TwoPointBase(), RoofFunction({"a": 1.0, "b": 2.0}))
+    with pytest.raises(SystemError, match=f"suspension flow runs forward only, .* got t={t}$"):
+        flow.evolve(("a", 0.5), t)
 
 
 def test_billiard_time_additivity(table):
