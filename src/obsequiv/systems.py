@@ -28,7 +28,8 @@ import numpy as np
 
 from .fdd import SymbolPath
 from .partitions import Box, PhaseSpace, UNIT_INTERVAL, UNIT_SQUARE
-from .processes import ProcessError, _as_rng, as_grid, check_path_steps, sample_in_chunks
+from .processes import (MAX_PATH_STEPS, ProcessError, _as_rng, as_grid, check_path_steps,
+                        sample_in_chunks)
 
 __all__ = [
     "rotation_system",
@@ -192,7 +193,7 @@ class BilliardFlow:
     def _flights(self, starts, grid):
         """Coordinates (m, len(grid), 3) of the _flight of every start, flown
         in lockstep: each pass over the rows still flying finds their next
-        hits by _hits and reflects them as _event does (numpy's + - * / sqrt
+        hits by _hits and reflects them as _advance does (numpy's + - * / sqrt
         and comparisons round as math's; the angles stay math calls), and a
         row with no hit before its time left flies straight and drops out.
         MAX_EVENTS bounds the passes of an increment: its most events in a row."""
@@ -232,9 +233,9 @@ class BilliardFlow:
         return out
 
     def _hits(self, x, y, vx, vy):
-        """The search of _event over arrays of rows, by the same expressions
-        in the same order: each row's next hit time and its kind, 1 and 2 the
-        x and y walls, 3 + i circle i, 0 none (an infinite time)."""
+        """The search of _advance over arrays of rows, its expressions in its
+        order less the receding skip: each row's next hit time and its kind,
+        1 and 2 the x and y walls, 3 + i circle i, 0 none (an infinite time)."""
         with np.errstate(divide="ignore", invalid="ignore"):
             best = np.where(vx != 0, np.where(vx > 0, self.width - x, -x) / vx, math.inf)
             kind = (vx != 0).astype(np.intp)
@@ -254,7 +255,7 @@ class BilliardFlow:
     def _flight(self, start, grid):
         """[x, y, theta, x, y, theta, ...], one flat triple per time of the
         ascending nonnegative grid, of the path from start (x, y, theta): each
-        grid increment is one evolve call, which starts from the direction
+        grid increment is one _advance call, which starts from the direction
         theta and ends by recomputing it.  The row holds bare floats, so a
         long flight allocates no container the garbage collector must scan."""
         x, y, theta = start
@@ -262,19 +263,10 @@ class BilliardFlow:
         t_now, row = 0.0, []
         for t in grid:
             vx, vy = speed * math.cos(theta), speed * math.sin(theta)
-            remaining, t_now = t - t_now, t
-            events = 0
-            while remaining > 0.0:
-                hit = _event(W, H, circles, x, y, vx, vy, remaining)
-                if hit is None:
-                    x += vx * remaining
-                    y += vy * remaining
-                    break
-                t_hit, x, y, vx, vy = hit
-                remaining -= t_hit
-                events += 1
-                if events > MAX_EVENTS:
-                    raise SystemError("event cap exceeded in one evolve call")
+            x, y, vx, vy, hits = _advance(W, H, circles, x, y, vx, vy, t - t_now, MAX_EVENTS + 1)
+            if hits > MAX_EVENTS:
+                raise SystemError("event cap exceeded in one evolve call")
+            t_now = t
             theta = math.atan2(vy, vx) % (2 * math.pi)
             row += (x, y, theta)
         return row
@@ -289,10 +281,10 @@ class BilliardFlow:
         vx, vy = speed * math.cos(state.theta), speed * math.sin(state.theta)
         drift = 0.0
         for _ in range(int(n_events)):
-            hit = _event(self.width, self.height, self.obstacles, x, y, vx, vy, math.inf)
-            if hit is None:
+            x, y, vx, vy, hits = _advance(
+                self.width, self.height, self.obstacles, x, y, vx, vy, math.inf, 1)
+            if not hits:
                 raise SystemError("no further events from this state")
-            _, x, y, vx, vy = hit
             drift = max(drift, abs(math.hypot(vx, vy) - speed))
         return drift
 
@@ -308,42 +300,44 @@ class BilliardFlow:
         return np.hypot(a[..., 0] - b[..., 0], a[..., 1] - b[..., 1]) + self._diag * dth
 
 
-def _event(W, H, circles, x, y, vx, vy, remaining):
-    """The next hit from (x, y) at velocity (vx, vy) on a W x H table with
-    circles (cx, cy, r), if it comes before remaining: (t_hit, x, y, vx, vy)
-    at the hit, the velocity reflected there; otherwise None."""
-    best_t, kind = math.inf, 0  # kind: 1 and 2 the x and y walls, 3 a circle
-    if vx:
-        best_t, kind = ((W - x) if vx > 0 else -x) / vx, 1
-    if vy:
-        t = ((H - y) if vy > 0 else -y) / vy
-        if t < best_t:
-            best_t, kind = t, 2
-    v2 = vx * vx + vy * vy
-    for cx, cy, r in circles:
-        dx, dy = x - cx, y - cy
-        b = dx * vx + dy * vy
-        c = dx * dx + dy * dy - r * r
-        disc = b * b - v2 * c  # v2 (r^2 - squared miss distance)
-        if disc < GRAZE_GUARD * v2 * r * r:
-            continue
-        t = (-b - math.sqrt(disc)) / v2
-        if GRAZE_GUARD < t < best_t:
-            best_t, kind, hx, hy, hr = t, 3, cx, cy, r
-    if best_t >= remaining:
-        return None
-    x += vx * best_t
-    y += vy * best_t
-    if kind == 1:
-        vx = -vx
-    elif kind == 2:
-        vy = -vy
-    else:
-        nx, ny = (x - hx) / hr, (y - hy) / hr
-        dot = vx * nx + vy * ny
-        vx -= 2 * dot * nx
-        vy -= 2 * dot * ny
-    return best_t, x, y, vx, vy
+def _advance(W, H, circles, x, y, vx, vy, remaining, cap):
+    """Fly from (x, y) at velocity (vx, vy) on a W x H table with circles
+    (cx, cy, r), reflecting the velocity at each wall or circle hit, until
+    remaining is flown or cap hits have happened: (x, y, vx, vy, hits)."""
+    hits = 0
+    while remaining > 0.0 and hits < cap:
+        best_t, kind = math.inf, 0  # kind: 1 and 2 the x and y walls, 3 a circle
+        if vx:
+            best_t, kind = ((W - x) if vx > 0 else -x) / vx, 1
+        if vy:
+            t = ((H - y) if vy > 0 else -y) / vy
+            if t < best_t:
+                best_t, kind = t, 2
+        v2 = vx * vx + vy * vy
+        for cx, cy, r in circles:
+            dx, dy = x - cx, y - cy
+            b = dx * vx + dy * vy
+            if b >= 0:  # receding: its hit time (-b - sqrt(disc)) / v2 is not positive
+                continue
+            disc = b * b - v2 * (dx * dx + dy * dy - r * r)  # v2 (r^2 - squared miss distance)
+            if disc < GRAZE_GUARD * v2 * r * r:
+                continue
+            t = (-b - math.sqrt(disc)) / v2
+            if GRAZE_GUARD < t < best_t:
+                best_t, kind, hx, hy, hr = t, 3, cx, cy, r
+        if best_t >= remaining:
+            return x + vx * remaining, y + vy * remaining, vx, vy, hits
+        x, y = x + vx * best_t, y + vy * best_t
+        if kind == 1:
+            vx = -vx
+        elif kind == 2:
+            vy = -vy
+        else:
+            nx, ny = (x - hx) / hr, (y - hy) / hr
+            dot = vx * nx + vy * ny
+            vx, vy = vx - 2 * dot * nx, vy - 2 * dot * ny
+        remaining, hits = remaining - best_t, hits + 1
+    return x, y, vx, vy, hits
 
 
 def billiard_system(width, height, obstacles, speed) -> BilliardFlow:
@@ -455,6 +449,9 @@ class SuspensionFlow:
             raise SystemError(f"suspension flow runs forward only, for a finite time, got t={t}")
         k, v = state
         total = v + float(t)
+        if total / min(self.roof.heights.values()) > MAX_PATH_STEPS:
+            raise SystemError(f"suspension flow may cross more than {MAX_PATH_STEPS} roofs "
+                              f"in one evolve call, got t={t}")
         u = self.roof(self.label(k))
         while total >= u:
             total -= u

@@ -1,12 +1,14 @@
 """Block entropy and entropy-rate trend estimation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from obsequiv import entropy
 from obsequiv.entropy import (
     EntropyError,
     block_entropy,
@@ -283,3 +285,108 @@ def test_error_messages_match_the_reference():
         call = (lambda: [block_entropy(seqs, 0)]) if lengths == [0] else (
             lambda: entropy_rate(seqs, lengths[-1]).estimates)
         assert _entropies_or_message(call) == message
+
+
+def _edge_rows(kind):
+    """(rows, L_max) of one edge case of the integer coding and the row ends."""
+    rng = np.random.default_rng(16)
+    draw = lambda values, size, dtype: np.array(values, dtype)[rng.integers(0, len(values), size)]
+    coin = lambda size: rng.integers(0, 2, size)
+    return {
+        "int8 -128..127": ([draw([-128, -1, 0, 127], 3500, np.int8) for _ in range(2)], 3),
+        "int8 every value": ([rng.integers(-128, 128, 30_000).astype(np.int8)], 1),
+        "uint8 0..255": ([draw([0, 1, 128, 255], 3500, np.uint8) for _ in range(2)], 3),
+        "negative int16": ([draw([-1000, -7, -1], 4000, np.int16)], 3),
+        "dense uint64 near 2^64": ([draw([2**64 - 4, 2**64 - 2, 2**64 - 1], 4000, np.uint64)], 3),
+        "sparse uint64": ([draw([0, 2**40, 2**64 - 1], 4000, np.uint64)], 3),
+        "bool": ([coin(3000) == 1, coin(2000) == 0], 4),
+        "3000 x 5": (coin((3000, 5)), 5),
+        "empty and short rows between long": (
+            [coin(2000), coin(0), coin(2), coin(2000), coin(3), coin(0)], 4),
+        "rows of length L_max": ([coin(4) for _ in range(2000)], 4),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", [
+    "int8 -128..127", "int8 every value", "uint8 0..255", "negative int16",
+    "dense uint64 near 2^64", "sparse uint64", "bool", "3000 x 5",
+    "empty and short rows between long", "rows of length L_max",
+])
+def test_counter_matches_the_reference_on_edge_rows(kind):
+    seqs, L_max = _edge_rows(kind)
+    assert _entropies_or_message(lambda: entropy_rate(seqs, L_max).estimates) == (
+        _reference_entropies(seqs, range(1, L_max + 1))
+    )
+
+
+@pytest.mark.parametrize("count_block", [1, 2, 3, 5, 64])
+def test_counts_do_not_depend_on_the_pass_size(monkeypatch, count_block):
+    """Passes of a few block starts split rows, and the blocks that cross a
+    row end, at every offset."""
+    monkeypatch.setattr(entropy, "COUNT_BLOCK", count_block)
+    rng = np.random.default_rng(18)
+    seqs = [rng.integers(0, 2, size) for size in (300, 0, 2, 1, 257, 3, 4, 250)]
+    assert _entropies_or_message(lambda: entropy_rate(seqs, 3).estimates) == (
+        _reference_entropies(seqs, range(1, 4))
+    )
+
+
+def test_bincount_calls_do_not_grow_with_the_row_count(monkeypatch):
+    """The same 100,000 symbols in 10 rows or in 10,000: one count per pass of
+    COUNT_BLOCK block starts and per shorter length, none per row."""
+    calls = []
+    bincount = np.bincount
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counting)
+    rng = np.random.default_rng(17)
+    made = []
+    for rows in (rng.integers(0, 2, (10, 10_000)), rng.integers(0, 2, (10_000, 10))):
+        calls.clear()
+        entropy_rate(rows, 5)
+        entropy_rate(list(rows), 5)
+        made.append(len(calls))
+    assert made[0] == made[1]
+
+
+_PINNED_COIN_BITS = [
+    0.8815309385223927, 1.7630653814846788, 2.6445977868062474, 3.5261354706366186,
+    4.407682326374368, 5.2892060795636056, 6.170719851886251, 7.052209676933137,
+]
+_PINNED_ROTATION_BITS = [
+    1.0, 1.6612868511944376, 2.270937262199536, 2.815180286901156, 3.2699982536714627,
+    3.581725029195236, 3.6951729229213433, 3.8086227657425624, 3.9220745576042497,
+    4.035529591541917, 4.148986574421616, 4.253588732699222,
+]
+
+
+def _biased_coin():
+    return (np.random.default_rng(2024).random(400_000) < 0.3).astype(np.int8)
+
+
+def test_entropy_rate_bits_are_pinned():
+    """Bits of the counter that extended each row's block codes one length at a
+    time: the one block code and the summed-down counts give the same floats."""
+    rng = np.random.default_rng(2025)
+    ts = np.arange(70_000.0)
+    rotation = np.stack([((x + (math.sqrt(2) - 1) * ts) % 1.0 >= 0.5).astype(np.int8)
+                         for x in rng.random(6)])
+    assert [e.bits for e in entropy_rate([_biased_coin()], 8).estimates] == _PINNED_COIN_BITS
+    assert [e.bits for e in entropy_rate(rotation, 12).estimates] == _PINNED_ROTATION_BITS
+
+
+def test_coin_entropy_rate_peak_memory():
+    """400,000 int8 symbols at L_max 8 (6.4 MB when each row's codes were
+    int64 and extended per length): one-byte symbol codes, and block codes of
+    at most COUNT_BLOCK starts at a time."""
+    coin = [_biased_coin()]
+    tracemalloc.start()
+    try:
+        entropy_rate(coin, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000

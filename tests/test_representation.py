@@ -61,6 +61,13 @@ def test_shift_representation_chain_horizon_zero_has_length_two():
     assert r.breaks == (0.0, 1.0, 2.0) and len(r.symbols) == 2
 
 
+def test_flow_rep_refuses_more_roofs_than_the_step_cap(fair_semi_markov, within_a_second):
+    flow = SemiMarkovFlowRep(fair_semi_markov)
+    state = flow.sample_initial(np.random.default_rng(0))
+    with pytest.raises(SystemError, match=r"roofs in one evolve call, got t=1e\+20$"):
+        flow.evolve(state, 1e20)
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -0.3])
 def test_flow_rep_rejects_a_non_finite_time(fair_semi_markov, within_a_second, t):
     flow = SemiMarkovFlowRep(fair_semi_markov)

@@ -540,6 +540,17 @@ def test_suspension_semigroup():
         assert flow.metric(flow.coords(one), flow.coords(two)) < 1e-9
 
 
+def test_suspension_flow_refuses_more_roofs_than_the_step_cap(within_a_second):
+    """One roof per loop step: t / shortest roof above MAX_PATH_STEPS is
+    refused before the loop, and t = 1e6 on roofs 1 and 2 still steps."""
+    flow = build_flow_under_function(_TwoPointBase(), RoofFunction({"a": 1.0, "b": 2.0}))
+    message = f"more than {MAX_PATH_STEPS} roofs in one evolve call, got t=1000000000000000.0$"
+    with pytest.raises(SystemError, match=message):
+        flow.evolve(("a", 0.5), 1e15)
+    assert flow.evolve(("a", 0.5), 1e6) == ("b", 0.5)
+    assert flow.evolve(("b", 0.25), 1e6 + 0.3) == ("b", 1.5500000000465661)
+
+
 # -- observed trajectories ----------------------------------------------------
 
 
