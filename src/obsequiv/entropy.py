@@ -144,6 +144,9 @@ def _block_entropies(sequences, lengths):
             )
         if longest < L:
             raise EntropyError(f"no sequence is as long as the block length L={L}")
+    if k == 1:  # every block is the one constant block: nothing to count
+        return [EntropyEstimate(int(L), 0.0, int(np.maximum(sizes - L + 1, 0).sum()), 1)
+                for L in lengths]
     # the guard keeps k^top, the extra bin, within 1% of the input
     top = max(lengths)
     back = np.cumsum(sizes)[:, None] - np.arange(1, top)  # each row's last top-1 places
@@ -172,6 +175,6 @@ def _block_entropies(sequences, lengths):
         p = np.sort(c) / n
         h = float(-np.sum(p * np.log2(p)))
         h += (len(c) - 1) / (2.0 * n * np.log(2.0))  # Miller-Madow
-        h = min(h, float(L * np.log2(k))) if k > 1 else 0.0
+        h = min(h, float(L * np.log2(k)))
         estimates.append(EntropyEstimate(int(L), float(h), n, int(k)))
     return estimates

@@ -139,11 +139,11 @@ class EmpiricalFDD:
 def estimate_fdd(codes, alphabet, grid) -> EmpiricalFDD:
     """Relative frequencies of the symbol tuples of an ensemble of paths.
 
-    codes is the (n, len(grid)) int array of a source's sample_codes,
+    codes is the (n, len(grid)) integer array of a source's sample_codes,
     indexing alphabet.  The symbols are ranked once in sorted(set(alphabet)),
-    so codes with the same symbol count as one; the ranked rows are counted
-    as the runs of a lexicographic sort, and only the distinct events are
-    mapped back to symbols.  Every observed tuple becomes an entry, in
+    so codes with the same symbol count as one; each row's ranks fold into one
+    mixed-radix code, counted by one bincount, and only the distinct events
+    are mapped back to symbols.  Every observed tuple becomes an entry, in
     sorted order, so the table carries total mass exactly 1.
     """
     grid = tuple(float(t) for t in grid)
@@ -155,13 +155,24 @@ def estimate_fdd(codes, alphabet, grid) -> EmpiricalFDD:
     n = len(codes)
     if n < 1:
         raise FDDError("need at least one path")
+    if codes.dtype.kind not in "iu":
+        raise FDDError(f"codes must be integers, got dtype {codes.dtype}")
+    if codes.min() < 0 or codes.max() >= len(alphabet):
+        raise FDDError(f"codes span {codes.min()}..{codes.max()}, outside 0..{len(alphabet) - 1}")
     symbols = sorted(set(alphabet))
     rank = {s: i for i, s in enumerate(symbols)}
     rows = np.array([rank[s] for s in alphabet], dtype=np.intp)[codes]
-    rows = rows[np.lexsort(rows.T[::-1])]  # the first grid time is the primary key
-    starts = np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
-    events = [tuple(symbols[i] for i in row) for row in rows[starts].tolist()]
-    return EmpiricalFDD(grid, events, np.diff(np.r_[starts, n]), n)
+    code = rows[:, 0]
+    for column in rows.T[1:]:  # the first grid time is the most significant digit
+        if code.max() >= n:  # re-ranked in order, a code stays below n * len(symbols)
+            code = np.unique(code, return_inverse=True)[1]
+        code = code * len(symbols) + column
+    counts = np.bincount(code)
+    seen = np.flatnonzero(counts)
+    last = np.empty(len(counts), np.intp)
+    last[code] = np.arange(n)  # a row of each observed code
+    events = [tuple(symbols[i] for i in row) for row in rows[last[seen]].tolist()]
+    return EmpiricalFDD(grid, events, counts[seen], n)
 
 
 def compare_fdd(a: EmpiricalFDD, b: EmpiricalFDD, label="fdd") -> "FDDComparison":
@@ -175,34 +186,20 @@ def compare_fdd(a: EmpiricalFDD, b: EmpiricalFDD, label="fdd") -> "FDDComparison
     if a.grid != b.grid:
         raise FDDError("mismatched time grids")
     events = sorted(set(a.events) | set(b.events))
-    k = max(len(events), 1)
-    z = bonferroni_z(k)
+    z = bonferroni_z(max(len(events), 1))
+    sides = []
+    for fdd in (a, b):  # EmpiricalFDD.estimates and .stderrs over the union
+        count = dict(zip(fdd.events, fdd.counts))
+        p = np.asarray([count.get(e, 0) for e in events]) / fdd.n_samples
+        sides.append((p, np.sqrt(p * (1.0 - p) / fdd.n_samples)))
+    (pa, sa), (pb, sb) = sides
     items = []
-    pa, sa = _aligned(a, events)
-    pb, sb = _aligned(b, events)
-    for i, event in enumerate(events):
-        se = math.sqrt(sa[i] ** 2 + sb[i] ** 2)
-        delta = abs(pa[i] - pb[i])
-        tol = z * se
-        items.append(
-            {
-                "label": label,
-                "event": list(event),
-                "estimate_a": float(pa[i]),
-                "estimate_b": float(pb[i]),
-                "delta": float(delta),
-                "tolerance": float(tol),
-                "pass": bool(delta <= tol or delta == 0.0),
-            }
-        )
+    for event, xa, xb, ea, eb in zip(events, pa, pb, sa, sb):
+        delta, tol = abs(xa - xb), z * math.sqrt(ea ** 2 + eb ** 2)
+        items.append({"label": label, "event": list(event), "estimate_a": float(xa),
+                      "estimate_b": float(xb), "delta": float(delta), "tolerance": float(tol),
+                      "pass": bool(delta <= tol or delta == 0.0)})
     return FDDComparison(items, z)
-
-
-def _aligned(fdd, events):
-    """Estimates and standard errors of fdd over events, 0 where unobserved."""
-    count = dict(zip(fdd.events, fdd.counts))
-    aligned = EmpiricalFDD(fdd.grid, events, [count.get(e, 0) for e in events], fdd.n_samples)
-    return aligned.estimates, aligned.stderrs
 
 
 @dataclass

@@ -390,3 +390,31 @@ def test_coin_entropy_rate_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def _one_symbol_rows():
+    """One 1,000-symbol constant row and 2,000 one-symbol rows: k = 1, which
+    the undersampling guard lets through at any L_max."""
+    return [np.zeros(1000, np.int8)] + [np.zeros(1, np.int8)] * 2000
+
+
+def test_one_symbol_entropies_are_counted_without_blocks():
+    rows = _one_symbol_rows()
+    expect = [(1, 0.0, 3000, 1)] + [(L, 0.0, 1001 - L, 1) for L in range(2, 1001)]
+    tracemalloc.start()
+    try:
+        got = _entropies_or_message(lambda: entropy_rate(rows, 1000).estimates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expect
+    assert peak < 2_000_000  # 46 MB when every row's last L_max - 1 places were gathered
+    assert _entropies_or_message(lambda: entropy_rate(rows, 5).estimates) == (
+        _reference_entropies(rows, range(1, 6)))
+
+
+def test_one_symbol_guards_still_fire():
+    assert _entropies_or_message(lambda: entropy_rate(_one_symbol_rows(), 1001).estimates) == (
+        "no sequence is as long as the block length L=1001")
+    assert _entropies_or_message(lambda: entropy_rate([np.zeros(50, np.int8)], 3).estimates) == (
+        "undersampled: need >= 100 symbols for L=1 over 1 symbols, got 50")

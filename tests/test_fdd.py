@@ -1,5 +1,7 @@
 """Empirical finite-dimensional distributions and 3-sigma comparison."""
 
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 import obsequiv
+from obsequiv.checks import check_stationarity
 from obsequiv.fdd import (
     THREE_SIGMA_ALPHA,
     EmpiricalFDD,
@@ -22,6 +25,7 @@ from obsequiv.fdd import (
     compare_fdd,
     estimate_fdd,
 )
+from obsequiv.representation import ShiftRepresentation
 
 
 def _codes(paths, alphabet):
@@ -84,6 +88,21 @@ def test_estimate_fdd_rejects_codes_off_the_grid():
         estimate_fdd(np.zeros((3, 0), dtype=int), ("a",), ())
 
 
+@pytest.mark.parametrize(
+    "codes, message",
+    [
+        (np.array([[0, -1], [1, 1]]), "codes span -1..1, outside 0..1"),
+        (np.array([[0, 2], [1, 1]]), "codes span 0..2, outside 0..1"),
+        (np.array([[0.0, 1.0], [1.0, 1.0]]), "codes must be integers, got dtype float64"),
+    ],
+    ids=["minus one", "past the alphabet", "float"],
+)
+def test_estimate_fdd_names_codes_that_do_not_index_the_alphabet(codes, message):
+    """-1 once counted as the last symbol, and 2 or a float raised IndexError."""
+    with pytest.raises(FDDError, match=message):
+        estimate_fdd(codes, ("a", "b"), (0, 1))
+
+
 def _reference_fdd(codes, alphabet):
     """Sorted events and counts of a dict over the symbol tuple of each path."""
     counts = {}
@@ -123,6 +142,64 @@ def test_estimate_fdd_matches_dict_of_symbol_tuples(kind, images, g, n, seed):
     fdd = estimate_fdd(codes, alphabet, grid)
     assert (fdd.events, fdd.counts) == _reference_fdd(codes, alphabet)
     assert fdd.grid == grid and fdd.n_samples == n
+
+
+def _unique_calls(monkeypatch):
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(1) or unique(*a, **kw))
+    return calls
+
+
+def test_one_path_on_a_long_grid_re_ranks_every_column(monkeypatch):
+    """n = 1: a code of nonzero rank already exceeds the one row, so every
+    column after the first is folded into a re-ranked code."""
+    alphabet = ("c", "a", "b")  # "c" and "b" have ranks 2 and 1
+    codes = np.random.default_rng(3).choice([0, 2], size=(1, 40))
+    calls = _unique_calls(monkeypatch)
+    fdd = estimate_fdd(codes, alphabet, tuple(range(40)))
+    assert len(calls) == 39
+    assert (fdd.events, fdd.counts) == _reference_fdd(codes, alphabet)
+
+
+def test_two_symbols_on_three_times_are_not_re_ranked(monkeypatch):
+    codes = np.random.default_rng(4).integers(0, 2, size=(2000, 3))
+    calls = _unique_calls(monkeypatch)
+    fdd = estimate_fdd(codes, ("a", "b"), (0.0, 0.7, 1.9))
+    assert not calls
+    assert (fdd.events, fdd.counts) == _reference_fdd(codes, ("a", "b"))
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_tables_and_a_stationarity_report_are_pinned(fair_semi_markov):
+    """Bytes computed by the lexsort counter the mixed-radix code replaced."""
+    grid = (0.0, 0.7, 1.9)
+    src = ShiftRepresentation(fair_semi_markov)
+    simulate = estimate_fdd(src.sample_codes(grid, 4000, 20_260_823), src.alphabet, grid)
+    codes = np.random.default_rng(1).integers(0, 16, size=(300, 17))
+    codes[1, :-1] = codes[0, :-1]
+    wide = estimate_fdd(codes, tuple(f"s{i:02d}" for i in range(16)), np.arange(17) / 2)
+    tables = {
+        name: (_sha256(json.dumps(fdd.to_json_obj())), _sha256(fdd.to_csv()))
+        for name, fdd in (("simulate", simulate), ("wide", wide))
+    }
+    assert tables == {
+        "simulate": (
+            "83066f0de5f57283e9410aa3b63a50e3c6f603df66801f391e84fd1850f54bcf",
+            "e205141fe10a0836bb9bba3ce0e4fbbf00583d5cd71587251b4a3504cded6663",
+        ),
+        "wide": (  # 16 symbols over 17 times: the code is re-ranked
+            "c36bb0ab6e3be0d1f5875cd449056769fa8c1c7c0b5c96e9174bcd7820310b14",
+            "47f1868dab69a511c2c054401be8c81d2a36ce4f5a950b833a65a91d2404f646",
+        ),
+    }
+    report = check_stationarity(fair_semi_markov, grid, [0.3, 1.0, 1.7], 2000, 103)
+    assert _sha256(report.to_json()) == (
+        "33faa2cff48744dcb51336dfcd5e3ab03a69663e41427367cd43b1514444a8c6"
+    )
 
 
 def test_compare_fdd_identical_tables_pass():
