@@ -173,36 +173,31 @@ class MarkovDiagnostics:
     valid: bool = field(init=False)
 
     def __post_init__(self):
-        self.valid = (
-            self.irreducible
-            and self.aperiodic
-            and all(p > 0 for p in self.marginal.values())
-        )
+        self.valid = self.irreducible and self.aperiodic and min(self.marginal.values()) > 0
 
 
-def _block_matrix(spec: MarkovChainSpec):
-    """Order-1 transition matrix of the context (n-block) chain.
-
-    Contexts are numbered lexicographically, so after context i and state s
-    comes context i*k mod m + s.
-    """
-    ctxs = spec.contexts()
-    k, m = spec.n_states, len(ctxs)
-    P = np.zeros((m, m))
-    rows = np.arange(m)[:, None]
-    P[rows, rows * k % m + np.arange(k)] = spec.table
-    return ctxs, P
+def _closed_matrix(spec: MarkovChainSpec, keep):
+    """Transition matrix among the contexts keep, ascending and closed: after
+    context i and state s comes context i*k mod m + s."""
+    m, k = spec.table.shape
+    row, s = np.nonzero(spec.table[keep] > 0)
+    Q = np.zeros((len(keep), len(keep)))
+    Q[row, np.searchsorted(keep, keep[row] * k % m + s)] = spec.table[keep[row], s]
+    return Q
 
 
-def _stationary_of(P):
-    m = P.shape[0]
-    A = np.vstack([P.T - np.eye(m), np.ones((1, m))])
-    b = np.zeros(m + 1)
-    b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    pi = np.clip(pi, 0.0, None)
+def _stationary_of(Q):
+    """pi = pi Q by one exact solve of the balance equations, the last one replaced
+    by sum(pi) = 1, with Q_jj - 1 as minus row j's other entries (no cancellation)."""
+    n = len(Q)
+    A = Q.T.copy()
+    A.flat[::n + 1] = -Q.sum(axis=1, where=~np.eye(n, dtype=bool))
+    A[-1] = 1.0
+    unit = np.zeros(n)
+    unit[-1] = 1.0
+    pi = np.clip(np.linalg.solve(A, unit), 0.0, None)
     pi /= pi.sum()
-    if np.max(np.abs(pi @ P - pi)) > STATIONARY_TOL:
+    if np.max(np.abs(pi @ Q - pi)) > STATIONARY_TOL:
         raise ProcessError("stationary distribution solve did not converge")
     return pi
 
@@ -222,33 +217,37 @@ def validate_markov_spec(spec_or_matrix) -> MarkovDiagnostics:
 
 
 def _diagnose(spec):
-    ctxs, P = _block_matrix(spec)
-    succ = [np.flatnonzero(row).tolist() for row in P > 0]
-    pred = [np.flatnonzero(col).tolist() for col in P.T > 0]
+    m, k = spec.table.shape
+    succ, pred = [[] for _ in range(m)], [[] for _ in range(m)]
+    rows, s = np.nonzero(spec.table > 0)
+    for i, j in zip(rows.tolist(), (rows * k % m + s).tolist()):
+        succ[i].append(j)
+        pred[j].append(i)
     # sweep of backward searches, each from the next unseen state: the last
     # start r cannot reach any state outside its own class, so that class
     # is closed, and it is the only one iff every state reaches r
-    seen = [-1] * len(ctxs)
-    for u in range(len(ctxs)):
+    seen = [-1] * m
+    for u in range(m):
         if seen[u] < 0:
             r = u
             _bfs(pred, r, seen)
-    irreducible = min(_bfs(pred, r, [-1] * len(ctxs))) >= 0
-    pi = np.zeros(len(ctxs))
+    irreducible = min(_bfs(pred, r, [-1] * m)) >= 0
+    pi = np.zeros(m)
     if irreducible:
-        depth = _bfs(succ, r, [-1] * len(ctxs))  # reaches exactly r's class
-        recurrent = [u for u, d in enumerate(depth) if d >= 0]
+        depth = _bfs(succ, r, [-1] * m)  # reaches exactly r's class
+        recurrent = np.flatnonzero(np.array(depth) >= 0)
+        if len(recurrent) ** 2 > MAX_PATH_STEPS:
+            raise ProcessError(f"{len(recurrent)} recurrent contexts need a stationary solve "
+                               f"of {len(recurrent) ** 2} cells, more than {MAX_PATH_STEPS}")
         period = 0  # gcd of the level differences along the class's edges
-        for u in recurrent:
+        for u in recurrent.tolist():
             for v in succ[u]:
                 period = math.gcd(period, depth[u] + 1 - depth[v])
         aperiodic = period == 1
-        pi[recurrent] = _stationary_of(P[np.ix_(recurrent, recurrent)])
+        pi[recurrent] = _stationary_of(_closed_matrix(spec, recurrent))
     else:
         aperiodic, period = False, 0
-    marginal = {s: 0.0 for s in spec.states}
-    for ctx, p in zip(ctxs, pi):
-        marginal[ctx[-1]] += float(p)
+    marginal = dict(zip(spec.states, pi.reshape(-1, k).sum(axis=0).tolist()))
     return MarkovDiagnostics(irreducible, aperiodic, period, pi, marginal)
 
 
@@ -274,18 +273,19 @@ def block_embedding(spec: MarkovChainSpec) -> MarkovChainSpec:
     For order 1 this is the identity embedding up to relabeling states by
     singleton blocks.
     """
-    diag = spec.validate()
-    if not diag.valid:
+    if not spec.validate().valid:
         raise ProcessError("cannot embed an invalid chain")
-    ctxs, P = _block_matrix(spec)
-    keep = [i for i, p in enumerate(diag.stationary) if p > 0]
-    if spec.order == 1:
-        blocks = tuple(ctxs[i][0] for i in keep)
-    else:
-        blocks = tuple(ctxs[i] for i in keep)
-    Q = P[np.ix_(keep, keep)]
-    Q = Q / Q.sum(axis=1, keepdims=True)
-    return MarkovChainSpec(blocks, Q, order=1)
+    keep, blocks = _recurrent_blocks(spec)
+    Q = _closed_matrix(spec, keep)
+    return MarkovChainSpec(blocks, Q / Q.sum(axis=1, keepdims=True), order=1)
+
+
+def _recurrent_blocks(spec: MarkovChainSpec):
+    """(indices, labels) of the contexts of positive stationary mass, in
+    context order; a label is the state at order 1, the tuple of states above."""
+    keep = np.flatnonzero(spec.validate().stationary > 0)
+    contexts = spec.contexts()
+    return keep, tuple(contexts[i][0] if spec.order == 1 else contexts[i] for i in keep)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ from .processes import (
     SemiMarkovSpec,
     _chain_tables,
     _draw,
+    _recurrent_blocks,
+    _semi_markov_tables,
     _step,
     as_grid,
     chain_codes,
@@ -52,13 +54,9 @@ class ShiftRepresentation:
     """
 
     def __init__(self, spec):
-        if isinstance(spec, SemiMarkovSpec):
-            diag = spec.chain.validate()
-        elif isinstance(spec, MarkovChainSpec):
-            diag = spec.validate()
-        else:
+        if not isinstance(spec, (SemiMarkovSpec, MarkovChainSpec)):
             raise ProcessError(f"unsupported process spec {type(spec).__name__}")
-        if not diag.valid:
+        if not getattr(spec, "chain", spec).validate().valid:
             raise ProcessError("invalid process spec")
         self.spec = spec
 
@@ -171,12 +169,11 @@ class SemiMarkovFlowRep(SuspensionFlow):
         self.spec = spec
         chain = spec.chain
         self._start, self._cum = _chain_tables(chain)
-        contexts = chain.contexts()
-        recurrent = np.flatnonzero(chain.validate().stationary > 0)
-        self.alphabet = tuple(contexts[i][0] if chain.order == 1 else contexts[i] for i in recurrent)
-        self._code = np.full(len(contexts), -1, dtype=np.intp)
+        recurrent, self.alphabet = _recurrent_blocks(chain)
+        self._code = np.full(len(self._cum), -1, dtype=np.intp)
         self._code[recurrent] = np.arange(len(recurrent))
-        self._roofs = np.array([spec.u(c[0]) for c in contexts])
+        first = np.arange(len(self._cum)) // chain.n_states ** (chain.order - 1)
+        self._roofs = _semi_markov_tables(spec)[2][first]  # the holding time of each first state
         roof = RoofFunction(dict(zip(self.alphabet, self._roofs[recurrent])))
         super().__init__(_ContextShift(self), roof)
 

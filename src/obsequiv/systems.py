@@ -491,7 +491,7 @@ def observe_trajectories(system, f, grid, n, seed):
     kernel draws the chunk when it has one; otherwise its paths are drawn
     one after another, each by sample_initial and then evolved by every grid
     increment from time 0.  n times the path steps (one per grid time, for
-    the baker one per unit of time, for the billiard its least event count)
+    the baker one per unit of time, for the billiard its expected event count)
     is checked against processes.MAX_PATH_STEPS before anything is drawn.
     """
     grid = as_grid(grid).tolist()
@@ -502,10 +502,12 @@ def observe_trajectories(system, f, grid, n, seed):
 
 def _path_steps(system, grid):
     """Steps of one path on the grid: a point per grid time, a map step per
-    unit of time for the baker, and for the billiard at least one event per
-    diagonal flown (speed * max grid / diagonal, a float: a huge speed fails)."""
+    unit of time for the baker, and for the billiard its expected event count,
+    speed * max grid over Santalo's mean free path (a float: a huge speed fails)."""
     if isinstance(system, BilliardFlow):
-        return len(grid) + system.speed * grid[-1] / system._diag
+        W, H, r = system.width, system.height, np.array(system.obstacles).reshape(-1, 3)[:, 2]
+        free_path = math.pi * (W * H - math.pi * (r @ r)) / (2 * (W + H) + 2 * math.pi * r.sum())
+        return len(grid) + system.speed * grid[-1] / free_path
     return len(grid) + (math.floor(grid[-1]) if isinstance(system, BakerMap) else 0)
 
 

@@ -275,6 +275,53 @@ def test_period_of_complete_bipartite_chain_is_fast():
     assert diag.irreducible and not diag.aperiodic and diag.period == 2
 
 
+def test_sticky_chain_keeps_its_stationary_law():
+    """Exits of 1e-17 leave diagonal entries of exactly 1.0, so Q_jj - 1 would
+    cancel to 0; taken as minus the row's other entries, it keeps them, and
+    pi is in the ratio of the opposite exits."""
+    diag = validate_markov_spec(np.array([[1 - 1e-17, 1e-17], [2e-17, 1 - 2e-17]]))
+    assert diag.valid
+    assert diag.stationary == pytest.approx([2 / 3, 1 / 3], rel=1e-12)
+
+
+def _funnel(order):
+    """Order-n chain over a, b, c, d whose every row puts mass 1/2 on a and
+    1/2 on b: its recurrent class is the 2^order contexts over a and b."""
+    table = np.zeros((4**order, 4))
+    table[:, :2] = 0.5
+    return MarkovChainSpec(tuple("abcd"), table, order)
+
+
+@pytest.mark.parametrize("order, peak_limit", [(5, 1_000_000), (7, 20_000_000)])
+def test_funnel_chain_validates_within_its_recurrent_class(order, peak_limit):
+    """The stationary solve is sized by the recurrent class (2^order
+    contexts), not by the 4^order contexts of the table."""
+    import tracemalloc
+
+    spec = _funnel(order)
+    tracemalloc.start()
+    try:
+        diag = validate_markov_spec(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < peak_limit
+    assert diag.irreducible and diag.aperiodic
+    recurrent = np.flatnonzero(diag.stationary)
+    assert len(recurrent) == 2**order
+    assert diag.stationary[recurrent] == pytest.approx(np.full(2**order, 2.0**-order))
+    assert diag.marginal == pytest.approx({"a": 0.5, "b": 0.5, "c": 0.0, "d": 0.0})
+
+
+def test_recurrent_class_above_the_solve_budget_is_refused():
+    """A random order-7 chain over 4 states has 16,384 recurrent contexts: its
+    stationary solve would need 2^28 cells, more than MAX_PATH_STEPS."""
+    table = np.random.default_rng(7).dirichlet(np.ones(4), 4**7)
+    spec = MarkovChainSpec(tuple("abcd"), table, 7)
+    with pytest.raises(ProcessError, match="^16384 recurrent contexts need a stationary solve"):
+        validate_markov_spec(spec)
+
+
 def test_validate_is_cached_on_spec():
     spec = MarkovChainSpec(("s1", "s2"), P2)
     assert spec.validate() is spec.validate()

@@ -5,6 +5,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from obsequiv.cli import main
@@ -173,6 +174,11 @@ ROTATION = {
         {"kind": "check:simulation", "mode": "weak", "system": "rot", "phi": "halves",
          "psi": "quarters", "epsilon": 0.1,
          "gamma": {"q0": ["a"], "q1": "a", "q2": "b", "q3": "b"}},
+        {"kind": "simulate", "process": "p", "representation": "spin", "grid": [0.0]},
+        {"kind": "check:invariant_union", "system": "baker", "partition": "one_cell",
+         "horizon": 1.0},
+        {"kind": "entropy", "source": {"system": "rot", "observation": "halves"},
+         "length": 1000, "L_max": 0},
     ],
     ids=["unsorted_system_grid", "zero_lag", "undersampled_entropy", "gamma_misses_symbol",
          "lags_not_a_list", "shifts_not_a_list", "times_not_a_list", "set_not_an_object",
@@ -180,12 +186,16 @@ ROTATION = {
          "grid_of_strings", "shift_null", "grids_nested_too_deep", "time_a_bool",
          "L_max_a_string", "negative_tol", "epsilon_a_string", "side_a_number",
          "side_a_string", "system_name_a_list", "observation_name_an_object",
-         "gamma_a_number", "gamma_image_a_list"],
+         "gamma_a_number", "gamma_image_a_list", "unknown_representation",
+         "one_cell_invariant_union", "L_max_zero"],
 )
 def test_bad_task_input_exit_two(tmp_path, capsys, task):
-    doc = dict(ROTATION, seed=1, tasks=[task])
+    doc = dict(ROTATION, seed=1, tasks=[task], processes=PASSING["processes"])
+    doc["systems"] = dict(ROTATION["systems"], baker={"kind": "baker"})
+    doc["observations"] = dict(ROTATION["observations"],
+                               one_cell={"kind": "grid", "system": "baker", "nx": 1, "ny": 1})
     assert run_scenario(_write(tmp_path, "bad.json", doc), out_dir=tmp_path / "o") == 2
-    assert f"tasks[0] ({task['kind']})" in capsys.readouterr().out
+    assert capsys.readouterr().out.startswith(f"configuration error: tasks[0] ({task['kind']})")
 
 
 @pytest.mark.parametrize(
@@ -258,11 +268,14 @@ def test_bad_observation_exit_two(tmp_path, capsys, observation, message):
          "systems.d: table width and height must be finite and positive, got -1.0 x 1.0"),
         ("systems", {"kind": "billiard", "width": 1.0, "height": 1.0, "speed": math.nan},
          "systems.d: speed must be finite and positive, got nan"),
+        ("systems", {"kind": "billiard", "width": 1.0, "height": 1.0, "speed": 1.0,
+                     "obstacles": [{"center": [0.5, 0.5], "radius": 0.0}]},
+         "systems.d: obstacle radius must be positive"),
     ],
     ids=["alpha_a_string", "radius_a_list", "rows_off_one", "order_a_bool", "coeff_not_a_fraction",
          "states_a_string", "states_a_number", "duplicate_states", "matrix_entry_an_object",
          "matrix_entry_a_string", "matrix_entry_nan", "holding_a_list", "negative_width",
-         "speed_nan"],
+         "speed_nan", "zero_radius"],
 )
 def test_bad_definition_names_its_location(tmp_path, capsys, section, definition, message):
     doc = {"seed": 1, section: {"d": definition}, "tasks": []}
@@ -403,8 +416,9 @@ def test_oversized_request_exits_two_within_a_second(tmp_path, capsys, within_a_
 
 @pytest.mark.parametrize("speed", [1e6, 1e300], ids=["large", "inf"])
 def test_fast_billiard_exits_two_within_a_second(tmp_path, capsys, within_a_second, speed):
-    """Billiard events count in the size bound: speed * max grid / diagonal
-    per path, refused before the first chunk, also when it overflows."""
+    """Billiard events count in the size bound: speed * max grid * perimeter
+    / (pi * free area) per path, refused before the first chunk, also when it
+    overflows."""
     doc = {"seed": 1,
            "systems": {"table": {"kind": "billiard", "width": 1.0, "height": 1.0,
                                  "speed": speed}},
@@ -415,6 +429,18 @@ def test_fast_billiard_exits_two_within_a_second(tmp_path, capsys, within_a_seco
     out = capsys.readouterr().out
     assert out.startswith("configuration error: tasks[0] (simulate): ")
     assert f"more than the {MAX_PATH_STEPS} one sampling call may draw" in out
+
+
+def test_oversized_chain_exit_two(tmp_path, capsys, within_a_second):
+    """A random order-7 chain over 4 states is a valid table, but its 16,384
+    recurrent contexts are refused before any stationary solve."""
+    table = np.random.default_rng(7).dirichlet(np.ones(4), 4**7)
+    doc = {"seed": 1, "processes": {"p": {"kind": "markov", "states": list("abcd"), "order": 7,
+                                          "matrix": table.tolist()}},
+           "tasks": [{"kind": "simulate", "process": "p", "grid": [0.0, 1.0], "n": 10}]}
+    assert run_scenario(_write(tmp_path, "big.json", doc), out_dir=tmp_path / "o") == 2
+    assert capsys.readouterr().out.startswith(
+        "configuration error: tasks[0] (simulate): 16384 recurrent contexts need")
 
 
 def test_flow_of_a_markov_chain_exit_two(tmp_path, capsys):
@@ -512,6 +538,17 @@ def test_entropy_task_serializes(tmp_path):
     assert obj["positive_rate"] is True
     assert len(obj["block_entropies"]) == 3
     assert (tmp_path / "o" / "ent" / "0-entropy.csv").read_text().startswith("L,H_L")
+
+
+def test_entropy_task_at_one_block_length_rates_by_its_entropy(tmp_path):
+    """With L_max 1 there is no increment: the rate estimate is H_1."""
+    doc = {"seed": 3, "processes": PASSING["processes"],
+           "tasks": [{"kind": "entropy", "source": {"process": "p"}, "length": 1000,
+                      "L_max": 1}]}
+    assert run_scenario(_write(tmp_path, "ent1.json", doc), out_dir=tmp_path / "o") == 0
+    obj = json.loads((tmp_path / "o" / "ent1" / "0-entropy.json").read_text())
+    assert obj["increments"] == []
+    assert obj["rate_estimate"] == obj["block_entropies"][0]
 
 
 def test_scenario_object_validates_structure():

@@ -361,9 +361,9 @@ def test_billiard_floats_are_pinned():
 
 @pytest.mark.parametrize("speed, t_max", [(1e6, 1e4), (1e300, 1e10)], ids=["large", "inf"])
 def test_billiard_events_count_in_the_size_bound(within_a_second, speed, t_max):
-    """A path flies at least speed * max grid / diagonal events, so a fast
-    billiard is refused before anything is drawn; at 1e300 * 1e10 the count
-    is an infinite float, not an OverflowError."""
+    """A path flies about speed * max grid * perimeter / (pi * free area)
+    events, so a fast billiard is refused before anything is drawn; at
+    1e300 * 1e10 the count is an infinite float, not an OverflowError."""
     table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], speed)
     message = f"more than the {MAX_PATH_STEPS} one sampling call may draw"
     with pytest.raises(ProcessError, match=message):
@@ -371,6 +371,29 @@ def test_billiard_events_count_in_the_size_bound(within_a_second, speed, t_max):
     obs = observation_from_partition(grid_partition(2, 2, space=table.space))
     with pytest.raises(SystemError, match=message):
         trajectory_symbols(table, obs, [0.0, t_max], 0)
+
+
+def test_thin_table_is_refused_by_its_collision_count(within_a_second):
+    """A 1 x 1e-6 table hits a wall about 6,366 times per path to t = 0.01,
+    so 2^22 paths are refused before any flies."""
+    thin = billiard_system(1.0, 1e-6, [], 1.0)
+    with pytest.raises(ProcessError, match=f"more than the {MAX_PATH_STEPS} one sampling"):
+        observe_trajectories(thin, lambda c: c, [0.0, 0.01], 2**22, 0)
+
+
+def test_size_bound_counts_the_events_a_path_flies():
+    """The billiard term is the mean collision count under the invariant
+    measure, speed * t over Santalo's mean free path pi * free area /
+    perimeter: on the unit table with an r = 0.2 obstacle, 8 paths to
+    t = 2,000 fly within 2% of it."""
+    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    flown = 0
+    for x, y, theta in table._starts(8, np.random.default_rng(1)):
+        flown += systems._advance(1.0, 1.0, table.obstacles, x, y, math.cos(theta),
+                                  math.sin(theta), 2000.0, systems.MAX_EVENTS + 1)[4]
+    term = systems._path_steps(table, [0.0, 2000.0]) - 2
+    assert term == pytest.approx(2000 * (4 + 0.4 * math.pi) / (math.pi * (1 - 0.04 * math.pi)))
+    assert flown / 8 == pytest.approx(term, rel=0.02)
 
 
 def test_long_billiard_flight_runs_no_garbage_collection():
