@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -175,14 +175,17 @@ def estimate_fdd(codes, alphabet, grid) -> EmpiricalFDD:
     return EmpiricalFDD(grid, events, counts[seen], n)
 
 
-def compare_fdd(a: EmpiricalFDD, b: EmpiricalFDD, label="fdd") -> "FDDComparison":
+def compare_fdd(a: EmpiricalFDD, b: EmpiricalFDD, label="fdd") -> "CheckReport":
     """Entrywise comparison under 3-sigma tolerance, Bonferroni-corrected.
 
     The entries are the sorted union of the events of both tables, with
-    count 0 where one side did not observe an event.  Pass iff every
+    count 0 where one side did not observe an event.  Returns a CheckReport
+    of kind fdd_comparison with z in its tolerances: it passes iff every
     entry's |difference| stays below z * combined standard error, where z
     is the 3-sigma quantile adjusted for the number of entries.
     """
+    from .checks import CheckReport  # checks imports this module
+
     if a.grid != b.grid:
         raise FDDError("mismatched time grids")
     events = sorted(set(a.events) | set(b.events))
@@ -199,23 +202,4 @@ def compare_fdd(a: EmpiricalFDD, b: EmpiricalFDD, label="fdd") -> "FDDComparison
         items.append({"label": label, "event": list(event), "estimate_a": float(xa),
                       "estimate_b": float(xb), "delta": float(delta), "tolerance": float(tol),
                       "pass": bool(delta <= tol or delta == 0.0)})
-    return FDDComparison(items, z)
-
-
-@dataclass
-class FDDComparison:
-    """compare_fdd's entries; it passes iff every entry passes."""
-
-    items: list = field(default_factory=list)
-    z: float = 3.0
-
-    @property
-    def passed(self):
-        return not self.witnesses()
-
-    @property
-    def max_delta(self):
-        return max((it["delta"] for it in self.items), default=0.0)
-
-    def witnesses(self):
-        return [it for it in self.items if not it["pass"]]
+    return CheckReport("fdd_comparison", items, tolerances={"z": z})

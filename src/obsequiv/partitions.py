@@ -321,6 +321,9 @@ def grid_partition(nx, ny, space=UNIT_SQUARE) -> Partition:
         raise PartitionError(f"a grid needs a 2-d phase space; {space.name!r} is {space.dim}-d")
     if nx < 1 or ny < 1:
         raise PartitionError(f"a grid needs at least one cell per axis, got {nx} x {ny}")
+    if nx * ny > MAX_BINS:
+        raise PartitionError(f"a {nx} x {ny} grid cuts the space into {nx * ny} bins, "
+                             f"more than the {MAX_BINS} a partition may hold")
     (x0, y0), (x1, y1) = space.domain.lo[:2], space.domain.hi[:2]
     extra_lo, extra_hi = space.domain.lo[2:], space.domain.hi[2:]
     dx, dy = (x1 - x0) / nx, (y1 - y0) / ny

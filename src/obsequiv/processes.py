@@ -37,6 +37,7 @@ CHUNK = 8192  # paths per independently seeded chunk of sample_in_chunks
 MAX_PATH_STEPS = 2**24  # largest rows x lockstep steps one sampling call may draw
 WALK_CELLS = 1024  # most steps x paths x contexts one block walk composes
 WALK_ROWS = 16  # fewest rows per block worth a walk; below it the kernels step row by row
+MAX_RADICAND = 10**12  # largest radicand, so trial division stops within 10^6 steps
 
 
 class ProcessError(ValueError):
@@ -51,6 +52,8 @@ def _squarefree_split(n):
     """n = s^2 * f with f square-free; returns (s, f)."""
     if n <= 0:
         raise ProcessError("radicand must be a positive integer")
+    if n > MAX_RADICAND:
+        raise ProcessError(f"radicand {n} is above MAX_RADICAND = {MAX_RADICAND}")
     s, f, d = 1, n, 2
     while d * d <= f:
         while f % (d * d) == 0:
@@ -62,10 +65,12 @@ def _squarefree_split(n):
 
 @dataclass(frozen=True)
 class HoldingTime:
-    """Exact positive holding time q * sqrt(d), q rational, d a positive int."""
+    """Exact positive holding time q * sqrt(d), q rational, d a positive int;
+    value is its float, which must be positive and finite."""
 
     coeff: Fraction
     radicand: int = 1
+    value: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = Fraction(self.coeff)
@@ -74,10 +79,13 @@ class HoldingTime:
         object.__setattr__(self, "radicand", f)
         if self.coeff <= 0:
             raise ProcessError("holding time must be positive")
-
-    @property
-    def value(self):
-        return float(self.coeff) * math.sqrt(self.radicand)
+        try:
+            value = float(self.coeff) * math.sqrt(f)
+        except OverflowError:
+            value = math.inf
+        if not 0.0 < value < math.inf:
+            raise ProcessError(f"holding time is {value} as a float, not positive and finite")
+        object.__setattr__(self, "value", value)
 
     def __repr__(self):
         if self.radicand == 1:

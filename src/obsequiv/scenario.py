@@ -7,6 +7,7 @@ JSON.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -129,7 +130,16 @@ def _field(cfg, key, where, type, default=REQUIRED):
         raise ScenarioError(f"{where}: field {key!r} must {what}, got {value!r}")
     if type == "number":
         return float(value)
-    return Fraction(str(value)) if type == "fraction" else value
+    if type != "fraction":
+        return value
+    # an exponent beyond len(mantissa) + 2 * 308 puts the value far outside the
+    # float range, and Fraction would spend seconds expanding it
+    mantissa, _, exponent = str(value).lower().partition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "")
+    if digits.isdigit() and int(digits) > len(mantissa) + 2 * sys.float_info.max_10_exp:
+        raise ScenarioError(
+            f"{where}: field {key!r} has exponent {exponent}, far outside the float range")
+    return Fraction(str(value))
 
 
 def _read(cfg, where, table):

@@ -101,26 +101,69 @@ def test_nontriviality_rejects_trivial_observation():
         check_nontriviality(rotation_system(0.3), HALVES, [0.0], 100, 1)
 
 
+def _billiard_grid(nx):
+    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    return table, observation_from_partition(grid_partition(nx, nx, space=table.space))
+
+
 def test_nontriviality_pair_counts_match_brute_force():
     """The witness is the first (from, to) pair in alphabet order whose
     estimate lies strictly inside (0, 1), with the pair counts of a
-    per-path scan over the same sampled paths."""
-    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
-    obs = observation_from_partition(grid_partition(2, 2, space=table.space))
-    lags, n = [0.3, 1.0], 600
-    rep = check_nontriviality(table, obs, lags, n, 7)
-    seeds = np.random.SeedSequence(7).spawn(len(lags))
-    for item, lag, ss in zip(rep.items, lags, seeds):
-        paths = _symbol_paths(ObservedSystemSource(table, obs), (0.0, lag), n, ss)
-        witness = None
-        for oi, oj in product(obs.alphabet, repeat=2):
-            den = sum(1 for p in paths if p[0] == oi)
-            num = sum(1 for p in paths if p == (oi, oj))
-            if den and ProbEstimate.from_counts(num, den).strictly_inside_unit():
-                witness = [oi, oj, num, den]
-                break
-        assert witness is not None
-        assert [item["from"], item["to"], *item["counts"]] == witness
+    per-path scan over the same sampled paths; with no such pair the item
+    fails and says why.  The inputs are a 4- and a 36-symbol billiard
+    coding, and two with no witness: a 64-symbol baker coding at 20 paths,
+    and the identity rotation."""
+    cases = [
+        (*_billiard_grid(2), [0.3, 1.0], 600, True),
+        (*_billiard_grid(6), [0.05, 0.3], 600, True),
+        (baker_system(), observation_from_partition(grid_partition(8, 8)), [1.0], 20, False),
+        (rotation_system(1.0), HALVES, [1.0, 2.0], 300, False),
+    ]
+    for system, obs, lags, n, witnessed in cases:
+        rep = check_nontriviality(system, obs, lags, n, 7)
+        seeds = np.random.SeedSequence(7).spawn(len(lags))
+        for item, lag, ss in zip(rep.items, lags, seeds):
+            paths = _symbol_paths(ObservedSystemSource(system, obs), (0.0, lag), n, ss)
+            witness = None
+            for oi, oj in product(obs.alphabet, repeat=2):
+                den = sum(1 for p in paths if p[0] == oi)
+                num = sum(1 for p in paths if p == (oi, oj))
+                if den and ProbEstimate.from_counts(num, den).strictly_inside_unit():
+                    witness = [oi, oj, num, den]
+                    break
+            assert (witness is not None) == witnessed
+            if witness is None:
+                assert item == {"label": f"lag={lag}", "lag": lag, "pass": False,
+                                "reason": "all conditional estimates consistent with {0,1}"}
+            else:
+                assert item["pass"]
+                assert [item["from"], item["to"], *item["counts"]] == witness
+        assert rep.passed == witnessed
+
+
+def test_nontriviality_counts_only_the_observed_pairs(within_a_second):
+    """The baker's 64 x 64 coding has 4,096 symbols, so an alphabet-squared
+    table would hold 16.8 million counts; 2,000 paths observe at most 2,000
+    pairs, and those are all that is counted."""
+    import tracemalloc
+
+    coding = observation_from_partition(grid_partition(64, 64))
+    tracemalloc.start()
+    try:
+        rep = check_nontriviality(baker_system(), coding, [1.0], 2000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    assert rep.items[0]["reason"]  # about one path per symbol: no interval inside (0, 1)
+
+
+def test_simulation_maps_images_in_one_pass(within_a_second):
+    """psi's images reach phi's codes through one dict, not one alphabet
+    scan per symbol, on the baker's 4,096-symbol coding."""
+    coding = observation_from_partition(grid_partition(64, 64))
+    rep = check_simulation("strong", baker_system(), coding, coding, 0.01, [], 2000, 3)
+    assert rep.passed
 
 
 @pytest.mark.parametrize(

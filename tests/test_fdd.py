@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 import obsequiv
-from obsequiv.checks import check_stationarity
+from obsequiv.checks import CheckReport, check_stationarity
 from obsequiv.fdd import (
     THREE_SIGMA_ALPHA,
     EmpiricalFDD,
@@ -206,7 +206,7 @@ def test_compare_fdd_identical_tables_pass():
     fdd = estimate_fdd(np.array([[0]] * 30 + [[1]] * 70), ("a", "b"), (0.0,))
     cmp = compare_fdd(fdd, fdd)
     assert cmp.passed
-    assert cmp.max_delta == 0.0
+    assert max(it["delta"] for it in cmp.items) == 0.0
 
 
 def test_compare_fdd_detects_gross_difference():
@@ -228,7 +228,7 @@ def test_compare_fdd_bonferroni_widens_with_entries():
         EmpiricalFDD(grid2, ev2, (4, 3, 2, 1), 10),
         EmpiricalFDD(grid2, ev2, (4, 3, 2, 1), 10),
     )
-    assert c4.z > c1.z
+    assert c4.tolerances["z"] > c1.tolerances["z"]
 
 
 def test_compare_fdd_close_sampled_tables_pass():
@@ -257,11 +257,26 @@ def test_compare_fdd_zero_fills_the_union_of_observed_events():
     assert [it["event"] for it in cmp.items] == [["a"], ["b"], ["c"]]
     assert [it["estimate_a"] for it in cmp.items] == [0.6, 0.4, 0.0]
     assert [it["estimate_b"] for it in cmp.items] == [0.0, 0.25, 0.75]
-    assert cmp.z == bonferroni_z(3)
+    assert cmp.tolerances["z"] == bonferroni_z(3)
     # an entry seen on one side only is judged on that side's error alone
     se_c = math.sqrt(0.75 * 0.25 / 20)
     assert cmp.items[2]["tolerance"] == pytest.approx(bonferroni_z(3) * se_c)
     assert not cmp.passed
+
+
+def test_compare_fdd_returns_a_check_report_whose_verdict_follows_its_items():
+    grid, events = (0.0,), (("a",), ("b",))
+    a = EmpiricalFDD(grid, events, (9000, 1000), 10_000)
+    b = EmpiricalFDD(grid, events, (1000, 9000), 10_000)
+    for other, verdict in ((a, "pass"), (b, "fail")):
+        cmp = compare_fdd(a, other, label="t")
+        assert isinstance(cmp, CheckReport)
+        assert cmp.kind == "fdd_comparison"
+        assert cmp.tolerances == {"z": bonferroni_z(2)}
+        assert [it["label"] for it in cmp.items] == ["t", "t"]
+        assert cmp.witnesses() == [it for it in cmp.items if not it["pass"]]
+        assert cmp.verdict == ("fail" if cmp.witnesses() else "pass") == verdict
+        assert cmp.passed == (verdict == "pass")
 
 
 def test_checker_does_not_load_numpy_ma():

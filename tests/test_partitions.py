@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obsequiv.partitions import (
+    MAX_BINS,
     UNIT_INTERVAL,
     UNIT_SQUARE,
     Box,
@@ -130,6 +131,11 @@ def test_grid_partition_on_square():
 def test_grid_partition_rejects_empty_axes(nx, ny):
     with pytest.raises(PartitionError, match="at least one cell per axis"):
         grid_partition(nx, ny)
+
+
+def test_grid_partition_refuses_more_than_max_bins_before_building_cells(within_a_second):
+    with pytest.raises(PartitionError, match=f"into 10000000000 bins, more than the {MAX_BINS}"):
+        grid_partition(100_000, 100_000)
 
 
 def test_grid_partition_with_extra_trailing_dims():

@@ -50,6 +50,28 @@ def test_holding_time_rejects_nonpositive():
         HoldingTime(Fraction(1), 0)
 
 
+@pytest.mark.parametrize(
+    "coeff, radicand, message",
+    [
+        (Fraction(1), 10**14 + 31, f"radicand {10**14 + 31} is above MAX_RADICAND = {10**12}"),
+        (Fraction("1e400"), 1, "holding time is inf as a float"),
+        (Fraction("1e-400"), 1, "holding time is 0.0 as a float"),
+    ],
+    ids=["large_radicand", "huge_coeff", "tiny_coeff"],
+)
+def test_holding_time_refuses_what_it_cannot_split_or_float(
+    within_a_second, coeff, radicand, message
+):
+    with pytest.raises(ProcessError, match=message):
+        HoldingTime(coeff, radicand)
+
+
+def test_holding_time_splits_radicands_up_to_the_limit(within_a_second):
+    """Trial division at MAX_RADICAND stops within 10^6 steps, also for a prime."""
+    assert HoldingTime(Fraction(1), 999_999_999_989).radicand == 999_999_999_989
+    assert HoldingTime(Fraction(1), processes.MAX_RADICAND).coeff == 10**6
+
+
 def test_irrationally_related_decisions():
     one = HoldingTime(Fraction(1))
     rt2 = HoldingTime(Fraction(1), 2)

@@ -443,6 +443,56 @@ def test_oversized_chain_exit_two(tmp_path, capsys, within_a_second):
         "configuration error: tasks[0] (simulate): 16384 recurrent contexts need")
 
 
+@pytest.mark.parametrize(
+    "holding, message",
+    [
+        ({"coeff": "1", "radicand": 10**18 + 3},
+         "processes.sm: radicand 1000000000000000003 is above MAX_RADICAND = 1000000000000"),
+        ({"coeff": "1e400"}, "processes.sm: holding time is inf as a float"),
+        ({"coeff": "1e-400"}, "processes.sm: holding time is 0.0 as a float"),
+        ({"coeff": "1e10000000"},
+         "processes.sm.holding.s1: field 'coeff' has exponent 10000000, far outside"),
+        ({"coeff": "1e-10000000"},
+         "processes.sm.holding.s1: field 'coeff' has exponent -10000000, far outside"),
+    ],
+    ids=["large_radicand", "huge_coeff", "tiny_coeff", "long_exponent", "long_negative_exponent"],
+)
+def test_bad_holding_time_exits_two_within_a_second(
+    tmp_path, capsys, within_a_second, holding, message
+):
+    processes = copy.deepcopy(SEMI_MARKOV)
+    processes["sm"]["holding"]["s1"] = holding
+    doc = {"seed": 1, "processes": processes,
+           "tasks": [{"kind": "simulate", "process": "sm", "grid": [0.0, 1.0], "n": 10}]}
+    assert run_scenario(_write(tmp_path, "hold.json", doc), out_dir=tmp_path / "o") == 2
+    assert capsys.readouterr().out.startswith(f"configuration error: {message}")
+
+
+@pytest.mark.parametrize("exponent", ["1e10000000", "1e-10000000", "0e-99999999"])
+def test_fraction_field_refuses_a_far_exponent_before_expanding_it(within_a_second, exponent):
+    processes = copy.deepcopy(SEMI_MARKOV)
+    processes["sm"]["holding"]["s1"] = {"coeff": exponent}
+    with pytest.raises(ScenarioError, match=r"^processes\.sm\.holding\.s1: field 'coeff'"):
+        Scenario({"seed": 1, "processes": processes})
+
+
+@pytest.mark.parametrize("coeff, value", [("1.5e-3", 0.0015), ("0.000001e310", 1e304),
+                                          ("3/4", 0.75), ("2.5E+2", 250.0)])
+def test_fraction_field_keeps_exponents_near_the_float_range(coeff, value):
+    processes = copy.deepcopy(SEMI_MARKOV)
+    processes["sm"]["holding"]["s1"] = {"coeff": coeff}
+    assert Scenario({"seed": 1, "processes": processes}).processes["sm"].u("s1") == value
+
+
+def test_oversized_grid_observation_exit_two(tmp_path, capsys, within_a_second):
+    doc = {"seed": 1, "systems": {"baker": {"kind": "baker"}},
+           "observations": {"fine": {"kind": "grid", "system": "baker",
+                                     "nx": 100_000, "ny": 100_000}}}
+    assert run_scenario(_write(tmp_path, "fine.json", doc), out_dir=tmp_path / "o") == 2
+    assert capsys.readouterr().out.startswith(
+        "configuration error: observations.fine: a 100000 x 100000 grid cuts the space")
+
+
 def test_flow_of_a_markov_chain_exit_two(tmp_path, capsys):
     task = {"kind": "simulate", "process": "p", "representation": "flow", "grid": [0.0]}
     doc = dict(PASSING, tasks=[task])
