@@ -38,4 +38,7 @@ print(f"exact sqrt(2)/(1+sqrt(2)):             {target:.4f}")
 
 r = sample_semi_markov(spec, 8.0, spawn_rngs(2, 1)[0])
 print("\none realization (epoch, symbol):")
-print(r.to_csv())
+print("epoch,symbol")
+for epoch, symbol in zip(r.breaks, r.symbols):
+    print(f"{epoch},{symbol}")
+print()

@@ -17,7 +17,7 @@ from obsequiv import (
     SemiMarkovSpec,
     ShiftRepresentation,
     check_observational_equivalence,
-    observe_at_zero,
+    sample_semi_markov,
     spawn_rngs,
 )
 
@@ -26,11 +26,14 @@ spec = SemiMarkovSpec(
     chain, {"s1": HoldingTime(Fraction(1)), "s2": HoldingTime(Fraction(1), 2)}
 )
 
-shift = ShiftRepresentation(spec)
-r = shift.sample_realization(5.0, spawn_rngs(3, 1)[0])
-print("shift identity: observe(shift(r, t)) == r.value(t)")
-for t in (0.0, 0.7, 2.3):
-    print(f"  t={t}: {observe_at_zero(shift.shift(r, t))} == {r.value(t)}")
+# two generators from one seed draw the same realization r: the shift
+# representation reads its t-shifted copies at time zero, r.value reads r at t
+grid = (0.0, 0.7, 2.3, 4.9)
+read = ShiftRepresentation(spec).sample_path(grid, spawn_rngs(3, 1)[0])
+r = sample_semi_markov(spec, grid[-1], spawn_rngs(3, 1)[0])
+print("shift identity: (T_t r) read at 0 == r.value(t)")
+for t, symbol in zip(grid, read):
+    print(f"  t={t}: {symbol} == {r.value(t)}")
 
 flow = SemiMarkovFlowRep(spec)
 state = flow.sample_initial(spawn_rngs(4, 1)[0])

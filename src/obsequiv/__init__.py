@@ -14,7 +14,6 @@ from .partitions import (
 from .fdd import (
     EmpiricalFDD,
     ProbEstimate,
-    SymbolPath,
     compare_fdd,
     estimate_fdd,
 )
@@ -27,7 +26,6 @@ from .systems import (
     SuspensionFlow,
     baker_system,
     billiard_system,
-    build_flow_under_function,
     observe_trajectories,
     rotation_system,
     spawn_rngs,
@@ -47,8 +45,6 @@ from .processes import (
 from .representation import (
     SemiMarkovFlowRep,
     ShiftRepresentation,
-    observe_at_zero,
-    shift_representation,
 )
 from .checks import (
     CheckReport,

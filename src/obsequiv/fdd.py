@@ -15,7 +15,6 @@ from statistics import NormalDist
 import numpy as np
 
 __all__ = [
-    "SymbolPath",
     "ProbEstimate",
     "EmpiricalFDD",
     "estimate_fdd",
@@ -35,20 +34,6 @@ def bonferroni_z(k):
 
 class FDDError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class SymbolPath:
-    """Symbols sampled on a fixed time grid."""
-
-    times: tuple
-    symbols: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        if len(self.times) != len(self.symbols):
-            raise FDDError("times and symbols differ in length")
 
 
 @dataclass(frozen=True)

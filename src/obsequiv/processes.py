@@ -334,7 +334,7 @@ def check_path_steps(rows, steps):
     steps lockstep steps each exceed MAX_PATH_STEPS."""
     if rows * steps > MAX_PATH_STEPS:
         raise ProcessError(
-            f"{rows} paths of {steps:.0f} steps each are {rows * steps:.0f} path steps, "
+            f"{rows} paths of {steps:.3g} steps each are {rows * steps:.3g} path steps, "
             f"more than the {MAX_PATH_STEPS} one sampling call may draw"
         )
 
@@ -470,11 +470,8 @@ class SemiMarkovSpec:
     def u(self, state):
         return self.holding[state].value
 
-    def holding_set(self):
-        return list(self.holding.values())
-
     def irrationally_related(self):
-        return irrationally_related(self.holding_set())
+        return irrationally_related(list(self.holding.values()))
 
     def time_weighted_marginal(self):
         """P(Z_0 = s_i) = p_i u_i / sum_j p_j u_j (the sojourn-length bias)."""
@@ -508,37 +505,11 @@ class RealizationPath:
             raise ProcessError("jump epochs must be strictly increasing")
         object.__setattr__(self, "_epochs", np.asarray(self.breaks))
 
-    @property
-    def start(self):
-        return self.breaks[0]
-
-    @property
-    def end(self):
-        return self.breaks[-1]
-
     def value(self, t):
-        if not (self.start <= t < self.end):
+        if not (self.breaks[0] <= t < self.breaks[-1]):
             raise ProcessError(f"path does not cover t={t}")
         i = int(np.searchsorted(self._epochs, t, side="right")) - 1
         return self.symbols[i]
-
-    def shifted(self, h):
-        return RealizationPath(
-            tuple(b - h for b in self.breaks), self.symbols, self.first_jump - h
-        )
-
-    def sojourns(self):
-        """(symbol, duration) for every complete sojourn (interior segments)."""
-        out = []
-        for i in range(1, len(self.symbols) - 1):
-            out.append((self.symbols[i], self.breaks[i + 1] - self.breaks[i]))
-        return out
-
-    def to_csv(self):
-        lines = ["epoch,symbol"]
-        for b, s in zip(self.breaks[:-1], self.symbols):
-            lines.append(f"{b},{s}")
-        return "\n".join(lines) + "\n"
 
 
 def _semi_markov_tables(spec: SemiMarkovSpec):

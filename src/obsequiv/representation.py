@@ -13,7 +13,6 @@ import numpy as np
 from .processes import (
     MarkovChainSpec,
     ProcessError,
-    RealizationPath,
     SemiMarkovSpec,
     _chain_tables,
     _draw,
@@ -24,33 +23,22 @@ from .processes import (
     chain_codes,
     chain_steps,
     check_path_steps,
-    sample_chain,
     sample_in_chunks,
-    sample_semi_markov,
     semi_markov_codes,
     sojourn_steps,
 )
 from .systems import RoofFunction, SuspensionFlow
 
-__all__ = [
-    "ShiftRepresentation",
-    "SemiMarkovFlowRep",
-    "shift_representation",
-    "observe_at_zero",
-]
-
-
-def observe_at_zero(r: RealizationPath):
-    """Value of the realization at time zero (right-continuous at jumps)."""
-    return r.value(0.0)
+__all__ = ["ShiftRepresentation", "SemiMarkovFlowRep"]
 
 
 class ShiftRepresentation:
     """Shift system on realizations of a process, observed at time zero.
 
-    States are realization paths; shift(r, t) moves the path so that its
-    time-t value sits at time zero; observing a shifted state with
-    observe_at_zero reads off the original path at time t.
+    States are realizations; the time-t shift moves a realization so that
+    its time-t value sits at time zero.  sample_codes and sample_path shift
+    by every grid time at once: they read each realization drawn by the
+    process kernel on the grid.
     """
 
     def __init__(self, spec):
@@ -63,24 +51,6 @@ class ShiftRepresentation:
     @property
     def alphabet(self):
         return tuple(self.spec.states)
-
-    def sample_realization(self, horizon, rng) -> RealizationPath:
-        if isinstance(self.spec, SemiMarkovSpec):
-            return sample_semi_markov(self.spec, horizon, rng)
-        # discrete-time chain as a unit-sojourn step path
-        if not 0 <= horizon < np.inf:
-            raise ProcessError(f"horizon must be nonnegative and finite, got {horizon}")
-        length = int(np.ceil(horizon)) + 2
-        symbols = sample_chain(self.spec, length, rng)
-        return RealizationPath(tuple(range(length + 1)), symbols, 1.0)
-
-    @staticmethod
-    def shift(r: RealizationPath, t) -> RealizationPath:
-        return r.shifted(t)
-
-    @staticmethod
-    def observe(r: RealizationPath):
-        return observe_at_zero(r)
 
     def sample_codes(self, grid, n, seed):
         """Alphabet indices (n, len(grid)) of n realizations read on the grid.
@@ -105,10 +75,6 @@ class ShiftRepresentation:
         if isinstance(self.spec, SemiMarkovSpec):
             return semi_markov_codes(self.spec, grid, n, rng)
         return chain_codes(self.spec, grid, n, rng)
-
-
-def shift_representation(spec) -> ShiftRepresentation:
-    return ShiftRepresentation(spec)
 
 
 class _ContextShift:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fdd import SymbolPath
 from .partitions import Box, PhaseSpace, UNIT_INTERVAL, UNIT_SQUARE
 from .processes import (MAX_PATH_STEPS, ProcessError, _as_rng, as_grid, check_path_steps,
                         sample_in_chunks)
@@ -35,7 +34,6 @@ __all__ = [
     "rotation_system",
     "billiard_system",
     "baker_system",
-    "build_flow_under_function",
     "trajectory_symbols",
     "observe_trajectories",
     "spawn_rngs",
@@ -473,10 +471,6 @@ class SuspensionFlow:
         return self.label(state[0])
 
 
-def build_flow_under_function(base, roof: RoofFunction) -> SuspensionFlow:
-    return SuspensionFlow(base, roof)
-
-
 # ---------------------------------------------------------------------------
 # observed trajectories
 
@@ -536,8 +530,8 @@ def _lockstep(system, state, grid):
     return np.array(_along(system, state, grid)).transpose(2, 0, 1)
 
 
-def trajectory_symbols(system, obs, grid, seed_or_rng) -> SymbolPath:
-    """Symbols of one trajectory, sampled at the grid times.
+def trajectory_symbols(system, obs, grid, seed_or_rng) -> tuple:
+    """Symbols of one trajectory at the grid times, as a tuple.
 
     Deterministic given the seed: the path is the one-path case of
     observe_trajectories, drawn from the generator, and obs codes its
@@ -549,4 +543,4 @@ def trajectory_symbols(system, obs, grid, seed_or_rng) -> SymbolPath:
     except ProcessError as exc:
         raise SystemError(str(exc)) from None
     (symbols,) = obs(_coordinates(system, grid, 1, _as_rng(seed_or_rng)))
-    return SymbolPath(tuple(grid), tuple(symbols.tolist()))
+    return tuple(symbols.tolist())

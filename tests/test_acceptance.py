@@ -41,9 +41,9 @@ from obsequiv.processes import (
 from obsequiv.representation import SemiMarkovFlowRep, ShiftRepresentation
 from obsequiv.systems import (
     RoofFunction,
+    SuspensionFlow,
     baker_system,
     billiard_system,
-    build_flow_under_function,
     rotation_system,
     spawn_rngs,
     trajectory_symbols,
@@ -290,7 +290,7 @@ def test_criterion_09_entropy_dichotomy():
     obs = observation_from_partition(grid_partition(2, 2, space=table.space))
     grid = [0.5 * i for i in range(4000)]
     bseqs = [
-        trajectory_symbols(table, obs, grid, rng).symbols
+        trajectory_symbols(table, obs, grid, rng)
         for rng in spawn_rngs(181, 8)
     ]
     btrend = entropy_rate(bseqs, 3)
@@ -344,7 +344,7 @@ def test_criterion_10_mechanics():
             rot_ok = False
             break
 
-    flow = build_flow_under_function(
+    flow = SuspensionFlow(
         _LabeledBaker(), RoofFunction({"a": 1.0, "b": SQRT2})
     )
     susp_ok = True

@@ -428,13 +428,6 @@ def test_realization_path_right_continuous():
         r.value(2.0)
 
 
-def test_realization_path_shift():
-    r = RealizationPath((-0.5, 0.7, 1.7), ("a", "b"), 0.7)
-    s = r.shifted(1.0)
-    assert s.value(0.0) == "b"
-    assert s.first_jump == pytest.approx(-0.3)
-
-
 def test_realization_path_needs_increasing_breaks():
     with pytest.raises(ProcessError):
         RealizationPath((0.0, 0.0, 1.0), ("a", "b"), 0.5)
@@ -469,12 +462,12 @@ def test_time_weighted_marginal_exact(sm_spec):
 def test_sample_semi_markov_sojourns_exact(sm_spec):
     r = sample_semi_markov(sm_spec, 30.0, spawn_rngs(17, 1)[0])
     u = {"s1": 1.0, "s2": math.sqrt(2)}
-    for sym, dur in r.sojourns():
+    for sym, dur in zip(r.symbols[1:-1], np.diff(r.breaks[1:-1])):
         assert dur == pytest.approx(u[sym])
     # straddling sojourn covers time 0 with the full holding length
     assert r.breaks[0] <= 0.0 < r.breaks[1]
     assert r.breaks[1] - r.breaks[0] == pytest.approx(u[r.symbols[0]])
-    assert r.end > 30.0
+    assert r.breaks[-1] > 30.0
 
 
 def test_sample_semi_markov_first_jump_in_range(sm_spec):

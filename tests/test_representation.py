@@ -11,25 +11,33 @@ from obsequiv.processes import (
     MarkovChainSpec,
     ProcessError,
     SemiMarkovSpec,
+    sample_chain,
+    sample_semi_markov,
 )
-from obsequiv.representation import (
-    SemiMarkovFlowRep,
-    ShiftRepresentation,
-    observe_at_zero,
-    shift_representation,
-)
+from obsequiv.representation import SemiMarkovFlowRep, ShiftRepresentation
 from obsequiv.systems import SystemError, spawn_rngs
 
 P2 = np.array([[0.5, 0.5], [0.75, 0.25]])
+GRID = (0.0, 0.3, 1.0, 2.7, 4.9)
 
 
 def test_shift_identity_on_realizations(fair_semi_markov):
-    """Observing the t-shifted realization at zero reads the path at t."""
+    """Observing the t-shifted realization at zero reads the path at t:
+    two generators from one seed draw the same realization, which the shift
+    representation reads on the grid and RealizationPath.value at each t."""
     rep = ShiftRepresentation(fair_semi_markov)
-    for rng in spawn_rngs(31, 50):
-        r = rep.sample_realization(5.0, rng)
-        for t in (0.0, 0.3, 1.0, 2.7, 4.9):
-            assert observe_at_zero(rep.shift(r, t)) == r.value(t)
+    for a, b in zip(spawn_rngs(31, 50), spawn_rngs(31, 50)):
+        r = sample_semi_markov(fair_semi_markov, GRID[-1], b)
+        assert rep.sample_path(GRID, a) == tuple(r.value(t) for t in GRID)
+
+
+def test_shift_identity_on_chain_paths():
+    """A chain's shift representation reads its path at floor(t)."""
+    spec = MarkovChainSpec(("a", "b"), P2)
+    rep = ShiftRepresentation(spec)
+    for a, b in zip(spawn_rngs(31, 50), spawn_rngs(31, 50)):
+        path = sample_chain(spec, math.floor(GRID[-1]) + 1, b)
+        assert rep.sample_path(GRID, a) == tuple(path[math.floor(t)] for t in GRID)
 
 
 def test_shift_representation_rejects_invalid_chain():
@@ -41,24 +49,10 @@ def test_shift_representation_rejects_invalid_chain():
 
 
 def test_shift_representation_discrete_chain_path():
-    rep = shift_representation(MarkovChainSpec(("a", "b"), P2))
+    rep = ShiftRepresentation(MarkovChainSpec(("a", "b"), P2))
     path = rep.sample_path((0.0, 1.0, 2.0), spawn_rngs(7, 1)[0])
     assert len(path) == 3
     assert all(s in ("a", "b") for s in path)
-
-
-@pytest.mark.parametrize("horizon", [math.nan, math.inf, -5.0])
-def test_shift_representation_rejects_a_bad_chain_horizon(horizon):
-    rep = shift_representation(MarkovChainSpec(("a", "b"), P2))
-    message = f"horizon must be nonnegative and finite, got {horizon}$"
-    with pytest.raises(ProcessError, match=message):
-        rep.sample_realization(horizon, np.random.default_rng(0))
-
-
-def test_shift_representation_chain_horizon_zero_has_length_two():
-    rep = shift_representation(MarkovChainSpec(("a", "b"), P2))
-    r = rep.sample_realization(0.0, np.random.default_rng(0))
-    assert r.breaks == (0.0, 1.0, 2.0) and len(r.symbols) == 2
 
 
 def test_flow_rep_refuses_more_roofs_than_the_step_cap(fair_semi_markov, within_a_second):

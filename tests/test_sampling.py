@@ -134,7 +134,7 @@ def test_system_chunk_rows_are_sequential_trajectories(case):
     grid = (0.0, 0.5, 1.3, 4.0)
     rows = src.sample_codes(grid, 30, 23)
     rng = np.random.default_rng(np.random.SeedSequence(23, spawn_key=(0,)))
-    expect = [trajectory_symbols(system, obs, grid, rng).symbols for _ in range(30)]
+    expect = [trajectory_symbols(system, obs, grid, rng) for _ in range(30)]
     assert [tuple(src.alphabet[c] for c in row) for row in rows] == expect
 
 

@@ -468,6 +468,21 @@ def test_bad_holding_time_exits_two_within_a_second(
     assert capsys.readouterr().out.startswith(f"configuration error: {message}")
 
 
+def test_size_bound_message_of_a_tiny_holding_time_is_short(tmp_path, capsys, within_a_second):
+    """A valid holding time of 1e-300 asks for about 1e300 sojourns per path.
+    The refusal prints its step counts in three significant digits, not as
+    300-digit numbers."""
+    processes = copy.deepcopy(SEMI_MARKOV)
+    processes["sm"]["holding"]["s1"] = {"coeff": "1e-300"}
+    doc = {"seed": 1, "processes": processes,
+           "tasks": [{"kind": "simulate", "process": "sm", "grid": [0.0, 1.0], "n": 10}]}
+    assert main([str(_write(tmp_path, "tiny.json", doc)), "--out", str(tmp_path / "o")]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("configuration error: tasks[0] (simulate): ")
+    assert f"more than the {MAX_PATH_STEPS} one sampling call may draw" in out
+    assert all(len(line) < 200 for line in out.splitlines())
+
+
 @pytest.mark.parametrize("exponent", ["1e10000000", "1e-10000000", "0e-99999999"])
 def test_fraction_field_refuses_a_far_exponent_before_expanding_it(within_a_second, exponent):
     processes = copy.deepcopy(SEMI_MARKOV)

@@ -1,11 +1,15 @@
 """Scenario fuzzing: one mutated field ends in exit 0, 1 or 2, never in a
-traceback, and every exit-2 message names its location."""
+traceback, and every exit-2 message names its location.  The fuzzed
+documents are the demo scenario, one of every kind, and the three benchmark
+workloads' scenarios, all at small sizes."""
 
 import copy
+import importlib.util
 import io
 import json
 import math
 import re
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -15,17 +19,31 @@ from hypothesis import strategies as st
 
 from obsequiv.scenario import run_scenario
 
-DEMO = Path(__file__).resolve().parents[1] / "demos" / "scenario_basic.json"
+ROOT = Path(__file__).resolve().parents[1]
+DEMO = ROOT / "demos" / "scenario_basic.json"
+BENCH = ROOT / "bench"
 
 
-def _small_demo():
-    doc = json.loads(DEMO.read_text())
+def _small(doc):
     for task in doc["tasks"]:
         if "n" in task:
             task["n"] = 100
         if task["kind"] == "entropy":
             task.update(length=400, L_max=2)
     return doc
+
+
+def _bench_workloads():
+    """bench/workloads.py, loaded by file path; it imports bench/reference.py
+    by module name."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCH))
+    return module
 
 
 # every task, system and observation kind, at small sizes
@@ -77,7 +95,12 @@ EVERY_KIND = {
     ],
 }
 
-DOCS = {"demo": _small_demo(), "every_kind": EVERY_KIND}
+EXACT = {"demo": _small(json.loads(DEMO.read_text())), "every_kind": EVERY_KIND}
+_workloads = _bench_workloads()
+BENCH_DOCS = {
+    f"bench_{w}": _small(_workloads.build(w, 2)[0]) for w in _workloads.WORKLOADS
+}
+DOCS = {**EXACT, **BENCH_DOCS}
 
 
 def _paths(node, prefix=()):
@@ -134,9 +157,17 @@ def _run(doc, out):
     return code, buf.getvalue()
 
 
-@pytest.mark.parametrize("name", sorted(DOCS))
+@pytest.mark.parametrize("name", sorted(EXACT))
 def test_unmutated_scenarios_run(tmp_path, name):
     assert _run(DOCS[name], tmp_path) == (0, "")
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_DOCS))
+def test_unmutated_benchmark_scenarios_run(tmp_path, name):
+    """Exit 1 is a Monte Carlo verdict that can flip at small n; exit 2 is a
+    configuration error, which an unmutated benchmark scenario never has."""
+    code, out = _run(DOCS[name], tmp_path)
+    assert code in (0, 1) and out == ""
 
 
 @st.composite

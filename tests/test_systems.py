@@ -17,10 +17,10 @@ from obsequiv.systems import (
     LOCKSTEP_ROWS,
     BilliardState,
     RoofFunction,
+    SuspensionFlow,
     SystemError,
     baker_system,
     billiard_system,
-    build_flow_under_function,
     observe_trajectories,
     rotation_system,
     spawn_rngs,
@@ -326,7 +326,7 @@ def test_trajectory_symbols_on_a_shared_generator_are_pinned():
     rng = np.random.default_rng(2024)
     grid = [0.5 * i for i in range(40)]
     cells = ["".join(str(2 * int(c[1]) + int(c[3])) for c in
-                     trajectory_symbols(table, obs, grid, rng).symbols) for _ in range(3)]
+                     trajectory_symbols(table, obs, grid, rng)) for _ in range(3)]
     assert cells == [
         "2220133322332233332233100013332220133333",
         "3320113220001333100220011320011333110011",
@@ -434,7 +434,7 @@ def test_forward_only_flows_reject_negative_time(table):
     state = BilliardState(0.2, 0.3, 0.4)
     with pytest.raises(SystemError):
         table.evolve(state, -0.3)
-    flow = build_flow_under_function(_TwoPointBase(), RoofFunction({"a": 1.0, "b": 2.0}))
+    flow = SuspensionFlow(_TwoPointBase(), RoofFunction({"a": 1.0, "b": 2.0}))
     with pytest.raises(SystemError):
         flow.evolve(("a", 0.5), -0.3)
     assert table.metric(table.coords(table.evolve(state, 0.0)), table.coords(state)) < 1e-12
@@ -446,7 +446,7 @@ def test_forward_only_flows_reject_a_non_finite_time(table, within_a_second, t):
     state = BilliardState(0.2, 0.3, 0.4)
     with pytest.raises(SystemError, match=f"billiard flow runs forward only, .* got t={t}$"):
         table.evolve(state, t)
-    flow = build_flow_under_function(_TwoPointBase(), RoofFunction({"a": 1.0, "b": 2.0}))
+    flow = SuspensionFlow(_TwoPointBase(), RoofFunction({"a": 1.0, "b": 2.0}))
     with pytest.raises(SystemError, match=f"suspension flow runs forward only, .* got t={t}$"):
         flow.evolve(("a", 0.5), t)
 
@@ -531,7 +531,7 @@ def test_roof_function_rejects_nonpositive():
 
 
 def test_suspension_flow_sojourn_lengths():
-    flow = build_flow_under_function(_TwoPointBase(), RoofFunction({"a": 1.0, "b": 2.0}))
+    flow = SuspensionFlow(_TwoPointBase(), RoofFunction({"a": 1.0, "b": 2.0}))
     state = ("a", 0.0)
     assert flow.observe(state) == "a"
     assert flow.observe(flow.evolve(state, 0.99)) == "a"
@@ -542,7 +542,7 @@ def test_suspension_flow_sojourn_lengths():
 
 def test_suspension_flow_time_marginal_is_roof_weighted():
     # stationary fraction of time in "b" is 2/3 for roof (1, 2)
-    flow = build_flow_under_function(_TwoPointBase(), RoofFunction({"a": 1.0, "b": 2.0}))
+    flow = SuspensionFlow(_TwoPointBase(), RoofFunction({"a": 1.0, "b": 2.0}))
     hits = 0
     n = 30_000
     for rng in spawn_rngs(9, n):
@@ -552,7 +552,7 @@ def test_suspension_flow_time_marginal_is_roof_weighted():
 
 
 def test_suspension_semigroup():
-    flow = build_flow_under_function(
+    flow = SuspensionFlow(
         _TwoPointBase(), RoofFunction({"a": 1.0, "b": math.sqrt(2)})
     )
     rng = np.random.default_rng(4)
@@ -566,7 +566,7 @@ def test_suspension_semigroup():
 def test_suspension_flow_refuses_more_roofs_than_the_step_cap(within_a_second):
     """One roof per loop step: t / shortest roof above MAX_PATH_STEPS is
     refused before the loop, and t = 1e6 on roofs 1 and 2 still steps."""
-    flow = build_flow_under_function(_TwoPointBase(), RoofFunction({"a": 1.0, "b": 2.0}))
+    flow = SuspensionFlow(_TwoPointBase(), RoofFunction({"a": 1.0, "b": 2.0}))
     message = f"more than {MAX_PATH_STEPS} roofs in one evolve call, got t=1000000000000000.0$"
     with pytest.raises(SystemError, match=message):
         flow.evolve(("a", 0.5), 1e15)
@@ -585,7 +585,7 @@ def test_trajectory_symbols_rotation_exact():
     path = trajectory_symbols(rot, obs, [0.0, 1.0, 2.0, 3.0], rng)
     x0 = np.random.default_rng(0).random()
     expect = tuple("L" if (x0 + 0.25 * t) % 1.0 < 0.5 else "R" for t in (0, 1, 2, 3))
-    assert path.symbols == expect
+    assert path == expect
 
 
 def test_trajectory_symbols_requires_sorted_grid():
@@ -605,5 +605,5 @@ def test_trajectory_symbols_on_billiard_grid_partition():
     table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
     obs = observation_from_partition(grid_partition(2, 2, space=table.space))
     path = trajectory_symbols(table, obs, [0.0, 0.5, 1.0], spawn_rngs(8, 1)[0])
-    assert len(path.symbols) == 3
-    assert all(s in obs.alphabet for s in path.symbols)
+    assert len(path) == 3
+    assert all(s in obs.alphabet for s in path)
