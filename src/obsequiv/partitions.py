@@ -137,18 +137,19 @@ class Partition:
                     )
                 if not all(map(math.isfinite, box.lo + box.hi)):
                     raise PartitionError(f"cell {label!r} has a box with non-finite bounds")
-        for cell in cells:
-            if self.cell_measure(cell) <= 0.0:
-                raise PartitionError("zero-measure cell")
-        total = sum(self.cell_measure(c) for c in cells)
+        measures = [self.cell_measure(c) for c in cells]
+        if min(measures) <= 0.0:
+            raise PartitionError("zero-measure cell")
+        total = sum(measures)
         if abs(total - self.space.domain.volume()) > 1e-9:
             raise PartitionError(
                 f"cells cover measure {total}, domain has {self.space.domain.volume()}"
             )
-        bounds = tuple(
-            np.array(sorted({x for cell in cells for b in cell for x in (b.lo[d], b.hi[d])}))
-            for d in range(self.space.dim)
-        )
+        owner = [i for i, cell in enumerate(cells) for _ in cell]
+        # per axis, every box's lo and hi in box order: lo0, hi0, lo1, hi1, ...
+        corners = np.array([(b.lo, b.hi) for cell in cells for b in cell])
+        ends = [corners[:, :, d].ravel() for d in range(self.space.dim)]
+        bounds = tuple(np.array(sorted(set(x.tolist()))) for x in ends)
         shape = tuple(len(e) - 1 for e in bounds)
         if math.prod(shape) > MAX_BINS:
             raise PartitionError(
@@ -159,33 +160,21 @@ class Partition:
         # A bin keeps only its first claimant, so a later cell claiming it joins
         # that claimant's group: every pair of cells sharing a bin is in a group.
         groups = {}
-        for i, cell in enumerate(cells):
-            for b in cell:
-                region = table[
-                    tuple(
-                        slice(*np.searchsorted(e, (lo, hi)))
-                        for e, lo, hi in zip(bounds, b.lo, b.hi)
-                    )
-                ]
-                claimed = region >= 0
-                for c in set(region[claimed].tolist()) - {i}:
-                    groups.setdefault(c, {c}).add(i)
-                region[~claimed] = i
+        cuts = [np.searchsorted(e, x).tolist() for e, x in zip(bounds, ends)]
+        for i, *span in zip(owner, *(zip(k[::2], k[1::2]) for k in cuts)):
+            region = table[tuple(slice(*s) for s in span)]
+            claimed = region >= 0
+            for c in set(region[claimed].tolist()) - {i}:
+                groups.setdefault(c, {c}).add(i)
+            region[~claimed] = i
         object.__setattr__(self, "_bounds", bounds)
         object.__setattr__(self, "_table", table)
         # pairwise disjointness up to measure zero, tested only where cells
         # share a bin and in (i, j) order, so the first overlap reported is
         # the first of all pairs
-        member_of = {}
-        for c, group in groups.items():
-            for i in group:
-                member_of.setdefault(i, []).append(c)
-        for i in sorted(member_of):
-            for j in sorted({j for c in member_of[i] for j in groups[c] if j > i}):
-                if _cells_overlap(cells[i], cells[j]):
-                    raise PartitionError(
-                        f"cells {self.labels[i]!r} and {self.labels[j]!r} overlap"
-                    )
+        for i, j in sorted({(i, j) for g in groups.values() for i in g for j in g if i < j}):
+            if _cells_overlap(cells[i], cells[j]):
+                raise PartitionError(f"cells {self.labels[i]!r} and {self.labels[j]!r} overlap")
 
     @staticmethod
     def cell_measure(cell):
@@ -280,16 +269,13 @@ class ObservationFunction:
         for i, s in enumerate(symbols):  # that tuple symbols stay whole
             table[i] = s
         object.__setattr__(self, "_symbols", table)
+        object.__setattr__(self, "alphabet", tuple(dict.fromkeys(symbols)))
         alphabet = {s: i for i, s in enumerate(self.alphabet)}
         object.__setattr__(self, "_codes", np.array([alphabet[s] for s in symbols]))
 
     @property
     def nontrivial(self):
         return len(self.alphabet) >= 2
-
-    @property
-    def alphabet(self):
-        return tuple(dict.fromkeys(self.symbols))
 
     def __call__(self, point):
         """Symbol of one point, or an object array (...) of the symbols of an

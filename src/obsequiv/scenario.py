@@ -177,7 +177,8 @@ def _build_system(f, where):
     if f["kind"] == "rotation":
         return rotation_system(f["alpha"])
     if f["kind"] == "billiard":
-        obstacles = [_read(o, f"{where}.obstacles", NESTED["obstacle"]) for o in f["obstacles"]]
+        obstacles = [_read(o, f"{where}.obstacles[{k}]", NESTED["obstacle"])
+                     for k, o in enumerate(f["obstacles"])]
         obstacles = [(tuple(o["center"]), o["radius"]) for o in obstacles]
         return billiard_system(f["width"], f["height"], obstacles, f["speed"])
     return baker_system()
@@ -190,7 +191,8 @@ def _build_observation(f, where):
     elif f["kind"] == "grid":
         part = grid_partition(f["nx"], f["ny"], space=space)
     else:
-        cells = tuple(tuple(_box(b, where) for b in cell) for cell in f["cells"])
+        cells = tuple(tuple(_box(b, f"{where}.cells[{i}][{j}]") for j, b in enumerate(cell))
+                      for i, cell in enumerate(f["cells"]))
         part = Partition(space, cells, tuple(f["labels"]))
     return observation_from_partition(part, f["symbols"])
 

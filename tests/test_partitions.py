@@ -1,10 +1,11 @@
 """Partitions, boxes, and observation functions."""
 
+import math
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from obsequiv.partitions import (
@@ -16,6 +17,7 @@ from obsequiv.partitions import (
     Partition,
     PartitionError,
     PhaseSpace,
+    _cells_overlap,
     grid_partition,
     interval_partition,
     observation_from_partition,
@@ -352,3 +354,143 @@ def test_fine_grid_builds_and_codes_fast():
     assert time.perf_counter() - t0 < 1.0
     x, y = np.asarray(points).T
     assert codes == (np.floor(x * 64) * 64 + np.floor(y * 64)).astype(int).tolist()
+
+
+# --- the one-pass constructor against the rule it replaced -------------------
+
+
+def _reference_build(space, cells, labels):
+    """The bin table as built before the one-pass constructor: every cell
+    measured twice, two searchsorted calls per axis per box, and the overlap
+    groups inverted into a member index.  Returns (bounds, table) or raises
+    the PartitionError that rule raised."""
+    cells = tuple(tuple(c) for c in cells)
+    labels = tuple(labels)
+    if len(cells) < 1:
+        raise PartitionError("partition needs at least one cell")
+    if len(labels) != len(cells):
+        raise PartitionError("label count does not match cell count")
+    if len(set(labels)) != len(labels):
+        raise PartitionError("labels must be distinct")
+    for label, cell in zip(labels, cells):
+        for box in cell:
+            if box.dim != space.dim:
+                raise PartitionError(
+                    f"cell {label!r} has a {box.dim}-d box in the "
+                    f"{space.dim}-d phase space {space.name!r}"
+                )
+            if not all(map(math.isfinite, box.lo + box.hi)):
+                raise PartitionError(f"cell {label!r} has a box with non-finite bounds")
+    for cell in cells:
+        if Partition.cell_measure(cell) <= 0.0:
+            raise PartitionError("zero-measure cell")
+    total = sum(Partition.cell_measure(c) for c in cells)
+    if abs(total - space.domain.volume()) > 1e-9:
+        raise PartitionError(f"cells cover measure {total}, domain has {space.domain.volume()}")
+    bounds = tuple(
+        np.array(sorted({x for cell in cells for b in cell for x in (b.lo[d], b.hi[d])}))
+        for d in range(space.dim)
+    )
+    shape = tuple(len(e) - 1 for e in bounds)
+    if math.prod(shape) > MAX_BINS:
+        raise PartitionError(
+            f"box bounds cut the space into {math.prod(shape)} bins, "
+            f"more than the {MAX_BINS} a partition may hold"
+        )
+    table = np.full(shape, -1, dtype=np.int16 if len(cells) < 2**15 else np.int32)
+    groups = {}
+    for i, cell in enumerate(cells):
+        for b in cell:
+            region = table[
+                tuple(slice(*np.searchsorted(e, (lo, hi))) for e, lo, hi in zip(bounds, b.lo, b.hi))
+            ]
+            claimed = region >= 0
+            for c in set(region[claimed].tolist()) - {i}:
+                groups.setdefault(c, {c}).add(i)
+            region[~claimed] = i
+    member_of = {}
+    for c, group in groups.items():
+        for i in group:
+            member_of.setdefault(i, []).append(c)
+    for i in sorted(member_of):
+        for j in sorted({j for c in member_of[i] for j in groups[c] if j > i}):
+            if _cells_overlap(cells[i], cells[j]):
+                raise PartitionError(f"cells {labels[i]!r} and {labels[j]!r} overlap")
+    return bounds, table
+
+
+@st.composite
+def _cube_cells(draw):
+    """Recursive splits of the unit cube in 1-3 dimensions, the leaves
+    shuffled and dealt into cells of 1-3 boxes, with at most one fault: a box
+    shifted by 1e-13, 1e-3 or 0.1 along some axes (the total measure kept,
+    neighbours overlapped), a stretched box, a removed box or a non-finite
+    bound."""
+    dim = draw(st.integers(1, 3))
+
+    def split(lo, hi, depth):
+        if depth == 0 or draw(st.integers(0, 3)) == 0:
+            return [[lo, hi]]
+        axis = draw(st.integers(0, dim - 1))
+        cut = lo[axis] + draw(st.sampled_from([0.25, 0.5, 0.75, 1 / 3])) * (hi[axis] - lo[axis])
+        return (split(lo, hi[:axis] + [cut] + hi[axis + 1:], depth - 1)
+                + split(lo[:axis] + [cut] + lo[axis + 1:], hi, depth - 1))
+
+    leaves = split([0.0] * dim, [1.0] * dim, 4)
+    leaves = [leaves[k] for k in draw(st.permutations(range(len(leaves))))]
+    cells = []
+    while leaves:
+        size = draw(st.integers(1, 3))
+        cells.append(leaves[:size])
+        leaves = leaves[size:]
+    c = draw(st.integers(0, len(cells) - 1))
+    b = draw(st.integers(0, len(cells[c]) - 1))
+    axis = draw(st.integers(0, dim - 1))
+    lo, hi = cells[c][b]
+    fault = draw(st.sampled_from(["none", "shift", "stretch", "remove", "non-finite"]))
+    if fault == "shift":
+        step = draw(st.sampled_from([1e-13, 1e-3, 0.1]))
+        for d in range(dim):
+            dx = step * draw(st.sampled_from([-1, 0, 1]))
+            lo[d] += dx
+            hi[d] += dx
+    elif fault == "stretch":
+        hi[axis] += draw(st.sampled_from([1e-3, 0.1]))
+    elif fault == "remove":
+        del cells[c][b]
+    elif fault == "non-finite":
+        (lo if draw(st.booleans()) else hi)[axis] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    space = PhaseSpace(f"cube{dim}", Box((0.0,) * dim, (1.0,) * dim))
+    boxes = tuple(tuple(Box(tuple(lo), tuple(hi)) for lo, hi in cell) for cell in cells)
+    return space, boxes, tuple(f"k{i}" for i in range(len(cells)))
+
+
+# k3's first box, shifted by -0.1, overlaps k1 and k2; the pair set
+# {(1, 3), (2, 3)} iterates (2, 3) first, so only sorted pairs report k1
+SHIFTED_ACROSS_TWO = (
+    PhaseSpace("cube1", Box((0.0,), (1.0,))),
+    ((Box((0.0,), (0.25,)),), (Box((0.25,), (0.3125,)),), (Box((0.3125,), (0.375,)),),
+     (Box((0.275,), (0.4,)), Box((0.5,), (1.0,)))),
+    ("k0", "k1", "k2", "k3"),
+)
+
+
+@given(_cube_cells())
+@example(SHIFTED_ACROSS_TWO)
+@settings(max_examples=300, deadline=None)
+def test_one_pass_constructor_is_the_reference_rule(case):
+    """Same bin table values and dtype, same bounds to the byte, or the same
+    exception type and message."""
+    space, cells, labels = case
+    try:
+        bounds, table = _reference_build(space, cells, labels)
+    except PartitionError as exc:
+        with pytest.raises(PartitionError) as err:
+            Partition(space, cells, labels)
+        assert type(err.value) is type(exc)
+        assert str(err.value) == str(exc)
+        return
+    p = Partition(space, cells, labels)
+    assert p._table.dtype == table.dtype
+    assert p._table.tolist() == table.tolist()
+    assert [(e.dtype, e.tobytes()) for e in p._bounds] == [(e.dtype, e.tobytes()) for e in bounds]

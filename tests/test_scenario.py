@@ -238,7 +238,7 @@ def test_bad_observation_exit_two(tmp_path, capsys, observation, message):
          "systems.d: field 'alpha' must be a number, got 'fast'"),
         ("systems", {"kind": "billiard", "width": 1.0, "height": 1.0, "speed": 1.0,
                      "obstacles": [{"center": [0.5, 0.5], "radius": [0.1]}]},
-         "systems.d.obstacles: field 'radius' must be a number, got [0.1]"),
+         "systems.d.obstacles[0]: field 'radius' must be a number, got [0.1]"),
         ("processes", {"kind": "markov", "states": ["a", "b"], "matrix": [[0.5, 0.6], [1, 0]]},
          "processes.d: rows must sum to 1"),
         ("processes", {"kind": "markov", "states": ["a", "b"], "matrix": [[1, 0], [0, 1]],
@@ -363,8 +363,8 @@ def _misspelled(path, key):
         (("observations", "halves"), "label", "observations.halves"),
         (("processes", "sm"), "state", "processes.sm"),
         (("processes", "sm", "holding", "s2"), "radicant", "processes.sm.holding.s2"),
-        (("systems", "table", "obstacles", 0), "centre", "systems.table.obstacles"),
-        (("observations", "sides", "cells", 1, 0), "low", "observations.sides"),
+        (("systems", "table", "obstacles", 0), "centre", "systems.table.obstacles[0]"),
+        (("observations", "sides", "cells", 1, 0), "low", "observations.sides.cells[1][0]"),
         (("tasks", 2, "sets", 0), "mesure", "tasks[2] (check:measure_preservation).sets[0]"),
         (("tasks", 2, "sets", 0, "box"), "high", "tasks[2] (check:measure_preservation).sets[0]"),
         (("tasks", 1, "b"), "representaton", "tasks[1] (check:observational_equivalence).b"),

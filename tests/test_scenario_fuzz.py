@@ -1,9 +1,11 @@
 """Scenario fuzzing: one mutated field ends in exit 0, 1 or 2, never in a
 traceback, and every exit-2 message names its location.  The fuzzed
 documents are the demo scenario, one of every kind, and the three benchmark
-workloads' scenarios, all at small sizes."""
+workloads' scenarios, all at small sizes.  Unfuzzed, at full size, the demo
+and the workloads at seed 2 write pinned report bytes."""
 
 import copy
+import hashlib
 import importlib.util
 import io
 import json
@@ -185,3 +187,76 @@ def test_one_mutated_field_exits_cleanly(tmp_path_factory, doc):
     assert code in (0, 1, 2)
     if code == 2:
         assert LOCATION.match(out), out
+
+
+# sha256 of every report (--format both), and the exit code, of the demo
+# scenario and of each workload's scenario at seed 2; a change that alters
+# these bytes on purpose updates them and says why
+PINNED_REPORTS = {
+    "ensemble": (1, {
+        "0-simulate.csv":
+            "e205141fe10a0836bb9bba3ce0e4fbbf00583d5cd71587251b4a3504cded6663",
+        "0-simulate.json":
+            "7a39f1fa0fdcb0721107d20dfbd3fb3ad24851f8a2d018159a1ed76600d48fe4",
+        "1-check_observational_equivalence.json":
+            "5b69d26aaea70445185654b981792b5913b6df9a6b5c2e8b9b261ef80f94409e",
+        "2-check_observational_equivalence.json":
+            "1208d844361af0bedfcea6af0d95ceb650a09794024269af3524f14faa797c94",
+        "3-check_observational_equivalence.json":
+            "a81c75601a14ed821b20d470f24d3a7baa5a5b350ca013825e0aa4eed7998c62",
+        "4-check_stationarity.json":
+            "4bf22c755be71ceea6a7fc4114a1b774f505f8889dbc788aacc29f62205fecfd",
+    }),
+    "long-path": (0, {
+        "0-entropy.csv":
+            "2f35f110a6fcbe321314cba65cba1ae42c2f85cc4c733b4b55f2d8b3f4cefa51",
+        "0-entropy.json":
+            "a5edd3429f4d5b1477582ee476aca3e1bb82a00c16fe2783115367ffd7ddfb77",
+        "1-entropy.csv":
+            "21c685b21bc8f83ebb39a6b47477f0430f2e42728b518d94f95b1a93fb00ce8e",
+        "1-entropy.json":
+            "b592e565eb3b828d2a33b9157eb8b61f3ce9ca70ddc687e815c80090f522f698",
+    }),
+    "phase-space": (1, {
+        "0-check_invariant_union.json":
+            "cc8502681fbe2b532961e70bcfbee58c97899380548c3ba5f9158738a2cdcba4",
+        "1-check_invariant_union.json":
+            "ab99cc4c21044f1fa7c3633ab9e87193f03cb1db899755ae171d65e0c8ac9301",
+        "2-check_nontriviality.json":
+            "b89012760f57d9ba97e0a744e531427b5b63e263bc4b3e90ee26329870c6f066",
+        "3-check_measure_preservation.json":
+            "b61275f2f91626ed510a9fa021d1abeb0f7dfa19e86902f11c1ee43db3e6fa00",
+        "4-check_epsilon_congruence.json":
+            "9c15aebbc6196a3cfb882b2c9ac600e206ffd590cf2dc61e875fd1a2189c7a8f",
+        "5-check_epsilon_congruence.json":
+            "324b824f9a44d20eb669b9ebfecb0eb0ef2a9b469ae3168eaa4075f0069d6ece",
+    }),
+    "scenario_basic": (0, {
+        "0-simulate.csv":
+            "40c7950eed6ecc07ab7aab249337931b5bd50ad46cb457dc5c823e65eddbb0bc",
+        "0-simulate.json":
+            "4787ba237c081f292461170fe56ebbf7e1f2ec460c2969cf6a9b458d0d71a77f",
+        "1-check_observational_equivalence.json":
+            "d1c73a5c50ece9a905c33c2eba29830621d50acefee514db801a29a2a01a6810",
+        "2-check_nontriviality.json":
+            "6ce066537f830d304fd718b901983503b463bbdec093297f57d0cfb01a13a6dc",
+        "3-entropy.csv":
+            "00cf43d4af97ca6b69e0dd302148edf3bb6eb2c86ed7f6bb94860a3b210175fb",
+        "3-entropy.json":
+            "563385e6fc607f06584e9714d441b90bae1a75930f6e83a977b47b7f6349cd4a",
+    }),
+}
+
+
+@pytest.mark.parametrize("stem", sorted(PINNED_REPORTS))
+def test_full_size_reports_are_pinned(tmp_path, stem):
+    if stem == "scenario_basic":
+        scenario = DEMO
+    else:
+        scenario = tmp_path / f"{stem}.json"
+        scenario.write_text(json.dumps(_workloads.build(stem, 2)[0]))
+    with redirect_stdout(io.StringIO()):
+        code = run_scenario(scenario, out_dir=tmp_path / "reports", fmt="both")
+    reports = sorted((tmp_path / "reports" / stem).iterdir())
+    digests = {r.name: hashlib.sha256(r.read_bytes()).hexdigest() for r in reports}
+    assert (code, digests) == PINNED_REPORTS[stem]
