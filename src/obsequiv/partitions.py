@@ -122,6 +122,8 @@ class Partition:
         cells = tuple(tuple(c) for c in self.cells)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "labels", tuple(self.labels))
+        if self.space.dim < 1:
+            raise PartitionError(f"the phase space {self.space.name!r} has no coordinates")
         if len(cells) < 1:
             raise PartitionError("partition needs at least one cell")
         if len(self.labels) != len(cells):

@@ -190,48 +190,45 @@ class BilliardFlow:
 
     def _flights(self, starts, grid):
         """Coordinates (m, len(grid), 3) of the _flight of every start, flown
-        in lockstep: each pass over the rows still flying finds their next
-        hits by _hits and reflects them as _advance does (numpy's + - * / sqrt
-        and comparisons round as math's; the angles stay math calls), and a
-        row with no hit before its time left flies straight and drops out.
+        in lockstep: each row keeps the time te of its last event and nt to its
+        next, found by _hits; each pass over the rows whose next hit comes
+        before the grid time moves them there and reflects them as _event does
+        (numpy's + - * / sqrt and comparisons round as math's; the angles stay
+        math calls), and the grid time reads every row from its last event.
         MAX_EVENTS bounds the passes of an increment: its most events in a row."""
         speed, disks = self.speed, np.array(self.obstacles).reshape(-1, 3)
         x, y, theta = np.array(starts, dtype=float).T
-        theta, m = theta.tolist(), len(x)
+        m = len(x)
+        vx = speed * np.fromiter(map(math.cos, theta.tolist()), float, m)
+        vy = speed * np.fromiter(map(math.sin, theta.tolist()), float, m)
+        te, (nt, kind) = np.zeros(m), self._hits(x, y, vx, vy)
         out = np.empty((m, len(grid), 3))
-        t_now = 0.0
         for j, t in enumerate(grid):
-            vx = speed * np.fromiter(map(math.cos, theta), float, m)
-            vy = speed * np.fromiter(map(math.sin, theta), float, m)
-            act = np.arange(m if t - t_now > 0.0 else 0)
-            ax, ay, avx, avy, rem = x[act], y[act], vx[act], vy[act], np.full(act.size, t - t_now)
-            t_now, events = t, 0
+            act, events = np.flatnonzero(nt < t - te), 0
             while act.size:
-                best, kind = self._hits(ax, ay, avx, avy)
-                stop = best >= rem
-                done = act[stop]
-                x[done] = ax[stop] + avx[stop] * rem[stop]
-                y[done] = ay[stop] + avy[stop] * rem[stop]
-                vx[done], vy[done] = avx[stop], avy[stop]
-                act, ax, ay, avx, avy, rem, best, kind = (
-                    a[~stop] for a in (act, ax, ay, avx, avy, rem, best, kind))
-                events += bool(act.size)
+                events += 1
                 if events > MAX_EVENTS:
                     raise SystemError("event cap exceeded in one evolve call")
-                ax, ay, rem = ax + avx * best, ay + avy * best, rem - best
-                avx[kind == 1] *= -1.0
-                avy[kind == 2] *= -1.0
-                c = kind >= 3
-                hx, hy, hr = disks[kind[c] - 3].T
+                best, k, avx, avy = nt[act], kind[act], vx[act], vy[act]
+                ax, ay, te[act] = x[act] + avx * best, y[act] + avy * best, te[act] + best
+                avx[k == 1] *= -1.0
+                avy[k == 2] *= -1.0
+                c = k >= 3
+                hx, hy, hr = disks[k[c] - 3].T
                 nx, ny = (ax[c] - hx) / hr, (ay[c] - hy) / hr
                 dot = avx[c] * nx + avy[c] * ny
                 avx[c], avy[c] = avx[c] - 2 * dot * nx, avy[c] - 2 * dot * ny
-            theta = [math.atan2(b, a) % (2 * math.pi) for a, b in zip(vx.tolist(), vy.tolist())]
-            out[:, j, 0], out[:, j, 1], out[:, j, 2] = x, y, theta
+                x[act], y[act], vx[act], vy[act] = ax, ay, avx, avy
+                nt[act], kind[act] = self._hits(ax, ay, avx, avy)
+                act = act[nt[act] < t - te[act]]
+            d = t - te
+            out[:, j, 0], out[:, j, 1] = x + vx * d, y + vy * d
+            out[:, j, 2] = [math.atan2(b, a) % (2 * math.pi)
+                            for a, b in zip(vx.tolist(), vy.tolist())]
         return out
 
     def _hits(self, x, y, vx, vy):
-        """The search of _advance over arrays of rows, its expressions in its
+        """The search of _event over arrays of rows, its expressions in its
         order less the receding skip: each row's next hit time and its kind,
         1 and 2 the x and y walls, 3 + i circle i, 0 none (an infinite time)."""
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -252,21 +249,26 @@ class BilliardFlow:
 
     def _flight(self, start, grid):
         """[x, y, theta, x, y, theta, ...], one flat triple per time of the
-        ascending nonnegative grid, of the path from start (x, y, theta): each
-        grid increment is one _advance call, which starts from the direction
-        theta and ends by recomputing it.  The row holds bare floats, so a
-        long flight allocates no container the garbage collector must scan."""
+        ascending nonnegative grid, of the path from start (x, y, theta): the
+        velocity, set from theta once, is carried from hit to hit, each found
+        once by _event, and time t is read from the last hit strictly before
+        it (a hit at t reads at the wall), so the point at t is evolve(start,
+        t) on any grid.  The row holds bare floats, so a long flight allocates
+        no container the garbage collector must scan."""
         x, y, theta = start
         W, H, circles, speed = self.width, self.height, self.obstacles, self.speed
-        t_now, row = 0.0, []
+        vx, vy = speed * math.cos(theta), speed * math.sin(theta)
+        nt, x2, y2, vx2, vy2 = _event(W, H, circles, x, y, vx, vy)
+        te, row = 0.0, []
         for t in grid:
-            vx, vy = speed * math.cos(theta), speed * math.sin(theta)
-            x, y, vx, vy, hits = _advance(W, H, circles, x, y, vx, vy, t - t_now, MAX_EVENTS + 1)
-            if hits > MAX_EVENTS:
-                raise SystemError("event cap exceeded in one evolve call")
-            t_now = t
-            theta = math.atan2(vy, vx) % (2 * math.pi)
-            row += (x, y, theta)
+            hits = 0
+            while nt < t - te:
+                te, x, y, vx, vy, hits = te + nt, x2, y2, vx2, vy2, hits + 1
+                if hits > MAX_EVENTS:
+                    raise SystemError("event cap exceeded in one evolve call")
+                nt, x2, y2, vx2, vy2 = _event(W, H, circles, x, y, vx, vy)
+            d = t - te
+            row += (x + vx * d, y + vy * d, math.atan2(vy, vx) % (2 * math.pi))
         return row
 
     def speed_drift(self, state, n_events):
@@ -279,9 +281,8 @@ class BilliardFlow:
         vx, vy = speed * math.cos(state.theta), speed * math.sin(state.theta)
         drift = 0.0
         for _ in range(int(n_events)):
-            x, y, vx, vy, hits = _advance(
-                self.width, self.height, self.obstacles, x, y, vx, vy, math.inf, 1)
-            if not hits:
+            nt, x, y, vx, vy = _event(self.width, self.height, self.obstacles, x, y, vx, vy)
+            if nt == math.inf:
                 raise SystemError("no further events from this state")
             drift = max(drift, abs(math.hypot(vx, vy) - speed))
         return drift
@@ -298,44 +299,40 @@ class BilliardFlow:
         return np.hypot(a[..., 0] - b[..., 0], a[..., 1] - b[..., 1]) + self._diag * dth
 
 
-def _advance(W, H, circles, x, y, vx, vy, remaining, cap):
-    """Fly from (x, y) at velocity (vx, vy) on a W x H table with circles
-    (cx, cy, r), reflecting the velocity at each wall or circle hit, until
-    remaining is flown or cap hits have happened: (x, y, vx, vy, hits)."""
-    hits = 0
-    while remaining > 0.0 and hits < cap:
-        best_t, kind = math.inf, 0  # kind: 1 and 2 the x and y walls, 3 a circle
-        if vx:
-            best_t, kind = ((W - x) if vx > 0 else -x) / vx, 1
-        if vy:
-            t = ((H - y) if vy > 0 else -y) / vy
-            if t < best_t:
-                best_t, kind = t, 2
-        v2 = vx * vx + vy * vy
-        for cx, cy, r in circles:
-            dx, dy = x - cx, y - cy
-            b = dx * vx + dy * vy
-            if b >= 0:  # receding: its hit time (-b - sqrt(disc)) / v2 is not positive
-                continue
-            disc = b * b - v2 * (dx * dx + dy * dy - r * r)  # v2 (r^2 - squared miss distance)
-            if disc < GRAZE_GUARD * v2 * r * r:
-                continue
-            t = (-b - math.sqrt(disc)) / v2
-            if GRAZE_GUARD < t < best_t:
-                best_t, kind, hx, hy, hr = t, 3, cx, cy, r
-        if best_t >= remaining:
-            return x + vx * remaining, y + vy * remaining, vx, vy, hits
-        x, y = x + vx * best_t, y + vy * best_t
-        if kind == 1:
-            vx = -vx
-        elif kind == 2:
-            vy = -vy
-        else:
-            nx, ny = (x - hx) / hr, (y - hy) / hr
-            dot = vx * nx + vy * ny
-            vx, vy = vx - 2 * dot * nx, vy - 2 * dot * ny
-        remaining, hits = remaining - best_t, hits + 1
-    return x, y, vx, vy, hits
+def _event(W, H, circles, x, y, vx, vy):
+    """The next wall or circle hit of the point (x, y) flying at velocity
+    (vx, vy) on a W x H table with circles (cx, cy, r): (time to it, and x, y,
+    vx, vy just after it, the velocity reflected), or (inf, x, y, vx, vy) when
+    nothing lies ahead."""
+    best_t, kind = math.inf, 0  # kind: 1 and 2 the x and y walls, 3 a circle
+    if vx:
+        best_t, kind = ((W - x) if vx > 0 else -x) / vx, 1
+    if vy:
+        t = ((H - y) if vy > 0 else -y) / vy
+        if t < best_t:
+            best_t, kind = t, 2
+    v2 = vx * vx + vy * vy
+    for cx, cy, r in circles:
+        dx, dy = x - cx, y - cy
+        b = dx * vx + dy * vy
+        if b >= 0:  # receding: its hit time (-b - sqrt(disc)) / v2 is not positive
+            continue
+        disc = b * b - v2 * (dx * dx + dy * dy - r * r)  # v2 (r^2 - squared miss distance)
+        if disc < GRAZE_GUARD * v2 * r * r:
+            continue
+        t = (-b - math.sqrt(disc)) / v2
+        if GRAZE_GUARD < t < best_t:
+            best_t, kind, hx, hy, hr = t, 3, cx, cy, r
+    if not kind:
+        return best_t, x, y, vx, vy
+    x, y = x + vx * best_t, y + vy * best_t
+    if kind == 1:
+        return best_t, x, y, -vx, vy
+    if kind == 2:
+        return best_t, x, y, vx, -vy
+    nx, ny = (x - hx) / hr, (y - hy) / hr
+    dot = vx * nx + vy * ny
+    return best_t, x, y, vx - 2 * dot * nx, vy - 2 * dot * ny
 
 
 def billiard_system(width, height, obstacles, speed) -> BilliardFlow:

@@ -80,6 +80,12 @@ def test_partition_rejects_non_finite_bounds():
         Partition(UNIT_INTERVAL, cells, ("l", "r"))
 
 
+def test_partition_rejects_a_space_without_coordinates():
+    # an empty box has volume 1 and would pass the coverage check
+    with pytest.raises(PartitionError, match="phase space 'p' has no coordinates"):
+        Partition(PhaseSpace("p", Box((), ())), [[Box((), ())]], ["a"])
+
+
 def test_cell_index_rejects_point_of_other_dimension():
     p = interval_partition([0.0, 0.5, 1.0], ["a", "b"])
     with pytest.raises(PartitionError):

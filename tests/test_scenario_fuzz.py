@@ -213,9 +213,9 @@ PINNED_REPORTS = {
         "0-entropy.json":
             "a5edd3429f4d5b1477582ee476aca3e1bb82a00c16fe2783115367ffd7ddfb77",
         "1-entropy.csv":
-            "21c685b21bc8f83ebb39a6b47477f0430f2e42728b518d94f95b1a93fb00ce8e",
+            "e567c56150d1f02174c0ed4f563ce178d106e5a9e71069d7273f519346ef9237",
         "1-entropy.json":
-            "b592e565eb3b828d2a33b9157eb8b61f3ce9ca70ddc687e815c80090f522f698",
+            "331fa28f4a043e44582c080aa331caa9bb12c2e2b842d546bed01eb354d5663a",
     }),
     "phase-space": (1, {
         "0-check_invariant_union.json":

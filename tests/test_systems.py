@@ -161,16 +161,16 @@ def test_billiard_points_never_inside_the_obstacle(scale, seed):
     st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
-def test_billiard_kernel_rows_are_chained_evolve_calls(seed, times, from_zero):
-    """Bit for bit: each grid increment of a kernel row is one evolve call,
-    and the kernel leaves its generator where sequential starts leave it."""
+def test_billiard_kernel_rows_are_evolve_from_the_start(seed, times, from_zero):
+    """Bit for bit: the point of a kernel row at each grid time t is one
+    evolve call from the start over t, and the kernel leaves its generator
+    where sequential starts leave it."""
     table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
     grid = sorted(times + [0.0] if from_zero else times)
     kernel_rng = np.random.default_rng(seed)
     rows = table.trajectories(grid, 5, kernel_rng)
     rng = np.random.default_rng(seed)
-    assert rows.tolist() == [_chained_evolve(table, _scalar_start(table, rng), grid)
-                             for _ in range(5)]
+    assert rows.tolist() == [_evolved(table, _scalar_start(table, rng), grid) for _ in range(5)]
     assert kernel_rng.random() == rng.random()
 
 
@@ -183,13 +183,8 @@ def _scalar_start(table, rng):
             return BilliardState(x, y, rng.random() * 2 * math.pi)
 
 
-def _chained_evolve(table, state, grid):
-    t_now, row = 0.0, []
-    for t in grid:
-        state = table.evolve(state, t - t_now)
-        t_now = t
-        row.append(list(table.coords(state)))
-    return row
+def _evolved(table, state, grid):
+    return [list(table.coords(table.evolve(state, t))) for t in grid]
 
 
 class _RecordingRng:
@@ -213,7 +208,7 @@ def test_billiard_block_starts_never_over_draw(radius, m):
     grid = (0.0, 0.7)
     kernel_rng, rng = _RecordingRng(m), _RecordingRng(m)
     rows = table.trajectories(grid, m, kernel_rng)
-    expect = [_chained_evolve(table, _scalar_start(table, rng), grid) for _ in range(m)]
+    expect = [_evolved(table, _scalar_start(table, rng), grid) for _ in range(m)]
     assert rows.tolist() == expect
     assert sum(kernel_rng.sizes) == sum(rng.sizes)
     assert max(kernel_rng.sizes) <= DRAW_BLOCK
@@ -278,6 +273,30 @@ def test_billiard_lockstep_corner_hits_equal_per_row_flights(scale):
     assert rows.tolist() == [table._flight(start, grid) for start in starts]
 
 
+@given(
+    st.sampled_from(sorted(_LOCKSTEP_TABLES)),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([5, LOCKSTEP_ROWS]),
+    st.lists(st.floats(0.0, 30.0), min_size=1, max_size=3),
+    st.lists(st.floats(0.0, 30.0), max_size=6),
+    st.lists(st.floats(0.0, 30.0), max_size=6),
+)
+@settings(max_examples=30, deadline=None)
+def test_billiard_rows_do_not_depend_on_the_grid(name, seed, m, shared, only_a, only_b):
+    """Two ascending grids that share some times give the same floats there,
+    whichever kernel flies the chunk, and each is evolve(start, t): a point is
+    read from the path's last event, not from the previous grid time."""
+    table = billiard_system(*_LOCKSTEP_TABLES[name])
+    grid_a, grid_b = sorted(shared + only_a), sorted(shared + only_b)
+    rows_a = table.trajectories(grid_a, m, np.random.default_rng(seed))
+    rows_b = table.trajectories(grid_b, m, np.random.default_rng(seed))
+    starts = [BilliardState(*start) for start in table._starts(m, np.random.default_rng(seed))]
+    for t in shared:
+        at_a, at_b = rows_a[:, grid_a.index(t)], rows_b[:, grid_b.index(t)]
+        assert at_a.tolist() == at_b.tolist()
+        assert at_a.tolist() == [list(table.coords(table.evolve(s, t))) for s in starts]
+
+
 def test_billiard_event_cap_is_the_same_in_lockstep(monkeypatch):
     """The lockstep kernel counts its passes per increment, the largest event
     count of any row: it raises at the caps where the per-row kernel does."""
@@ -299,18 +318,18 @@ def test_billiard_event_cap_is_the_same_in_lockstep(monkeypatch):
 
 
 @pytest.mark.parametrize("seed, grid, digest, next_draw", [
-    (0, (0.0, 1.0), "8a4d89ad2389f9ee5f62375f61ebdbf1290af52e31e5640d52e8a5ff9fe4341e",
+    (0, (0.0, 1.0), "c44378b04bfc93daeba1e60b31992284c4d65cd668025ef3fb6d950bdab6aace",
      0.7967433350611515),
-    (1, (0.0, 0.3), "8f85a3ded2aea98853668bf39e5bbcbdc5c2737a65d89881b55f4f9f3a199f0d",
+    (1, (0.0, 0.3), "3653851afdc5713d21b04c66db2b0c486e9e28337be5065dc1d81032261f12cc",
      0.10674394861041692),
-    (2, (0.0, 2.0), "2fdd5d70c5011769988a1247603356f7fa9dbab64b66f5cd3a54325b1e3b16c9",
+    (2, (0.0, 2.0), "5a6a304b8d655be22724fc4de55ed105adf0cb52d111f5f62817152dac1f0425",
      0.14365893313212097),
-    (3, (0.5, 1.0, 2.0), "6ef196e784ddb74c7c19a036cf2c8a24d24beb15d18e9701e507e07b20402827",
+    (3, (0.5, 1.0, 2.0), "058bb6531c111453e7aeae6248411f1323f071227527d0985d33a49a6f2a0c40",
      0.36393409124620246),
 ])
 def test_billiard_phase_space_chunks_are_pinned(seed, grid, digest, next_draw):
-    """A 2,000-path chunk on each phase-space grid, as the per-row kernel
-    flew it before the lockstep kernel existed."""
+    """A 2,000-path chunk on each phase-space grid, each point read from
+    its path's last event."""
     table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
     rng = np.random.default_rng(seed)
     rows = table.trajectories(list(grid), 2000, rng)
@@ -346,13 +365,13 @@ def test_billiard_floats_are_pinned():
     starts = [BilliardState(0.1, 0.2, 0.3), BilliardState(0.9, 0.75, 2.0),
               BilliardState(0.25, 0.8, 4.5)]
     assert [table.evolve(s, 7.3) for s in starts] == [
-        BilliardState(0.7114237562039339, 0.5166741813070621, 2.8747546367031),
-        BilliardState(0.9378611580003176, 0.8594174587278735, 2.1290008157646043),
-        BilliardState(0.6586077623781705, 0.20706832013195828, 2.470840310553112),
+        BilliardState(0.7114237562039347, 0.5166741813070619, 2.8747546367031),
+        BilliardState(0.9378611580003174, 0.8594174587278736, 2.1290008157646043),
+        BilliardState(0.6586077623781712, 0.20706832013195775, 2.470840310553112),
     ]
     empty = billiard_system(1.0, 1.0, [], 1.0)
     assert empty.evolve(BilliardState(0.5, 0.5, math.pi / 4), 1.0) == BilliardState(
-        0.7928932188134524, 0.7928932188134525, 3.9269908169872414
+        0.7928932188134523, 0.7928932188134525, 3.9269908169872414
     )
     assert empty.evolve(BilliardState(0.5, 0.5, 5 * math.pi / 4), 1.0) == BilliardState(
         0.2071067811865477, 0.20710678118654746, 0.7853981633974482
@@ -389,8 +408,11 @@ def test_size_bound_counts_the_events_a_path_flies():
     table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
     flown = 0
     for x, y, theta in table._starts(8, np.random.default_rng(1)):
-        flown += systems._advance(1.0, 1.0, table.obstacles, x, y, math.cos(theta),
-                                  math.sin(theta), 2000.0, systems.MAX_EVENTS + 1)[4]
+        vx, vy, te = math.cos(theta), math.sin(theta), 0.0
+        nt, x, y, vx, vy = systems._event(1.0, 1.0, table.obstacles, x, y, vx, vy)
+        while nt < 2000.0 - te:
+            te, flown = te + nt, flown + 1
+            nt, x, y, vx, vy = systems._event(1.0, 1.0, table.obstacles, x, y, vx, vy)
     term = systems._path_steps(table, [0.0, 2000.0]) - 2
     assert term == pytest.approx(2000 * (4 + 0.4 * math.pi) / (math.pi * (1 - 0.04 * math.pi)))
     assert flown / 8 == pytest.approx(term, rel=0.02)
