@@ -13,7 +13,6 @@ from .partitions import (
 )
 from .fdd import (
     EmpiricalFDD,
-    ProbEstimate,
     compare_fdd,
     estimate_fdd,
 )

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fdd import ProbEstimate, bonferroni_z, compare_fdd, estimate_fdd
+from .fdd import bonferroni_z, compare_fdd, estimate_fdd, stderr, wald
 from .systems import observe_trajectories
 
 __all__ = [
@@ -149,9 +149,8 @@ def _compare_tables(a, b, tables, n, seed):
 def _one_sided_item(label, violations, n, epsilon, **extra):
     """mu(violation) < epsilon: the 3-sigma Wald upper bound of the share of
     the n samples flagged in violations must stay below epsilon."""
-    est = ProbEstimate.from_counts(int(np.count_nonzero(violations)), n)
-    return {"label": label, "estimate": est.estimate, "halfwidth": est.halfwidth, **extra,
-            "pass": bool(est.estimate + est.halfwidth < epsilon)}
+    p, hw = wald(int(np.count_nonzero(violations)), n)
+    return {"label": label, "estimate": p, "halfwidth": hw, **extra, "pass": bool(p + hw < epsilon)}
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +197,10 @@ def check_nontriviality(system, obs, lags, n, seed) -> CheckReport:
         item = {"label": f"lag={k}", "lag": float(k)}
         for pair in sorted(pairs):  # (from, to) in alphabet order
             i, j = divmod(pair, a)
-            est = ProbEstimate.from_counts(pairs[pair], den[i])
-            if est.strictly_inside_unit():
+            p, hw = wald(pairs[pair], den[i])
+            if p - hw > 0.0 and p + hw < 1.0:
                 item.update({"pass": True, "from": str(alphabet[i]), "to": str(alphabet[j]),
-                             "estimate": est.estimate, "halfwidth": est.halfwidth,
-                             "counts": [est.numerator, est.denominator]})
+                             "estimate": p, "halfwidth": hw, "counts": [pairs[pair], den[i]]})
                 break
         else:
             item.update({"pass": False,
@@ -229,9 +227,13 @@ def check_measure_preservation(system, test_sets, times, n, seed) -> CheckReport
     Box.contains does (so c[..., 0] < 0.5, not c[0] < 0.5).  Each (set,
     time) pair is one entry of a Bonferroni family: it passes when the
     estimate lies within z standard errors of mu(A), the standard error
-    taken under the null, sqrt(mu(A)(1 - mu(A))/n).
+    taken under the null, sqrt(mu(A)(1 - mu(A))/n).  A mu(A) outside [0, 1]
+    is refused before any path is sampled.
     """
     _require_items(test_sets=test_sets, times=times)
+    for label, _, mu_a in test_sets:
+        if not 0.0 <= mu_a <= 1.0:
+            raise CheckError(f"set {label!r} has measure {mu_a}, outside [0, 1]")
     times = sorted(float(t) for t in times)
     k = len(test_sets) * len(times)
     z = bonferroni_z(k)
@@ -244,7 +246,7 @@ def check_measure_preservation(system, test_sets, times, n, seed) -> CheckReport
     inside = lambda c: np.stack([member(c) for _, member, _ in test_sets], axis=-1)
     hits = observe_trajectories(system, inside, times, n, seed).sum(axis=0).tolist()
     for si, (label, _, mu_a) in enumerate(test_sets):
-        tol = z * math.sqrt(mu_a * (1.0 - mu_a) / n)
+        tol = z * stderr(mu_a, n)
         for ti, t in enumerate(times):
             est = hits[ti][si] / n
             report.items.append(

@@ -46,8 +46,7 @@ class EntropyTrend:
     def __post_init__(self):
         hs = [float(e.bits) for e in self.estimates]
         self.increments = [b - a for a, b in zip(hs, hs[1:])]
-        last = self.increments[-1] if self.increments else hs[0]
-        self.positive_rate = bool(last > POSITIVE_RATE_THRESHOLD)
+        self.positive_rate = bool(self.rate_estimate > POSITIVE_RATE_THRESHOLD)
 
     @property
     def rate_estimate(self):

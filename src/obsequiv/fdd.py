@@ -15,7 +15,8 @@ from statistics import NormalDist
 import numpy as np
 
 __all__ = [
-    "ProbEstimate",
+    "stderr",
+    "wald",
     "EmpiricalFDD",
     "estimate_fdd",
     "compare_fdd",
@@ -36,33 +37,18 @@ class FDDError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ProbEstimate:
-    """Point estimate with a 3-sigma Wald half-width, clipped to [0,1]."""
+def stderr(p, n):
+    """Wald standard error sqrt(p(1 - p)/n) of a share p of n samples; p may
+    be an array."""
+    return np.sqrt(p * (1.0 - p) / n)
 
-    estimate: float
-    halfwidth: float
-    numerator: int
-    denominator: int
 
-    @classmethod
-    def from_counts(cls, numerator, denominator):
-        if denominator <= 0:
-            raise FDDError("denominator must be positive")
-        p = numerator / denominator
-        hw = 3.0 * math.sqrt(p * (1.0 - p) / denominator)
-        return cls(p, hw, numerator, denominator)
-
-    @property
-    def lower(self):
-        return max(self.estimate - self.halfwidth, 0.0)
-
-    @property
-    def upper(self):
-        return min(self.estimate + self.halfwidth, 1.0)
-
-    def strictly_inside_unit(self):
-        return self.lower > 0.0 and self.upper < 1.0
+def wald(numerator, denominator):
+    """Share numerator/denominator and its 3-sigma Wald half-width."""
+    if denominator <= 0:
+        raise FDDError("denominator must be positive")
+    p = numerator / denominator
+    return p, 3.0 * stderr(p, denominator)
 
 
 @dataclass(frozen=True)
@@ -96,8 +82,7 @@ class EmpiricalFDD:
 
     @property
     def stderrs(self):
-        p = self.estimates
-        return np.sqrt(p * (1.0 - p) / self.n_samples)
+        return stderr(self.estimates, self.n_samples)
 
     def total_mass(self):
         return sum(self.counts) / self.n_samples
@@ -179,7 +164,7 @@ def compare_fdd(a: EmpiricalFDD, b: EmpiricalFDD, label="fdd") -> "CheckReport":
     for fdd in (a, b):  # EmpiricalFDD.estimates and .stderrs over the union
         count = dict(zip(fdd.events, fdd.counts))
         p = np.asarray([count.get(e, 0) for e in events]) / fdd.n_samples
-        sides.append((p, np.sqrt(p * (1.0 - p) / fdd.n_samples)))
+        sides.append((p, stderr(p, fdd.n_samples)))
     (pa, sa), (pb, sb) = sides
     items = []
     for event, xa, xb, ea, eb in zip(events, pa, pb, sa, sb):

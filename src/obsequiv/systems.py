@@ -96,9 +96,12 @@ class RotationFlow:
 
 
 def rotation_system(alpha) -> RotationFlow:
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise SystemError(f"alpha must be finite, got {alpha!r}")
     if alpha == 0:
         raise SystemError("alpha=0 gives a degenerate (frozen) flow")
-    return RotationFlow(float(alpha))
+    return RotationFlow(alpha)
 
 
 # ---------------------------------------------------------------------------

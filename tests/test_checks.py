@@ -29,7 +29,7 @@ from obsequiv.partitions import (
     interval_partition,
     observation_from_partition,
 )
-from obsequiv.fdd import ProbEstimate
+from obsequiv.fdd import wald
 from obsequiv.processes import MarkovChainSpec
 from obsequiv.representation import SemiMarkovFlowRep
 from obsequiv.systems import baker_system, billiard_system, rotation_system
@@ -128,7 +128,8 @@ def test_nontriviality_pair_counts_match_brute_force():
             for oi, oj in product(obs.alphabet, repeat=2):
                 den = sum(1 for p in paths if p[0] == oi)
                 num = sum(1 for p in paths if p == (oi, oj))
-                if den and ProbEstimate.from_counts(num, den).strictly_inside_unit():
+                share, hw = wald(num, den) if den else (0.0, 0.0)
+                if share - hw > 0.0 and share + hw < 1.0:
                     witness = [oi, oj, num, den]
                     break
             assert (witness is not None) == witnessed
@@ -219,6 +220,26 @@ def test_measure_preservation_false_fail_rate_is_nominal():
     assert reports[0].tolerances["k"] == 6
     assert reports[0].tolerances["z"] == pytest.approx(3.5089, abs=1e-4)
     assert sum(r.verdict == "fail" for r in reports) <= 3
+
+
+@pytest.mark.parametrize("measure", [1.5, -0.5, math.nan, math.inf])
+def test_measure_preservation_refuses_a_measure_that_is_not_a_probability(measure):
+    """A set's measure outside [0, 1], where the null standard error
+    sqrt(mu(1 - mu)/n) is not a number, is refused by name before any path
+    is sampled."""
+
+    def member(c):
+        raise AssertionError("sampled before the measure was checked")
+
+    with pytest.raises(CheckError, match=rf"^set 'h' has measure {measure}, outside \[0, 1\]$"):
+        check_measure_preservation(rotation_system(0.3), [("h", member, measure)], [1.0], 10, 1)
+
+
+def test_measure_preservation_accepts_measures_zero_and_one():
+    sets = [("none", lambda c: c[..., 0] > 1.0, 0), ("all", lambda c: c[..., 0] < 1.0, 1.0)]
+    rep = check_measure_preservation(rotation_system(0.3), sets, [1.0], 200, 1)
+    assert rep.passed
+    assert [(i["expected"], i["tolerance"]) for i in rep.items] == [(0.0, 0.0), (1.0, 0.0)]
 
 
 def test_measure_preservation_contraction_fails(contraction_map):

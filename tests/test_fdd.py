@@ -20,10 +20,11 @@ from obsequiv.fdd import (
     THREE_SIGMA_ALPHA,
     EmpiricalFDD,
     FDDError,
-    ProbEstimate,
     bonferroni_z,
     compare_fdd,
     estimate_fdd,
+    stderr,
+    wald,
 )
 from obsequiv.representation import ShiftRepresentation
 
@@ -60,14 +61,28 @@ def test_import_loads_neither_scipy_nor_networkx():
 
 
 def test_prob_estimate_wald_interval():
-    est = ProbEstimate.from_counts(25, 100)
-    assert est.estimate == 0.25
-    assert est.halfwidth == pytest.approx(3.0 * math.sqrt(0.25 * 0.75 / 100))
-    assert est.strictly_inside_unit()
-    assert not ProbEstimate.from_counts(0, 100).strictly_inside_unit()
-    assert not ProbEstimate.from_counts(100, 100).strictly_inside_unit()
+    p, hw = wald(25, 100)
+    assert p == 0.25
+    assert hw == pytest.approx(3.0 * math.sqrt(0.25 * 0.75 / 100))
+    assert p - hw > 0.0 and p + hw < 1.0
+    for numerator in (0, 100):  # a share of 0 or 1 has a zero-width interval
+        p, hw = wald(numerator, 100)
+        assert hw == 0.0 and not (p - hw > 0.0 and p + hw < 1.0)
     with pytest.raises(FDDError):
-        ProbEstimate.from_counts(1, 0)
+        wald(1, 0)
+
+
+def test_stderr_is_the_wald_rule_on_floats_and_arrays():
+    """One rule for scalars and tables: np.sqrt rounds as math.sqrt does, so
+    each float equals the math expression bit for bit, and an EmpiricalFDD's
+    stderrs are the rule applied to its estimates."""
+    ps = np.random.default_rng(3).random(1000)
+    for n in (1, 7, 2000):
+        assert [stderr(p, n) for p in ps.tolist()] == [
+            math.sqrt(p * (1.0 - p) / n) for p in ps.tolist()]
+        assert stderr(ps, n).tolist() == [math.sqrt(p * (1.0 - p) / n) for p in ps.tolist()]
+    fdd = estimate_fdd(_codes([("a",), ("a",), ("b",)], ["a", "b"]), ("a", "b"), (0.0,))
+    assert fdd.stderrs.tolist() == [stderr(2 / 3, 3), stderr(1 / 3, 3)]
 
 
 def test_estimate_fdd_total_mass_one_by_default():

@@ -271,11 +271,15 @@ def test_bad_observation_exit_two(tmp_path, capsys, observation, message):
         ("systems", {"kind": "billiard", "width": 1.0, "height": 1.0, "speed": 1.0,
                      "obstacles": [{"center": [0.5, 0.5], "radius": 0.0}]},
          "systems.d: obstacle radius must be positive"),
+        ("systems", {"kind": "rotation", "alpha": math.nan},
+         "systems.d: alpha must be finite, got nan"),
+        ("systems", {"kind": "rotation", "alpha": math.inf},
+         "systems.d: alpha must be finite, got inf"),
     ],
     ids=["alpha_a_string", "radius_a_list", "rows_off_one", "order_a_bool", "coeff_not_a_fraction",
          "states_a_string", "states_a_number", "duplicate_states", "matrix_entry_an_object",
          "matrix_entry_a_string", "matrix_entry_nan", "holding_a_list", "negative_width",
-         "speed_nan", "zero_radius"],
+         "speed_nan", "zero_radius", "alpha_nan", "alpha_inf"],
 )
 def test_bad_definition_names_its_location(tmp_path, capsys, section, definition, message):
     doc = {"seed": 1, section: {"d": definition}, "tasks": []}
@@ -629,6 +633,30 @@ def test_cli_main_runs_and_maps_exit_codes(tmp_path, monkeypatch):
     assert main([str(scn), "--out", str(out), "--format", "both"]) == 0
     assert (out / "cli" / "0-simulate.csv").exists()
     assert main([str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("alpha, shown", [(math.nan, "nan"), (math.inf, "inf")])
+def test_cli_refuses_a_non_finite_rotation_alpha(tmp_path, capsys, within_a_second, alpha, shown):
+    doc = dict(ROTATION, seed=1, tasks=[{"kind": "simulate", "system": "rot",
+                                         "observation": "halves", "grid": [0.0], "n": 10}])
+    doc["systems"] = {"rot": {"kind": "rotation", "alpha": alpha}}
+    assert main([str(_write(tmp_path, "alpha.json", doc)), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().out == (
+        f"configuration error: systems.rot: alpha must be finite, got {shown}\n")
+
+
+@pytest.mark.parametrize("measure", [1.5, -0.5, math.nan, math.inf])
+def test_measure_outside_the_unit_interval_exits_two_without_a_report(
+        tmp_path, capsys, within_a_second, measure):
+    doc = dict(ROTATION, seed=1, tasks=[
+        {"kind": "check:measure_preservation", "system": "rot", "times": [1.0], "n": 10**6,
+         "sets": [{"label": "h", "box": {"lo": [0.0], "hi": [0.5]}, "measure": measure}]}])
+    out = tmp_path / "o"
+    assert run_scenario(_write(tmp_path, "mu.json", doc), out_dir=out, fmt="both") == 2
+    assert capsys.readouterr().out == (
+        "configuration error: tasks[0] (check:measure_preservation): "
+        f"set 'h' has measure {measure}, outside [0, 1]\n")
+    assert not [p for p in out.rglob("*") if p.is_file()]
 
 
 def test_cli_rejects_removed_jobs_flag(tmp_path):

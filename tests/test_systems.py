@@ -49,6 +49,12 @@ def test_rotation_rejects_frozen_flow():
         rotation_system(0.0)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_rotation_rejects_a_non_finite_alpha(alpha):
+    with pytest.raises(SystemError, match=f"^alpha must be finite, got {alpha}$"):
+        rotation_system(alpha)
+
+
 def test_rotation_metric_is_circle_distance():
     rot = rotation_system(1.0)
     assert rot.metric((0.05,), (0.95,)) == pytest.approx(0.1)
@@ -326,7 +332,7 @@ def test_billiard_event_cap_is_the_same_in_lockstep(monkeypatch):
      0.14365893313212097),
     (3, (0.5, 1.0, 2.0), "058bb6531c111453e7aeae6248411f1323f071227527d0985d33a49a6f2a0c40",
      0.36393409124620246),
-])
+], ids=[f"seed{seed}" for seed in range(4)])
 def test_billiard_phase_space_chunks_are_pinned(seed, grid, digest, next_draw):
     """A 2,000-path chunk on each phase-space grid, each point read from
     its path's last event."""
