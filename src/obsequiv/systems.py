@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 MAX_EVENTS = 10_000_000
-DRAW_BLOCK = 256  # most uniforms one billiard refill draws
 LOCKSTEP_ROWS = 256  # fewest billiard paths flown in lockstep
 GRAZE_GUARD = 1e-12  # circle hits only: shortest hit time, and the graze bound over r^2 |v|^2
 
@@ -75,6 +74,14 @@ class RotationFlow:
     alpha: float
     space: PhaseSpace = UNIT_INTERVAL
 
+    def __post_init__(self):
+        alpha = float(self.alpha)
+        if not math.isfinite(alpha):
+            raise SystemError(f"alpha must be finite, got {alpha!r}")
+        if alpha == 0:
+            raise SystemError("alpha=0 gives a degenerate (frozen) flow")
+        object.__setattr__(self, "alpha", alpha)
+
     def sample_initial(self, rng):
         return float(rng.random())
 
@@ -96,11 +103,6 @@ class RotationFlow:
 
 
 def rotation_system(alpha) -> RotationFlow:
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise SystemError(f"alpha must be finite, got {alpha!r}")
-    if alpha == 0:
-        raise SystemError("alpha=0 gives a degenerate (frozen) flow")
     return RotationFlow(alpha)
 
 
@@ -150,30 +152,20 @@ class BilliardFlow:
         self._diag = math.hypot(self.width, self.height)
 
     def sample_initial(self, rng):
-        return BilliardState(*next(self._starts(1, rng)))
+        return BilliardState(*self._starts(1, rng)[0].tolist())
 
     def _starts(self, m, rng):
-        """Yield the (x, y, theta) of m sample_initial calls (x and y redrawn
-        off the obstacles, then theta) from blocks of at most DRAW_BLOCK
-        uniforms the paths left surely need: rng ends where m calls leave it."""
-        W, H, circles = self.width, self.height, self.obstacles
-        u, i = [], 0
-        for left in range(m - 1, -1, -1):  # paths after this one
-            while True:
-                if len(u) - i < 2:
-                    u = u[i:] + rng.random(min(3 + 3 * left - (len(u) - i), DRAW_BLOCK)).tolist()
-                    i = 0
-                x, y = u[i] * W, u[i + 1] * H
-                i += 2
-                for cx, cy, r in circles:
-                    if not math.hypot(x - cx, y - cy) > r:
-                        break  # on or in an obstacle: redraw
-                else:
-                    break
-            if i == len(u):
-                u, i = rng.random(min(1 + 3 * left, DRAW_BLOCK)).tolist(), 0
-            yield x, y, u[i] * 2 * math.pi
-            i += 1
+        """Starts (m, 3) of m paths, rows (x, y, theta): x and y drawn for all
+        rows, the rows on or in an obstacle drawn again until none is, then
+        theta for all rows.  One row takes the uniforms of scalar draws."""
+        xy, left = np.empty((m, 2)), np.arange(m)
+        while left.size:
+            xy[left] = draw = rng.random((left.size, 2)) * (self.width, self.height)
+            free = np.ones(left.size, dtype=bool)
+            for cx, cy, r in self.obstacles:
+                free &= np.hypot(draw[:, 0] - cx, draw[:, 1] - cy) > r
+            left = left[~free]
+        return np.column_stack((xy, rng.random(m) * (2 * math.pi)))
 
     def evolve(self, state, t):
         if not 0 <= t < math.inf:
@@ -184,10 +176,11 @@ class BilliardFlow:
         """Each path started by _starts and flown along the grid: a chunk of
         at least LOCKSTEP_ROWS paths all at once by _flights, a smaller one
         path by path by _flight, to the same floats."""
+        starts = self._starts(m, rng)
         if m >= LOCKSTEP_ROWS:
-            return self._flights(np.array(list(self._starts(m, rng))), grid)
+            return self._flights(starts, grid)
         out = np.empty((m, 3 * len(grid)))
-        for i, start in enumerate(self._starts(m, rng)):  # one path's floats at a time
+        for i, start in enumerate(starts.tolist()):  # one path's floats at a time
             out[i] = self._flight(start, grid)
         return out.reshape(m, len(grid), 3)
 

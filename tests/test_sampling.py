@@ -44,6 +44,7 @@ from obsequiv.processes import (
 )
 from obsequiv.representation import SemiMarkovFlowRep, ShiftRepresentation
 from obsequiv.systems import (
+    BilliardFlow,
     baker_system,
     billiard_system,
     observe_trajectories,
@@ -127,25 +128,45 @@ def _observed_systems():
 
 @pytest.mark.parametrize("case", range(3), ids=["rotation", "billiard", "baker"])
 def test_system_chunk_rows_are_sequential_trajectories(case):
-    """Chunk 0 of a system source draws its paths one after another from
-    the chunk's generator, as repeated trajectory_symbols calls do."""
+    """Chunk 0 of a system source draws its paths from the chunk's
+    generator: the rotation and baker one after another, as repeated
+    trajectory_symbols calls do, the billiard all starts first, each then
+    flown by _flight."""
     system, obs = _observed_systems()[case]
     src = ObservedSystemSource(system, obs)
     grid = (0.0, 0.5, 1.3, 4.0)
     rows = src.sample_codes(grid, 30, 23)
     rng = np.random.default_rng(np.random.SeedSequence(23, spawn_key=(0,)))
-    expect = [trajectory_symbols(system, obs, grid, rng) for _ in range(30)]
+    if isinstance(system, BilliardFlow):
+        flights = [system._flight(start, grid) for start in system._starts(30, rng).tolist()]
+        expect = [tuple(row) for row in obs(np.reshape(flights, (30, len(grid), 3))).tolist()]
+    else:
+        expect = [trajectory_symbols(system, obs, grid, rng) for _ in range(30)]
     assert [tuple(src.alphabet[c] for c in row) for row in rows] == expect
 
 
 def test_rotation_and_baker_streams_match_batched_draws():
     """Rotation path j starts at rng.random(m)[j], baker path j at
-    rng.random((m, 2))[j]: the layout a batched kernel can keep."""
+    rng.random((m, 2))[j]: the layout a batched kernel can keep.  Billiard
+    path j off the obstacle at rng.random((m, 2))[j] starts there, and the
+    theta of every path is the generator's last rng.random(m) call."""
     m, child = 50, np.random.SeedSequence(5, spawn_key=(0,))
     rot = observe_trajectories(rotation_system(0.3), lambda c: c, (0.0,), m, 5)
     assert np.array_equal(rot[:, 0, 0], np.random.default_rng(child).random(m))
     bk = observe_trajectories(baker_system(), lambda c: c, (0.0,), m, 5)
     assert np.array_equal(bk[:, 0], np.random.default_rng(child).random((m, 2)))
+    table = billiard_system(2.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    bl = observe_trajectories(table, lambda c: c, (0.0,), m, 5)[:, 0]
+    first = np.random.default_rng(child).random((m, 2)) * (2.0, 1.0)
+    free = np.hypot(first[:, 0] - 0.5, first[:, 1] - 0.5) > 0.2
+    assert 0 < np.count_nonzero(free) < m
+    assert np.array_equal(bl[free, :2], first[free])
+    rng = np.random.default_rng(child)
+    assert np.array_equal(table.trajectories((0.0,), m, rng)[:, 0], bl)
+    rng.bit_generator.advance(-m)  # back over the last m uniforms
+    thetas = (rng.random(m) * (2 * math.pi)).tolist()  # read back from the velocity
+    assert bl[:, 2].tolist() == [math.atan2(math.sin(t), math.cos(t)) % (2 * math.pi)
+                                 for t in thetas]
 
 
 def test_one_cell_index_call_per_coded_chunk(monkeypatch):

@@ -213,19 +213,19 @@ PINNED_REPORTS = {
         "0-entropy.json":
             "a5edd3429f4d5b1477582ee476aca3e1bb82a00c16fe2783115367ffd7ddfb77",
         "1-entropy.csv":
-            "e567c56150d1f02174c0ed4f563ce178d106e5a9e71069d7273f519346ef9237",
+            "b4973fbaa51c01e91b08758ffa262e499d189e82b1fb5e83486e45db786153b0",
         "1-entropy.json":
-            "331fa28f4a043e44582c080aa331caa9bb12c2e2b842d546bed01eb354d5663a",
+            "17aff8ae8f40e0d3fa76b394f6e1df7472f1f996e9cef8ac8b300506b0cdbdc2",
     }),
     "phase-space": (1, {
         "0-check_invariant_union.json":
-            "cc8502681fbe2b532961e70bcfbee58c97899380548c3ba5f9158738a2cdcba4",
+            "2e71507b64d30961724a3d00b14d6e56017a76c93fa7fe40e4420460f8b609fc",
         "1-check_invariant_union.json":
             "ab99cc4c21044f1fa7c3633ab9e87193f03cb1db899755ae171d65e0c8ac9301",
         "2-check_nontriviality.json":
-            "b89012760f57d9ba97e0a744e531427b5b63e263bc4b3e90ee26329870c6f066",
+            "3800384470c5dfa8c94f4ffa716daad6b205b51c9998d11f30a574a5fced5288",
         "3-check_measure_preservation.json":
-            "b61275f2f91626ed510a9fa021d1abeb0f7dfa19e86902f11c1ee43db3e6fa00",
+            "34a812f1de2675ea2034bf684b21b2f6b4ec99a1bdc237cea380fa8b1a1de06b",
         "4-check_epsilon_congruence.json":
             "9c15aebbc6196a3cfb882b2c9ac600e206ffd590cf2dc61e875fd1a2189c7a8f",
         "5-check_epsilon_congruence.json":

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from obsequiv import systems
 from obsequiv.partitions import grid_partition, interval_partition, observation_from_partition
 from obsequiv.processes import MAX_PATH_STEPS, ProcessError
 from obsequiv.systems import (
-    DRAW_BLOCK,
     LOCKSTEP_ROWS,
     BilliardState,
     RoofFunction,
+    RotationFlow,
     SuspensionFlow,
     SystemError,
     baker_system,
@@ -47,12 +48,22 @@ def test_rotation_evolve_wraps():
 def test_rotation_rejects_frozen_flow():
     with pytest.raises(SystemError):
         rotation_system(0.0)
+    with pytest.raises(SystemError, match=r"^alpha=0 gives a degenerate \(frozen\) flow$"):
+        RotationFlow(0.0)
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
 def test_rotation_rejects_a_non_finite_alpha(alpha):
     with pytest.raises(SystemError, match=f"^alpha must be finite, got {alpha}$"):
         rotation_system(alpha)
+    with pytest.raises(SystemError, match=f"^alpha must be finite, got {alpha}$"):
+        RotationFlow(alpha)
+
+
+def test_rotation_flow_takes_alpha_as_a_float():
+    """The class converts alpha itself; alpha = 1 is the identity map."""
+    assert RotationFlow("0.25").alpha == 0.25
+    assert RotationFlow(1.0).evolve(0.25, 1.0) == 0.25
 
 
 def test_rotation_metric_is_circle_distance():
@@ -169,14 +180,15 @@ def test_billiard_points_never_inside_the_obstacle(scale, seed):
 @settings(max_examples=40, deadline=None)
 def test_billiard_kernel_rows_are_evolve_from_the_start(seed, times, from_zero):
     """Bit for bit: the point of a kernel row at each grid time t is one
-    evolve call from the start over t, and the kernel leaves its generator
-    where sequential starts leave it."""
+    evolve call from the row's start over t, and the kernel leaves its
+    generator where _starts leaves it."""
     table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
     grid = sorted(times + [0.0] if from_zero else times)
     kernel_rng = np.random.default_rng(seed)
     rows = table.trajectories(grid, 5, kernel_rng)
     rng = np.random.default_rng(seed)
-    assert rows.tolist() == [_evolved(table, _scalar_start(table, rng), grid) for _ in range(5)]
+    starts = [BilliardState(*start) for start in table._starts(5, rng).tolist()]
+    assert rows.tolist() == [_evolved(table, start, grid) for start in starts]
     assert kernel_rng.random() == rng.random()
 
 
@@ -189,38 +201,67 @@ def _scalar_start(table, rng):
             return BilliardState(x, y, rng.random() * 2 * math.pi)
 
 
+def _layout_starts(table, m, rng):
+    """The starts of a chunk of m paths in the documented layout: x and y
+    for every row from one rng.random((m, 2)) call, then one call for the
+    rows left on or in an obstacle, and so on until none is, then theta for
+    every row from one rng.random(m) call."""
+    points, left = [None] * m, list(range(m))
+    while left:
+        draws, redraw = rng.random((len(left), 2)).tolist(), []
+        for i, (u, v) in zip(left, draws):
+            points[i] = x, y = u * table.width, v * table.height
+            if not all(math.hypot(x - cx, y - cy) > r for cx, cy, r in table.obstacles):
+                redraw.append(i)
+        left = redraw
+    return [BilliardState(x, y, u * 2 * math.pi)
+            for (x, y), u in zip(points, rng.random(m).tolist())]
+
+
 def _evolved(table, state, grid):
     return [list(table.coords(table.evolve(state, t))) for t in grid]
-
-
-class _RecordingRng:
-    """A Generator that records the size of every random() call."""
-
-    def __init__(self, seed):
-        self.rng, self.sizes = np.random.default_rng(seed), []
-
-    def random(self, size=None):
-        self.sizes.append(1 if size is None else size)
-        return self.rng.random(size)
 
 
 @pytest.mark.parametrize("radius", [0.2, 0.45, None], ids=["r0.2", "r0.45", "empty"])
 @pytest.mark.parametrize("m", [1, 2, 257, 3000])
 def test_billiard_block_starts_never_over_draw(radius, m):
-    """m kernel paths use the uniforms of m scalar starts, in blocks of at
-    most DRAW_BLOCK, and leave the generator where those starts leave it.
-    The 0.45 obstacle rejects about 64% of the points."""
+    """One path draws as the scalar start does; a chunk of m paths draws its
+    starts in the documented layout, each in the table and off the obstacle,
+    and leaves the generator where that layout leaves it: no uniform is drawn
+    past them.  The 0.45 obstacle rejects about 64% of the points."""
     table = billiard_system(1.0, 1.0, [] if radius is None else [((0.5, 0.5), radius)], 1.0)
     grid = (0.0, 0.7)
-    kernel_rng, rng = _RecordingRng(m), _RecordingRng(m)
+    kernel_rng, rng = np.random.default_rng(m), np.random.default_rng(m)
     rows = table.trajectories(grid, m, kernel_rng)
-    expect = [_evolved(table, _scalar_start(table, rng), grid) for _ in range(m)]
-    assert rows.tolist() == expect
-    assert sum(kernel_rng.sizes) == sum(rng.sizes)
-    assert max(kernel_rng.sizes) <= DRAW_BLOCK
-    if 3 * m > DRAW_BLOCK:
-        assert len(kernel_rng.sizes) > 2
+    starts = [_scalar_start(table, rng)] if m == 1 else _layout_starts(table, m, rng)
+    assert rows.tolist() == [_evolved(table, start, grid) for start in starts]
     assert kernel_rng.random() == rng.random()
+    x, y, _ = rows[:, 0].T
+    assert np.all((x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0))
+    if radius is not None:
+        assert np.all(np.hypot(x - 0.5, y - 0.5) > radius)
+
+
+def test_billiard_starts_follow_the_invariant_law():
+    """20,000 starts at the 0.45 obstacle, which rejects about 64% of the
+    points, lie in the table and off the obstacle.  At alpha = 0.001 the
+    four quadrants, whose free areas are equal, hold equal counts, the ring
+    0.45 < d <= 0.5 about the centre holds its share of the free area, and
+    theta is uniform over 8 sectors.  Theta is drawn after every position:
+    it is the generator's last 20,000 draws."""
+    n, table = 20_000, billiard_system(1.0, 1.0, [((0.5, 0.5), 0.45)], 1.0)
+    rng = np.random.default_rng(25)
+    x, y, theta = table._starts(n, rng).T
+    d = np.hypot(x - 0.5, y - 0.5)
+    assert np.all((x >= 0.0) & (x < 1.0) & (y >= 0.0) & (y < 1.0) & (d > 0.45))
+    assert chisquare(np.bincount(2 * (x >= 0.5) + (y >= 0.5), minlength=4)).pvalue > 0.001
+    ring = math.pi * (0.5**2 - 0.45**2) / (1 - math.pi * 0.45**2)
+    inside = np.count_nonzero(d <= 0.5)
+    assert chisquare([inside, n - inside], [n * ring, n * (1 - ring)]).pvalue > 0.001
+    sectors = np.bincount((theta // (math.pi / 4)).astype(int), minlength=8)
+    assert len(sectors) == 8 and chisquare(sectors).pvalue > 0.001
+    rng.bit_generator.advance(-n)  # back over the last n uniforms
+    assert np.array_equal(theta, rng.random(n) * (2 * math.pi))
 
 
 _LOCKSTEP_TABLES = {  # width, height, obstacles, speed
@@ -233,10 +274,10 @@ _LOCKSTEP_TABLES = {  # width, height, obstacles, speed
 
 
 def _per_row(table, grid, m, rng):
-    """The chunk of m paths flown one after another by _flight, each started
-    as the scalar loop draws it."""
+    """The chunk of m paths flown one after another by _flight, each from
+    its row of _starts."""
     return [[row[k:k + 3] for k in range(0, len(row), 3)]
-            for row in (table._flight(start, grid) for start in table._starts(m, rng))]
+            for row in (table._flight(start, grid) for start in table._starts(m, rng).tolist())]
 
 
 @pytest.mark.parametrize("name", sorted(_LOCKSTEP_TABLES))
@@ -254,7 +295,7 @@ def test_billiard_lockstep_rows_equal_per_row_flights(name, scale, m):
     expect = _per_row(table, grid, m, rng)
     assert table.trajectories(grid, m, kernel_rng).tolist() == expect
     assert kernel_rng.random() == rng.random()
-    starts = list(table._starts(m, np.random.default_rng(m)))
+    starts = table._starts(m, np.random.default_rng(m))
     assert table._flights(starts, grid).tolist() == expect
 
 
@@ -296,7 +337,8 @@ def test_billiard_rows_do_not_depend_on_the_grid(name, seed, m, shared, only_a, 
     grid_a, grid_b = sorted(shared + only_a), sorted(shared + only_b)
     rows_a = table.trajectories(grid_a, m, np.random.default_rng(seed))
     rows_b = table.trajectories(grid_b, m, np.random.default_rng(seed))
-    starts = [BilliardState(*start) for start in table._starts(m, np.random.default_rng(seed))]
+    starts = [BilliardState(*start)
+              for start in table._starts(m, np.random.default_rng(seed)).tolist()]
     for t in shared:
         at_a, at_b = rows_a[:, grid_a.index(t)], rows_b[:, grid_b.index(t)]
         assert at_a.tolist() == at_b.tolist()
@@ -307,7 +349,7 @@ def test_billiard_event_cap_is_the_same_in_lockstep(monkeypatch):
     """The lockstep kernel counts its passes per increment, the largest event
     count of any row: it raises at the caps where the per-row kernel does."""
     table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
-    starts, grid = list(table._starts(LOCKSTEP_ROWS, np.random.default_rng(0))), [0.0, 1.0, 2.0]
+    starts, grid = table._starts(LOCKSTEP_ROWS, np.random.default_rng(0)).tolist(), [0.0, 1.0, 2.0]
     kernels = {"lockstep": lambda: table._flights(starts, grid),
                "per row": lambda: [table._flight(start, grid) for start in starts]}
     raised = {}
@@ -324,14 +366,14 @@ def test_billiard_event_cap_is_the_same_in_lockstep(monkeypatch):
 
 
 @pytest.mark.parametrize("seed, grid, digest, next_draw", [
-    (0, (0.0, 1.0), "c44378b04bfc93daeba1e60b31992284c4d65cd668025ef3fb6d950bdab6aace",
-     0.7967433350611515),
-    (1, (0.0, 0.3), "3653851afdc5713d21b04c66db2b0c486e9e28337be5065dc1d81032261f12cc",
-     0.10674394861041692),
-    (2, (0.0, 2.0), "5a6a304b8d655be22724fc4de55ed105adf0cb52d111f5f62817152dac1f0425",
-     0.14365893313212097),
-    (3, (0.5, 1.0, 2.0), "058bb6531c111453e7aeae6248411f1323f071227527d0985d33a49a6f2a0c40",
-     0.36393409124620246),
+    (0, (0.0, 1.0), "0d8de835f65cb88bb754eee68d525721fe4f33480e389e28fda42a596f85cc86",
+     0.9119550399550601),
+    (1, (0.0, 0.3), "d7eebf7426a6f211b975a877567ffd8eb6e7c1b2e5cb2955c610e98b501a54a1",
+     0.6006280752352846),
+    (2, (0.0, 2.0), "cbf46abbd93243867096bc58cd65a24e89374d2aa144b8c046f3ebbb64d50f92",
+     0.5706067416997355),
+    (3, (0.5, 1.0, 2.0), "2d406808f27ef36b452eb78efe72288c5294e73e1ae0ff0b3b52925ad6b34889",
+     0.10400659704908144),
 ], ids=[f"seed{seed}" for seed in range(4)])
 def test_billiard_phase_space_chunks_are_pinned(seed, grid, digest, next_draw):
     """A 2,000-path chunk on each phase-space grid, each point read from
@@ -413,7 +455,7 @@ def test_size_bound_counts_the_events_a_path_flies():
     t = 2,000 fly within 2% of it."""
     table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
     flown = 0
-    for x, y, theta in table._starts(8, np.random.default_rng(1)):
+    for x, y, theta in table._starts(8, np.random.default_rng(1)).tolist():
         vx, vy, te = math.cos(theta), math.sin(theta), 0.0
         nt, x, y, vx, vy = systems._event(1.0, 1.0, table.obstacles, x, y, vx, vy)
         while nt < 2000.0 - te:
