@@ -7,15 +7,15 @@ identity.
 """
 
 from obsequiv import (
-    billiard_system,
+    BilliardFlow,
+    RotationFlow,
     check_nontriviality,
     grid_partition,
     interval_partition,
     observation_from_partition,
-    rotation_system,
 )
 
-table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+table = BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
 obs = observation_from_partition(grid_partition(2, 2, space=table.space))
 
 for lag in (0.3, 1.0, 2.0):
@@ -28,5 +28,5 @@ for lag in (0.3, 1.0, 2.0):
     )
 
 halves = observation_from_partition(interval_partition([0.0, 0.5, 1.0], ["L", "R"]))
-rep = check_nontriviality(rotation_system(1.0), halves, [1.0], n=3000, seed=8)
+rep = check_nontriviality(RotationFlow(1.0), halves, [1.0], n=3000, seed=8)
 print(f"rotation alpha=1 lag 1: {rep.verdict} (time-1 map is the identity)")

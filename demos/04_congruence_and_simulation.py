@@ -9,16 +9,16 @@ with the target observation off a small set.
 import math
 
 from obsequiv import (
-    baker_system,
+    BakerMap,
+    RotationFlow,
     check_epsilon_congruence,
     check_simulation,
     grid_partition,
     interval_partition,
     observation_from_partition,
-    rotation_system,
 )
 
-bk = baker_system()
+bk = BakerMap()
 
 for bits, (nx, ny) in (("4-bit", (16, 16)), ("1-bit", (2, 1))):
     obs = observation_from_partition(grid_partition(nx, ny))
@@ -33,7 +33,7 @@ for bits, (nx, ny) in (("4-bit", (16, 16)), ("1-bit", (2, 1))):
     print(f"{bits} dyadic coding at eps=0.1: {rep.verdict} (max distance {worst:.4f})")
 print(f"4-bit geometric bound: sqrt(2)/32 = {math.sqrt(2) / 32:.4f}")
 
-rot = rotation_system(math.sqrt(2) - 1)
+rot = RotationFlow(math.sqrt(2) - 1)
 halves = observation_from_partition(interval_partition([0.0, 0.5, 1.0], ["a", "b"]))
 quarters = observation_from_partition(
     interval_partition([0.0, 0.25, 0.5, 0.75, 1.0], ["q0", "q1", "q2", "q3"])

@@ -23,10 +23,7 @@ from .systems import (
     RoofFunction,
     RotationFlow,
     SuspensionFlow,
-    baker_system,
-    billiard_system,
     observe_trajectories,
-    rotation_system,
     spawn_rngs,
     trajectory_symbols,
 )

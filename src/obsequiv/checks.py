@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fdd import bonferroni_z, compare_fdd, estimate_fdd, stderr, wald
+from .processes import MarkovChainSpec, SemiMarkovSpec, as_grid
+from .representation import ShiftRepresentation
 from .systems import observe_trajectories
 
 __all__ = [
@@ -102,9 +104,6 @@ def _as_source(side):
         return side
     if isinstance(side, tuple) and len(side) == 2:
         return ObservedSystemSource(*side)
-    from .processes import MarkovChainSpec, SemiMarkovSpec
-    from .representation import ShiftRepresentation
-
     if isinstance(side, (MarkovChainSpec, SemiMarkovSpec)):
         return ShiftRepresentation(side)
     raise CheckError(f"cannot interpret {type(side).__name__} as a symbol source")
@@ -131,17 +130,35 @@ def _alphabet_items(alphabet_a, alphabet_b, key_a, key_b):
              key_a: sorted(map(str, alphabet_a)), key_b: sorted(map(str, alphabet_b))}]
 
 
+def _union_draw(source, grids, n, seed):
+    """Codes (n, len(grid)) of source on each grid, read as columns of one
+    draw on the sorted union of their times.
+
+    Each grid is checked by processes.as_grid before the union is taken, so
+    a bad grid is refused with as_grid's message.  The union is a sorted set
+    of Python floats: np.unique and np.union1d would import numpy.ma.
+    """
+    grids = [as_grid(grid).tolist() for grid in grids]
+    if not grids:
+        return []
+    union = sorted({t for grid in grids for t in grid})
+    codes = source.sample_codes(union, n, seed)
+    return [codes[:, np.searchsorted(union, grid)] for grid in grids]
+
+
 def _compare_tables(a, b, tables, n, seed):
     """compare_fdd items over tables of (label, grid_a, grid_b).
 
-    Table i samples source a on grid_a from seed child 2i and source b on
-    grid_b from child 2i+1; both tables are labelled by grid_a.
+    Source a is drawn once, from seed child 0, on the union of the grid_a,
+    and source b once, from child 1, on the union of the grid_b; each table
+    reads its columns of the two draws and is labelled by grid_a.
     """
-    seeds = np.random.SeedSequence(seed).spawn(2 * len(tables))
+    labels, grids_a, grids_b = zip(*tables)
+    seed_a, seed_b = np.random.SeedSequence(seed).spawn(2)
+    columns = zip(_union_draw(a, grids_a, n, seed_a), _union_draw(b, grids_b, n, seed_b))
     items = []
-    for i, (label, grid_a, grid_b) in enumerate(tables):
-        fa = estimate_fdd(a.sample_codes(grid_a, n, seeds[2 * i]), a.alphabet, grid_a)
-        fb = estimate_fdd(b.sample_codes(grid_b, n, seeds[2 * i + 1]), b.alphabet, grid_a)
+    for label, grid, (codes_a, codes_b) in zip(labels, grids_a, columns):
+        fa, fb = estimate_fdd(codes_a, a.alphabet, grid), estimate_fdd(codes_b, b.alphabet, grid)
         items += compare_fdd(fa, fb, label=label).items
     return items
 
@@ -172,7 +189,8 @@ def check_nontriviality(system, obs, lags, n, seed) -> CheckReport:
     """For each lag, hunt for a transition probability strictly inside (0,1).
 
     obs is an ObservationFunction, applied to the sampled coordinates one
-    chunk of paths at a time.  A lag passes when some pair of outcomes has a
+    chunk of paths at a time; every lag reads its column of one draw on
+    (0, *lags).  A lag passes when some pair of outcomes has a
     conditional estimate whose 3-sigma interval excludes both 0 and 1.  This
     samples a finite lag set; it is evidence, not proof, of the for-every-lag
     property.  Only the observed (from, to) pairs are counted: an unobserved
@@ -189,9 +207,8 @@ def check_nontriviality(system, obs, lags, n, seed) -> CheckReport:
     report = CheckReport("nontriviality", [], seed, n,
                          {"interval": "3sigma Wald strictly inside (0,1)"},
                          ["finite lag sample; not a proof over all lags"])
-    seeds = np.random.SeedSequence(seed).spawn(len(lags))
-    for li, k in enumerate(lags):
-        codes = source.sample_codes((0.0, float(k)), n, seeds[li])
+    child = np.random.SeedSequence(seed).spawn(1)[0]
+    for k, codes in zip(lags, _union_draw(source, [(0.0, float(k)) for k in lags], n, child)):
         pairs = Counter((codes[:, 0] * a + codes[:, 1]).tolist())
         den = Counter(codes[:, 0].tolist())
         item = {"label": f"lag={k}", "lag": float(k)}
@@ -377,9 +394,8 @@ def check_simulation(
     report.items.append(_one_sided_item("mismatch_measure", mismatch, n, epsilon))
     # report the simulating process' FDDs on the supplied grids
     src = ObservedSystemSource(system, psi)
-    seeds = np.random.SeedSequence(seed).spawn(len(grids) + 1)
-    for gi, grid in enumerate(grids):
-        codes = src.sample_codes(grid, min(n, 10_000), seeds[gi + 1])
+    child = np.random.SeedSequence(seed).spawn(2)[1]
+    for gi, (grid, codes) in enumerate(zip(grids, _union_draw(src, grids, min(n, 10_000), child))):
         fdd = estimate_fdd(codes, images, grid)
         report.items.append(
             {

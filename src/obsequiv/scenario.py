@@ -25,7 +25,7 @@ from .partitions import (
 )
 from .processes import HoldingTime, MarkovChainSpec, SemiMarkovSpec, check_path_steps
 from .representation import SemiMarkovFlowRep, ShiftRepresentation
-from .systems import baker_system, billiard_system, rotation_system
+from .systems import BakerMap, BilliardFlow, RotationFlow
 
 __all__ = ["ScenarioError", "Scenario", "run_scenario"]
 
@@ -175,13 +175,13 @@ def _box(cfg, where):
 
 def _build_system(f, where):
     if f["kind"] == "rotation":
-        return rotation_system(f["alpha"])
+        return RotationFlow(f["alpha"])
     if f["kind"] == "billiard":
         obstacles = [_read(o, f"{where}.obstacles[{k}]", NESTED["obstacle"])
                      for k, o in enumerate(f["obstacles"])]
         obstacles = [(tuple(o["center"]), o["radius"]) for o in obstacles]
-        return billiard_system(f["width"], f["height"], obstacles, f["speed"])
-    return baker_system()
+        return BilliardFlow(f["width"], f["height"], obstacles, f["speed"])
+    return BakerMap()
 
 
 def _build_observation(f, where):

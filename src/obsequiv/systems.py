@@ -31,9 +31,6 @@ from .processes import (MAX_PATH_STEPS, ProcessError, _as_rng, as_grid, check_pa
                         sample_in_chunks)
 
 __all__ = [
-    "rotation_system",
-    "billiard_system",
-    "baker_system",
     "trajectory_symbols",
     "observe_trajectories",
     "spawn_rngs",
@@ -90,8 +87,9 @@ class RotationFlow:
 
     def trajectories(self, grid, m, rng):
         """Path j starts at rng.random(m)[j], the draw of sample_initial, and
-        all m paths advance at once by evolve."""
-        return _lockstep(self, rng.random(m), grid)
+        its point at t is evolve(start, t), so a column does not depend on the
+        other grid times."""
+        return ((rng.random(m)[:, None] + self.alpha * np.asarray(grid)) % 1.0)[..., None]
 
     def coords(self, state):
         return (state,)
@@ -100,10 +98,6 @@ class RotationFlow:
         """Circle distance of coordinates (..., 1)."""
         d = np.abs(np.asarray(a)[..., 0] - np.asarray(b)[..., 0]) % 1.0
         return np.minimum(d, 1.0 - d)
-
-
-def rotation_system(alpha) -> RotationFlow:
-    return RotationFlow(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +325,6 @@ def _event(W, H, circles, x, y, vx, vy):
     return best_t, x, y, vx - 2 * dot * nx, vy - 2 * dot * ny
 
 
-def billiard_system(width, height, obstacles, speed) -> BilliardFlow:
-    return BilliardFlow(width, height, obstacles, speed)
-
-
 # ---------------------------------------------------------------------------
 # baker's map
 
@@ -374,7 +364,8 @@ class BakerMap:
         sample_initial, and all m paths advance at once by evolve over the
         floored grid, so the point at t is evolve(start, t) also when the
         grid increments are fractional."""
-        return _lockstep(self, tuple(rng.random((m, 2)).T), np.floor(grid))
+        start = tuple(rng.random((m, 2)).T)
+        return np.array(_along(self, start, np.floor(grid))).transpose(2, 0, 1)
 
     def coords(self, state):
         return state
@@ -383,10 +374,6 @@ class BakerMap:
         """Euclidean distance of coordinates (..., 2)."""
         a, b = np.asarray(a), np.asarray(b)
         return np.hypot(a[..., 0] - b[..., 0], a[..., 1] - b[..., 1])
-
-
-def baker_system() -> BakerMap:
-    return BakerMap()
 
 
 # ---------------------------------------------------------------------------
@@ -515,12 +502,6 @@ def _along(system, state, grid):
         t_now = t
         row.append(system.coords(state))
     return row
-
-
-def _lockstep(system, state, grid):
-    """Coordinates (m, len(grid), d) along the grid of a state whose
-    coordinates are arrays of m paths."""
-    return np.array(_along(system, state, grid)).transpose(2, 0, 1)
 
 
 def trajectory_symbols(system, obs, grid, seed_or_rng) -> tuple:

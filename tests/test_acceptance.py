@@ -40,11 +40,11 @@ from obsequiv.processes import (
 )
 from obsequiv.representation import SemiMarkovFlowRep, ShiftRepresentation
 from obsequiv.systems import (
+    BakerMap,
+    BilliardFlow,
     RoofFunction,
+    RotationFlow,
     SuspensionFlow,
-    baker_system,
-    billiard_system,
-    rotation_system,
     spawn_rngs,
     trajectory_symbols,
 )
@@ -131,7 +131,7 @@ def test_criterion_04_representation_fidelity(sm_spec):
 
 
 def test_criterion_05_transition_nontriviality():
-    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    table = BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
     obs = observation_from_partition(grid_partition(2, 2, space=table.space))
     ok = True
     timings = {}
@@ -141,7 +141,7 @@ def test_criterion_05_transition_nontriviality():
         timings[k] = time.perf_counter() - t0
         ok = ok and rep.passed and timings[k] < 60.0
     halves = observation_from_partition(interval_partition([0.0, 0.5, 1.0], ["L", "R"]))
-    trivial = check_nontriviality(rotation_system(1.0), halves, [1.0], 4000, 131)
+    trivial = check_nontriviality(RotationFlow(1.0), halves, [1.0], 4000, 131)
     ok = ok and trivial.verdict == "fail"
     assert _verdict(5, "transition nontriviality", ok), (timings, trivial.verdict)
 
@@ -191,7 +191,7 @@ def test_criterion_06_block_embedding():
 
 
 def test_criterion_07_epsilon_congruence():
-    bk = baker_system()
+    bk = BakerMap()
     fine = observation_from_partition(grid_partition(16, 16))
     centers = {
         sym: tuple((lo + hi) / 2 for lo, hi in zip(cell[0].lo, cell[0].hi))
@@ -212,7 +212,7 @@ def test_criterion_07_epsilon_congruence():
 
 
 def test_criterion_08_simulation():
-    rot = rotation_system(SQRT2 - 1.0)
+    rot = RotationFlow(SQRT2 - 1.0)
     halves = observation_from_partition(interval_partition([0.0, 0.5, 1.0], ["a", "b"]))
     identity_ok = all(
         check_simulation("strong", rot, halves, halves, eps, [], 5000, 151).passed
@@ -276,7 +276,7 @@ def test_criterion_09_entropy_dichotomy():
         alpha, 15
     )
     assert exact_inc == pytest.approx(0.008524597892020758)
-    rot = rotation_system(alpha)
+    rot = RotationFlow(alpha)
     starts = [rot.sample_initial(r) for r in spawn_rngs(179, 70)]
     ts = np.arange(100_000.0)
     seqs = [(np.asarray(rot.evolve(x, ts)) >= 0.5).astype(np.int8) for x in starts]
@@ -286,7 +286,7 @@ def test_criterion_09_entropy_dichotomy():
         trend.estimates[-1].bits - _exact_rotation_block_entropy(alpha, 16)
     ) < 0.02
 
-    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    table = BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
     obs = observation_from_partition(grid_partition(2, 2, space=table.space))
     grid = [0.5 * i for i in range(4000)]
     bseqs = [
@@ -309,7 +309,7 @@ class _LabeledBaker:
     """Baker base with a two-letter label for the suspension roof."""
 
     def __init__(self):
-        self._bk = baker_system()
+        self._bk = BakerMap()
 
     def sample_initial(self, rng):
         return self._bk.sample_initial(rng)
@@ -328,12 +328,12 @@ class _LabeledBaker:
 
 
 def test_criterion_10_mechanics():
-    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    table = BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
     state = table.sample_initial(spawn_rngs(191, 1)[0])
     drift = table.speed_drift(state, 10_000)
     drift_ok = drift < 1e-9
 
-    rot = rotation_system(SQRT2 - 1.0)
+    rot = RotationFlow(SQRT2 - 1.0)
     rng = np.random.default_rng(193)
     rot_ok = True
     for _ in range(1000):

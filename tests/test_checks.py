@@ -32,7 +32,7 @@ from obsequiv.partitions import (
 from obsequiv.fdd import wald
 from obsequiv.processes import MarkovChainSpec
 from obsequiv.representation import SemiMarkovFlowRep
-from obsequiv.systems import baker_system, billiard_system, rotation_system
+from obsequiv.systems import BakerMap, BilliardFlow, RotationFlow
 
 P2 = np.array([[0.5, 0.5], [0.75, 0.25]])
 HALVES = observation_from_partition(interval_partition([0.0, 0.5, 1.0], ["a", "b"]))
@@ -79,7 +79,7 @@ def test_equivalence_different_dynamics_fail():
 
 
 def test_nontriviality_irrational_rotation_passes():
-    rep = check_nontriviality(rotation_system(math.sqrt(2) - 1), HALVES, [1.0], 3000, 13)
+    rep = check_nontriviality(RotationFlow(math.sqrt(2) - 1), HALVES, [1.0], 3000, 13)
     assert rep.passed
     assert rep.items[0]["pass"]
     assert "not a proof" in rep.notes[0]
@@ -87,7 +87,7 @@ def test_nontriviality_irrational_rotation_passes():
 
 def test_nontriviality_identity_rotation_fails():
     # alpha=1 at lag 1 is the identity: every conditional is 0 or 1
-    rep = check_nontriviality(rotation_system(1.0), HALVES, [1.0], 3000, 17)
+    rep = check_nontriviality(RotationFlow(1.0), HALVES, [1.0], 3000, 17)
     assert rep.verdict == "fail"
 
 
@@ -96,38 +96,40 @@ def test_nontriviality_rejects_trivial_observation():
         interval_partition([0.0, 0.5, 1.0], ["a", "b"]), symbols=("x", "x")
     )
     with pytest.raises(CheckError):
-        check_nontriviality(rotation_system(0.3), whole, [1.0], 100, 1)
+        check_nontriviality(RotationFlow(0.3), whole, [1.0], 100, 1)
     with pytest.raises(CheckError):
-        check_nontriviality(rotation_system(0.3), HALVES, [0.0], 100, 1)
+        check_nontriviality(RotationFlow(0.3), HALVES, [0.0], 100, 1)
 
 
 def _billiard_grid(nx):
-    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    table = BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
     return table, observation_from_partition(grid_partition(nx, nx, space=table.space))
 
 
 def test_nontriviality_pair_counts_match_brute_force():
     """The witness is the first (from, to) pair in alphabet order whose
     estimate lies strictly inside (0, 1), with the pair counts of a
-    per-path scan over the same sampled paths; with no such pair the item
-    fails and says why.  The inputs are a 4- and a 36-symbol billiard
-    coding, and two with no witness: a 64-symbol baker coding at 20 paths,
-    and the identity rotation."""
+    per-path scan over the same sampled paths: one draw, from seed child 0,
+    on time 0 and every lag, each lag reading its own column; with no such
+    pair the item fails and says why.  The inputs are a 4- and a 36-symbol
+    billiard coding, and two with no witness: a 64-symbol baker coding at 20
+    paths, and the identity rotation."""
     cases = [
         (*_billiard_grid(2), [0.3, 1.0], 600, True),
         (*_billiard_grid(6), [0.05, 0.3], 600, True),
-        (baker_system(), observation_from_partition(grid_partition(8, 8)), [1.0], 20, False),
-        (rotation_system(1.0), HALVES, [1.0, 2.0], 300, False),
+        (BakerMap(), observation_from_partition(grid_partition(8, 8)), [1.0], 20, False),
+        (RotationFlow(1.0), HALVES, [1.0, 2.0], 300, False),
     ]
     for system, obs, lags, n, witnessed in cases:
         rep = check_nontriviality(system, obs, lags, n, 7)
-        seeds = np.random.SeedSequence(7).spawn(len(lags))
-        for item, lag, ss in zip(rep.items, lags, seeds):
-            paths = _symbol_paths(ObservedSystemSource(system, obs), (0.0, lag), n, ss)
+        times = (0.0, *lags)
+        (child,) = np.random.SeedSequence(7).spawn(1)
+        paths = _symbol_paths(ObservedSystemSource(system, obs), times, n, child)
+        for item, lag in zip(rep.items, lags):
             witness = None
             for oi, oj in product(obs.alphabet, repeat=2):
                 den = sum(1 for p in paths if p[0] == oi)
-                num = sum(1 for p in paths if p == (oi, oj))
+                num = sum(1 for p in paths if (p[0], p[times.index(lag)]) == (oi, oj))
                 share, hw = wald(num, den) if den else (0.0, 0.0)
                 if share - hw > 0.0 and share + hw < 1.0:
                     witness = [oi, oj, num, den]
@@ -151,7 +153,7 @@ def test_nontriviality_counts_only_the_observed_pairs(within_a_second):
     coding = observation_from_partition(grid_partition(64, 64))
     tracemalloc.start()
     try:
-        rep = check_nontriviality(baker_system(), coding, [1.0], 2000, 3)
+        rep = check_nontriviality(BakerMap(), coding, [1.0], 2000, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -163,7 +165,7 @@ def test_simulation_maps_images_in_one_pass(within_a_second):
     """psi's images reach phi's codes through one dict, not one alphabet
     scan per symbol, on the baker's 4,096-symbol coding."""
     coding = observation_from_partition(grid_partition(64, 64))
-    rep = check_simulation("strong", baker_system(), coding, coding, 0.01, [], 2000, 3)
+    rep = check_simulation("strong", BakerMap(), coding, coding, 0.01, [], 2000, 3)
     assert rep.passed
 
 
@@ -172,10 +174,10 @@ def test_simulation_maps_images_in_one_pass(within_a_second):
     [
         lambda s: check_observational_equivalence(s, s, [], 10, 1),
         lambda s: check_stationarity(s, (0.0,), [], 10, 1),
-        lambda s: check_nontriviality(rotation_system(0.3), HALVES, [], 10, 1),
-        lambda s: check_measure_preservation(rotation_system(0.3), [], [1.0], 10, 1),
+        lambda s: check_nontriviality(RotationFlow(0.3), HALVES, [], 10, 1),
+        lambda s: check_measure_preservation(RotationFlow(0.3), [], [1.0], 10, 1),
         lambda s: check_measure_preservation(
-            rotation_system(0.3), [("left", lambda c: c[..., 0] < 0.5, 0.5)], [], 10, 1
+            RotationFlow(0.3), [("left", lambda c: c[..., 0] < 0.5, 0.5)], [], 10, 1
         ),
     ],
     ids=["grids", "shifts", "lags", "sets", "times"],
@@ -200,7 +202,7 @@ def test_stationarity_deterministic_start_fails(deterministic_start_source):
 def test_measure_preservation_rotation_passes():
     sets = [("left", lambda c: c[..., 0] < 0.5, 0.5), ("tenth", lambda c: c[..., 0] < 0.1, 0.1)]
     rep = check_measure_preservation(
-        rotation_system(math.sqrt(2) - 1), sets, [0.5, 1.7], 8000, 29
+        RotationFlow(math.sqrt(2) - 1), sets, [0.5, 1.7], 8000, 29
     )
     assert rep.passed
 
@@ -212,7 +214,7 @@ def test_measure_preservation_false_fail_rate_is_nominal():
     false fails); per-pair uncorrected 3-sigma tests failed 5 of these 200.
     """
     sets = [("left", lambda c: c[..., 0] < 0.5, 0.5), ("tenth", lambda c: c[..., 0] < 0.1, 0.1)]
-    rot = rotation_system(math.sqrt(2) - 1)
+    rot = RotationFlow(math.sqrt(2) - 1)
     reports = [
         check_measure_preservation(rot, sets, [0.5, 1.7, 3.1], 200, seed)
         for seed in range(200)
@@ -232,12 +234,12 @@ def test_measure_preservation_refuses_a_measure_that_is_not_a_probability(measur
         raise AssertionError("sampled before the measure was checked")
 
     with pytest.raises(CheckError, match=rf"^set 'h' has measure {measure}, outside \[0, 1\]$"):
-        check_measure_preservation(rotation_system(0.3), [("h", member, measure)], [1.0], 10, 1)
+        check_measure_preservation(RotationFlow(0.3), [("h", member, measure)], [1.0], 10, 1)
 
 
 def test_measure_preservation_accepts_measures_zero_and_one():
     sets = [("none", lambda c: c[..., 0] > 1.0, 0), ("all", lambda c: c[..., 0] < 1.0, 1.0)]
-    rep = check_measure_preservation(rotation_system(0.3), sets, [1.0], 200, 1)
+    rep = check_measure_preservation(RotationFlow(0.3), sets, [1.0], 200, 1)
     assert rep.passed
     assert [(i["expected"], i["tolerance"]) for i in rep.items] == [(0.0, 0.0), (1.0, 0.0)]
 
@@ -252,7 +254,7 @@ def test_measure_preservation_contraction_fails(contraction_map):
 def test_invariant_union_none_for_half_rotation():
     # rotation by 1/2 swaps the halves: no nontrivial invariant union
     part = interval_partition([0.0, 0.5, 1.0], ["L", "R"])
-    rep = check_invariant_union(rotation_system(0.5), part, 1.0, 4000, 37)
+    rep = check_invariant_union(RotationFlow(0.5), part, 1.0, 4000, 37)
     assert rep.passed
     assert rep.items[0]["label"] == "no_invariant_union"
 
@@ -260,7 +262,7 @@ def test_invariant_union_none_for_half_rotation():
 def test_invariant_union_found_for_identity():
     # alpha=1 at horizon 1 fixes every cell: each union is invariant
     part = interval_partition([0.0, 0.25, 0.5, 0.75, 1.0], ["a", "b", "c", "d"])
-    rep = check_invariant_union(rotation_system(1.0), part, 1.0, 4000, 41)
+    rep = check_invariant_union(RotationFlow(1.0), part, 1.0, 4000, 41)
     assert rep.verdict == "fail"
     assert rep.items[0]["violation_measure"] == 0.0
 
@@ -280,11 +282,11 @@ def test_union_violations_match_pairwise_count():
 
 def test_invariant_union_witnesses_ordered_by_violation_then_mask():
     part = interval_partition([0.0, 0.25, 0.5, 0.75, 1.0], ["a", "b", "c", "d"])
-    rep = check_invariant_union(rotation_system(1.0), part, 1.0, 400, 41)
+    rep = check_invariant_union(RotationFlow(1.0), part, 1.0, 400, 41)
     assert [it["cells"] for it in rep.items] == [
         ["a"], ["b"], ["a", "b"], ["c"], ["a", "c"], ["b", "c"], ["a", "b", "c"], ["d"]
     ]
-    rep = check_invariant_union(rotation_system(0.1), part, 1.0, 2000, 43, tol=1.01)
+    rep = check_invariant_union(RotationFlow(0.1), part, 1.0, 2000, 43, tol=1.01)
     viol = [it["violation_measure"] for it in rep.items]
     assert len(viol) == 8 and viol == sorted(viol) and viol[0] < viol[-1]
 
@@ -294,7 +296,7 @@ def test_invariant_union_twenty_cells_is_fast():
     # is invariant; the old double pure-Python mask loop took minutes
     part = interval_partition([i / 20 for i in range(21)], [f"c{i}" for i in range(20)])
     t0 = time.perf_counter()
-    rep = check_invariant_union(rotation_system(0.05), part, 1.0, 400, 3)
+    rep = check_invariant_union(RotationFlow(0.05), part, 1.0, 400, 3)
     assert time.perf_counter() - t0 < 5.0
     assert rep.passed
     assert rep.items[0]["min_violation"] > 0.01
@@ -305,22 +307,22 @@ def test_invariant_union_rejects_huge_partitions():
         [i / 21 for i in range(22)], [f"c{i}" for i in range(21)]
     )
     with pytest.raises(CheckError):
-        check_invariant_union(rotation_system(0.3), part, 1.0, 10, 1)
+        check_invariant_union(RotationFlow(0.3), part, 1.0, 10, 1)
 
 
 def _invariant_union_at(tol):
     part = interval_partition([0.0, 0.5, 1.0], ["L", "R"])
-    return check_invariant_union(rotation_system(0.5), part, 2.0, 400, 5, tol=tol)
+    return check_invariant_union(RotationFlow(0.5), part, 2.0, 400, 5, tol=tol)
 
 
 def _congruence_at(epsilon):
     return check_epsilon_congruence(
-        rotation_system(0.3), lambda m: 0, lambda s: (0.5,), epsilon, 400, 5
+        RotationFlow(0.3), lambda m: 0, lambda s: (0.5,), epsilon, 400, 5
     )
 
 
 def _simulation_at(epsilon):
-    return check_simulation("strong", rotation_system(0.3), HALVES, HALVES, epsilon, [], 400, 5)
+    return check_simulation("strong", RotationFlow(0.3), HALVES, HALVES, epsilon, [], 400, 5)
 
 
 @pytest.mark.parametrize(
@@ -338,7 +340,7 @@ def test_bad_tolerance_is_rejected_not_passed(check, value):
 
 
 def test_epsilon_congruence_fine_coding_passes():
-    bk = baker_system()
+    bk = BakerMap()
     obs = observation_from_partition(grid_partition(16, 16))
     centers = {
         sym: tuple((lo + hi) / 2 for lo, hi in zip(cell[0].lo, cell[0].hi))
@@ -353,7 +355,7 @@ def test_epsilon_congruence_fine_coding_passes():
 
 
 def test_epsilon_congruence_coarse_coding_fails():
-    bk = baker_system()
+    bk = BakerMap()
     obs = observation_from_partition(interval_partition([0.0, 0.5, 1.0], ["L", "R"]))
     centers = {"L": (0.25, 0.5), "R": (0.75, 0.5)}
     rep = check_epsilon_congruence(
@@ -383,14 +385,14 @@ def perturbed_halves():
 
 
 def test_simulation_strong_identity_passes_every_epsilon():
-    rot = rotation_system(math.sqrt(2) - 1)
+    rot = RotationFlow(math.sqrt(2) - 1)
     for eps in (0.005, 0.05, 0.5):
         rep = check_simulation("strong", rot, HALVES, HALVES, eps, [], 2000, 53)
         assert rep.passed
 
 
 def test_simulation_strong_perturbation_thresholds(perturbed_halves):
-    rot = rotation_system(math.sqrt(2) - 1)
+    rot = RotationFlow(math.sqrt(2) - 1)
     ok = check_simulation("strong", rot, HALVES, perturbed_halves, 0.05, [], 20_000, 59)
     assert ok.passed
     bad = check_simulation("strong", rot, HALVES, perturbed_halves, 0.005, [], 20_000, 61)
@@ -398,7 +400,7 @@ def test_simulation_strong_perturbation_thresholds(perturbed_halves):
 
 
 def test_simulation_weak_merge_passes():
-    rot = rotation_system(math.sqrt(2) - 1)
+    rot = RotationFlow(math.sqrt(2) - 1)
     quarters = observation_from_partition(
         interval_partition([0.0, 0.25, 0.5, 0.75, 1.0], ["q0", "q1", "q2", "q3"])
     )
@@ -411,7 +413,7 @@ def test_simulation_weak_merge_passes():
 
 
 def test_simulation_weak_requires_gamma():
-    rot = rotation_system(0.3)
+    rot = RotationFlow(0.3)
     with pytest.raises(CheckError):
         check_simulation("weak", rot, HALVES, HALVES, 0.1, [], 10, 1)
     with pytest.raises(CheckError):
@@ -419,7 +421,7 @@ def test_simulation_weak_requires_gamma():
 
 
 def test_simulation_alphabet_mismatch_fails():
-    rot = rotation_system(0.3)
+    rot = RotationFlow(0.3)
     other = observation_from_partition(
         interval_partition([0.0, 0.5, 1.0], ["x", "y"])
     )

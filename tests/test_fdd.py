@@ -213,7 +213,7 @@ def test_tables_and_a_stationarity_report_are_pinned(fair_semi_markov):
     }
     report = check_stationarity(fair_semi_markov, grid, [0.3, 1.0, 1.7], 2000, 103)
     assert _sha256(report.to_json()) == (
-        "33faa2cff48744dcb51336dfcd5e3ab03a69663e41427367cd43b1514444a8c6"
+        "5031fa7f04be7f58ff756e4b84c19173c2bcab925dda574d315f2da826f74de2"
     )
 
 

@@ -4,6 +4,7 @@ laws, and the flow kernel against the scalar flow evolution."""
 import hashlib
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,11 +45,11 @@ from obsequiv.processes import (
 )
 from obsequiv.representation import SemiMarkovFlowRep, ShiftRepresentation
 from obsequiv.systems import (
+    LOCKSTEP_ROWS,
+    BakerMap,
     BilliardFlow,
-    baker_system,
-    billiard_system,
+    RotationFlow,
     observe_trajectories,
-    rotation_system,
     spawn_rngs,
     trajectory_symbols,
 )
@@ -77,7 +78,7 @@ def _process_sources(fair_semi_markov):
 
 
 def _sources(fair_semi_markov):
-    system = ObservedSystemSource(rotation_system(math.sqrt(2) - 1), HALVES)
+    system = ObservedSystemSource(RotationFlow(math.sqrt(2) - 1), HALVES)
     return _process_sources(fair_semi_markov) + [system]
 
 
@@ -118,11 +119,11 @@ def test_scalar_sample_path_is_the_one_path_kernel(fair_semi_markov):
 
 
 def _observed_systems():
-    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    table = BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
     return [
-        (rotation_system(math.sqrt(2) - 1), HALVES),
+        (RotationFlow(math.sqrt(2) - 1), HALVES),
         (table, observation_from_partition(grid_partition(2, 2, space=table.space))),
-        (baker_system(), observation_from_partition(grid_partition(4, 2))),
+        (BakerMap(), observation_from_partition(grid_partition(4, 2))),
     ]
 
 
@@ -151,11 +152,11 @@ def test_rotation_and_baker_streams_match_batched_draws():
     path j off the obstacle at rng.random((m, 2))[j] starts there, and the
     theta of every path is the generator's last rng.random(m) call."""
     m, child = 50, np.random.SeedSequence(5, spawn_key=(0,))
-    rot = observe_trajectories(rotation_system(0.3), lambda c: c, (0.0,), m, 5)
+    rot = observe_trajectories(RotationFlow(0.3), lambda c: c, (0.0,), m, 5)
     assert np.array_equal(rot[:, 0, 0], np.random.default_rng(child).random(m))
-    bk = observe_trajectories(baker_system(), lambda c: c, (0.0,), m, 5)
+    bk = observe_trajectories(BakerMap(), lambda c: c, (0.0,), m, 5)
     assert np.array_equal(bk[:, 0], np.random.default_rng(child).random((m, 2)))
-    table = billiard_system(2.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    table = BilliardFlow(2.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
     bl = observe_trajectories(table, lambda c: c, (0.0,), m, 5)[:, 0]
     first = np.random.default_rng(child).random((m, 2)) * (2.0, 1.0)
     free = np.hypot(first[:, 0] - 0.5, first[:, 1] - 0.5) > 0.2
@@ -169,6 +170,26 @@ def test_rotation_and_baker_streams_match_batched_draws():
                                  for t in thetas]
 
 
+@pytest.mark.parametrize("case", ["billiard_lockstep", "billiard_per_row", "baker", "rotation"])
+def test_union_grid_columns_equal_direct_draws(case):
+    """Each grid's columns of one draw on the union of the grids' times, as
+    the checkers read their tables, are bit for bit the direct
+    observe_trajectories draw on that grid from the same seed child: the
+    billiard flown in lockstep (a chunk of at least LOCKSTEP_ROWS paths) and
+    path by path, the baker and the rotation."""
+    table = BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    system, n = {"billiard_lockstep": (table, LOCKSTEP_ROWS + 44),
+                 "billiard_per_row": (table, 40), "baker": (BakerMap(), 300),
+                 "rotation": (RotationFlow(math.sqrt(2) - 1), 300)}[case]
+    coordinates = lambda grid, n, seed: observe_trajectories(system, lambda c: c, grid, n, seed)
+    grids = [(0.0, 0.3), (0.3, 1.0, 2.5), (1.7,), (0.0, 0.3, 1.0, 1.7, 2.5)]
+    child = np.random.SeedSequence(11).spawn(2)[1]
+    union = checks._union_draw(SimpleNamespace(sample_codes=coordinates), grids, n, child)
+    for grid, columns in zip(grids, union):
+        direct = coordinates(grid, n, child)
+        assert columns.shape == direct.shape and columns.tobytes() == direct.tobytes()
+
+
 def test_one_cell_index_call_per_coded_chunk(monkeypatch):
     """System sources and checkers code each chunk of sampled coordinates
     with one Partition.cell_index call, never point by point."""
@@ -180,7 +201,7 @@ def test_one_cell_index_call_per_coded_chunk(monkeypatch):
         return cell_index(self, point)
 
     monkeypatch.setattr(Partition, "cell_index", counted)
-    rot = rotation_system(math.sqrt(2) - 1)
+    rot = RotationFlow(math.sqrt(2) - 1)
     for system, obs in _observed_systems():
         ObservedSystemSource(system, obs).sample_codes((0.0, 1.0), 2 * CHUNK + 3, 5)
         assert [c[0] for c in calls] == [CHUNK, CHUNK, 3]
@@ -193,7 +214,7 @@ def test_one_cell_index_call_per_coded_chunk(monkeypatch):
     check_epsilon_congruence(rot, HALVES, lambda s: (0.25,) if s == "a" else (0.75,),
                              0.5, 300, 7)
     check_simulation("strong", rot, HALVES, HALVES, 0.1, [(0.0, 1.0)], 300, 9)
-    assert len(calls) == 2 + 1 + 1 + (2 + 1)
+    assert len(calls) == 1 + 1 + 1 + (2 + 1)
 
 
 def _reference_semi_markov(spec, horizon, rng):
@@ -440,7 +461,7 @@ def test_process_checks_spawn_no_generators_and_read_no_paths(monkeypatch, fair_
     )
     shift = check_observational_equivalence(chain, ShiftRepresentation(chain), grids, 2000, 5)
     assert flow.passed and shift.passed
-    rot = rotation_system(math.sqrt(2) - 1)
+    rot = RotationFlow(math.sqrt(2) - 1)
     gamma = {"a": "a", "b": "b"}.get
     reports = [
         check_observational_equivalence((rot, HALVES), (rot, HALVES), grids, 500, 7),

@@ -324,6 +324,28 @@ def test_process_task_bad_times_exit_two(tmp_path, capsys, task, message):
     assert message in out
 
 
+@pytest.mark.parametrize(
+    "task",
+    [
+        {"kind": "check:observational_equivalence", "a": {"process": "sm"},
+         "b": {"process": "sm", "representation": "flow"}, "grids": [[0.0, 1.0], [2.0, 0.5]]},
+        {"kind": "check:stationarity", "source": {"process": "sm"}, "grid": [0.0, 1.0],
+         "shifts": [0.5, -0.5]},
+        {"kind": "check:simulation", "mode": "strong", "system": "rot", "phi": "halves",
+         "psi": "halves", "epsilon": 0.1, "grids": [[0.0], [1.0, 0.0]]},
+    ],
+    ids=["grids", "shifts", "simulation_grids"],
+)
+def test_bad_table_grid_exits_two_through_the_cli(tmp_path, capsys, task):
+    """A later table's grid that is unsorted, or negative after its shift, is
+    refused with the grid message although every table is read from one draw
+    on the union of their times."""
+    doc = dict(ROTATION, seed=1, processes=SEMI_MARKOV, tasks=[dict(task, n=50)])
+    assert main([str(_write(tmp_path, "table.json", doc)), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().out == (f"configuration error: tasks[0] ({task['kind']}): "
+                                       "time grid must be ascending and nonnegative\n")
+
+
 # a valid scenario with every kind of nested object
 NESTING = {
     "seed": 1,

@@ -10,11 +10,14 @@ import importlib.util
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -199,13 +202,13 @@ PINNED_REPORTS = {
         "0-simulate.json":
             "7a39f1fa0fdcb0721107d20dfbd3fb3ad24851f8a2d018159a1ed76600d48fe4",
         "1-check_observational_equivalence.json":
-            "5b69d26aaea70445185654b981792b5913b6df9a6b5c2e8b9b261ef80f94409e",
+            "2949cfa8441766ff0b7169a47403c443a7fb155f3f3b2eadda87c5ab7c9f58be",
         "2-check_observational_equivalence.json":
-            "1208d844361af0bedfcea6af0d95ceb650a09794024269af3524f14faa797c94",
+            "4fac6ceb966825bbe9471ccb05d7653430b4498b6528a8a14ad2e6095f526090",
         "3-check_observational_equivalence.json":
             "a81c75601a14ed821b20d470f24d3a7baa5a5b350ca013825e0aa4eed7998c62",
         "4-check_stationarity.json":
-            "4bf22c755be71ceea6a7fc4114a1b774f505f8889dbc788aacc29f62205fecfd",
+            "40eec66bce83d74bc26a8995802d99fdb029c88ed9b7ceb8dc7c485fab97f292",
     }),
     "long-path": (0, {
         "0-entropy.csv":
@@ -223,7 +226,7 @@ PINNED_REPORTS = {
         "1-check_invariant_union.json":
             "ab99cc4c21044f1fa7c3633ab9e87193f03cb1db899755ae171d65e0c8ac9301",
         "2-check_nontriviality.json":
-            "3800384470c5dfa8c94f4ffa716daad6b205b51c9998d11f30a574a5fced5288",
+            "52ef866919aed9fbf125db050cf77441a87e038af891566b388276b51f64a1ef",
         "3-check_measure_preservation.json":
             "34a812f1de2675ea2034bf684b21b2f6b4ec99a1bdc237cea380fa8b1a1de06b",
         "4-check_epsilon_congruence.json":
@@ -260,3 +263,32 @@ def test_full_size_reports_are_pinned(tmp_path, stem):
     reports = sorted((tmp_path / "reports" / stem).iterdir())
     digests = {r.name: hashlib.sha256(r.read_bytes()).hexdigest() for r in reports}
     assert (code, digests) == PINNED_REPORTS[stem]
+
+
+def test_benchmark_rounds_do_not_load_numpy_ma(tmp_path):
+    """A fresh interpreter that runs what a benchmark round runs, the three
+    workloads' scenarios at seed 2 through the CLI and their direct
+    entropy_rate calls on arrays read by np.load, then the demo scenario,
+    never imports numpy.ma: it would add about 1 MB of peak memory."""
+    runs, arrays = [str(DEMO)], []
+    for w in _workloads.WORKLOADS:
+        doc, _, direct = _workloads.build(w, 2)
+        (tmp_path / f"{w}.json").write_text(json.dumps(doc))
+        runs.append(str(tmp_path / f"{w}.json"))
+        for d in direct:
+            np.save(tmp_path / f"{w}-{d['name']}.npy", d["array"])
+            arrays.append((str(tmp_path / f"{w}-{d['name']}.npy"), d["L_max"]))
+    code = (
+        "import json, sys, numpy as np, obsequiv, obsequiv.cli\n"
+        "runs, arrays, out = json.loads(sys.argv[1])\n"
+        "for a, L in arrays:\n"
+        "    obsequiv.entropy_rate(list(np.load(a)), L)\n"
+        "codes = [obsequiv.cli.main([r, '--out', out]) for r in runs]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    args = json.dumps([runs, arrays, str(tmp_path / "reports")])
+    out = subprocess.run([sys.executable, "-c", code, args], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.splitlines()[-1] == "[0, 1, 0, 1] False"

@@ -15,15 +15,14 @@ from obsequiv.partitions import grid_partition, interval_partition, observation_
 from obsequiv.processes import MAX_PATH_STEPS, ProcessError
 from obsequiv.systems import (
     LOCKSTEP_ROWS,
+    BakerMap,
+    BilliardFlow,
     BilliardState,
     RoofFunction,
     RotationFlow,
     SuspensionFlow,
     SystemError,
-    baker_system,
-    billiard_system,
     observe_trajectories,
-    rotation_system,
     spawn_rngs,
     trajectory_symbols,
 )
@@ -40,22 +39,18 @@ def test_spawn_rngs_independent_and_deterministic():
 
 
 def test_rotation_evolve_wraps():
-    rot = rotation_system(0.25)
+    rot = RotationFlow(0.25)
     assert rot.evolve(0.9, 1.0) == pytest.approx(0.15)
     assert rot.evolve(0.1, -1.0) == pytest.approx(0.85)
 
 
 def test_rotation_rejects_frozen_flow():
-    with pytest.raises(SystemError):
-        rotation_system(0.0)
     with pytest.raises(SystemError, match=r"^alpha=0 gives a degenerate \(frozen\) flow$"):
         RotationFlow(0.0)
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
 def test_rotation_rejects_a_non_finite_alpha(alpha):
-    with pytest.raises(SystemError, match=f"^alpha must be finite, got {alpha}$"):
-        rotation_system(alpha)
     with pytest.raises(SystemError, match=f"^alpha must be finite, got {alpha}$"):
         RotationFlow(alpha)
 
@@ -67,7 +62,7 @@ def test_rotation_flow_takes_alpha_as_a_float():
 
 
 def test_rotation_metric_is_circle_distance():
-    rot = rotation_system(1.0)
+    rot = RotationFlow(1.0)
     assert rot.metric((0.05,), (0.95,)) == pytest.approx(0.1)
     assert rot.metric((0.2,), (0.6,)) == pytest.approx(0.4)
 
@@ -75,7 +70,7 @@ def test_rotation_metric_is_circle_distance():
 @given(st.floats(0.0, 0.999), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
 @settings(max_examples=100, deadline=None)
 def test_rotation_semigroup(x, t1, t2):
-    rot = rotation_system(math.sqrt(2) - 1.0)
+    rot = RotationFlow(math.sqrt(2) - 1.0)
     one = rot.evolve(x, t1 + t2)
     two = rot.evolve(rot.evolve(x, t1), t2)
     assert rot.metric(rot.coords(one), rot.coords(two)) < 1e-9
@@ -86,17 +81,17 @@ def test_rotation_semigroup(x, t1, t2):
 
 @pytest.fixture
 def table():
-    return billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    return BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
 
 
 def test_billiard_validation(table):
     with pytest.raises(SystemError):
-        billiard_system(1.0, 1.0, [((0.5, 0.5), 0.6)], 1.0)  # pokes out
+        BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.6)], 1.0)  # pokes out
     for speed in (0.0, math.nan, math.inf):
         with pytest.raises(SystemError, match="speed must be finite and positive"):
-            billiard_system(1.0, 1.0, [], speed)
+            BilliardFlow(1.0, 1.0, [], speed)
     with pytest.raises(SystemError):
-        billiard_system(
+        BilliardFlow(
             2.0, 1.0, [((0.5, 0.5), 0.2), ((0.8, 0.5), 0.2)], 1.0
         )  # overlapping obstacles
 
@@ -106,12 +101,12 @@ def test_billiard_validation(table):
 )
 def test_billiard_rejects_bad_table_size(width, height):
     with pytest.raises(SystemError, match="width and height must be finite and positive"):
-        billiard_system(width, height, [], 1.0)
+        BilliardFlow(width, height, [], 1.0)
 
 
 def test_billiard_wall_reflection_exact():
     # no obstacle in the way: straight flight right, bounce off x=1
-    sys = billiard_system(1.0, 1.0, [], 1.0)
+    sys = BilliardFlow(1.0, 1.0, [], 1.0)
     s = sys.evolve(BilliardState(0.5, 0.25, 0.0), 1.0)
     assert s.x == pytest.approx(0.5)
     assert s.y == pytest.approx(0.25)
@@ -128,7 +123,7 @@ def test_billiard_head_on_obstacle_reflection(table):
 
 def _scaled_table(scale):
     """The unit table with its central obstacle, every length times scale."""
-    return billiard_system(scale, scale, [((0.5 * scale, 0.5 * scale), 0.2 * scale)], 1.0)
+    return BilliardFlow(scale, scale, [((0.5 * scale, 0.5 * scale), 0.2 * scale)], 1.0)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3])
@@ -148,7 +143,7 @@ def test_billiard_corner_hits_reflect_at_every_table_scale(scale, corner, offset
     # from the centre of an empty table at a corner: the two wall times differ
     # in their last bits, and an absolute time guard on the second wall let
     # the particle fly out of the table, to (0.8, 1.2) * scale at t = scale
-    table = billiard_system(scale, scale, [], 1.0)
+    table = BilliardFlow(scale, scale, [], 1.0)
     theta = (2 * corner + 1) * math.pi / 4 + offset
     start = BilliardState(0.5 * scale, 0.5 * scale, theta)
     half_diagonal = math.sqrt(0.5) * scale
@@ -182,7 +177,7 @@ def test_billiard_kernel_rows_are_evolve_from_the_start(seed, times, from_zero):
     """Bit for bit: the point of a kernel row at each grid time t is one
     evolve call from the row's start over t, and the kernel leaves its
     generator where _starts leaves it."""
-    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    table = BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
     grid = sorted(times + [0.0] if from_zero else times)
     kernel_rng = np.random.default_rng(seed)
     rows = table.trajectories(grid, 5, kernel_rng)
@@ -229,7 +224,7 @@ def test_billiard_block_starts_never_over_draw(radius, m):
     starts in the documented layout, each in the table and off the obstacle,
     and leaves the generator where that layout leaves it: no uniform is drawn
     past them.  The 0.45 obstacle rejects about 64% of the points."""
-    table = billiard_system(1.0, 1.0, [] if radius is None else [((0.5, 0.5), radius)], 1.0)
+    table = BilliardFlow(1.0, 1.0, [] if radius is None else [((0.5, 0.5), radius)], 1.0)
     grid = (0.0, 0.7)
     kernel_rng, rng = np.random.default_rng(m), np.random.default_rng(m)
     rows = table.trajectories(grid, m, kernel_rng)
@@ -249,7 +244,7 @@ def test_billiard_starts_follow_the_invariant_law():
     0.45 < d <= 0.5 about the centre holds its share of the free area, and
     theta is uniform over 8 sectors.  Theta is drawn after every position:
     it is the generator's last 20,000 draws."""
-    n, table = 20_000, billiard_system(1.0, 1.0, [((0.5, 0.5), 0.45)], 1.0)
+    n, table = 20_000, BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.45)], 1.0)
     rng = np.random.default_rng(25)
     x, y, theta = table._starts(n, rng).T
     d = np.hypot(x - 0.5, y - 0.5)
@@ -288,7 +283,7 @@ def test_billiard_lockstep_rows_equal_per_row_flights(name, scale, m):
     ==), also on a time 0, a zero increment and a long increment, and both
     leave the generator at the same next draw."""
     width, height, obstacles, speed = _LOCKSTEP_TABLES[name]
-    table = billiard_system(width * scale, height * scale,
+    table = BilliardFlow(width * scale, height * scale,
                             [((x * scale, y * scale), r * scale) for (x, y), r in obstacles], speed)
     grid = [t * scale for t in (0.0, 0.0, 0.4, 0.4, 0.9, 3.0)]
     kernel_rng, rng = np.random.default_rng(m), np.random.default_rng(m)
@@ -300,7 +295,7 @@ def test_billiard_lockstep_rows_equal_per_row_flights(name, scale, m):
 
 
 def test_billiard_lockstep_chunk_of_8192_rows_equals_per_row_flights():
-    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    table = BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
     grid = [0.0, 0.5, 0.5, 1.0]
     kernel_rng, rng = np.random.default_rng(8192), np.random.default_rng(8192)
     assert table.trajectories(grid, 8192, kernel_rng).tolist() == _per_row(table, grid, 8192, rng)
@@ -311,7 +306,7 @@ def test_billiard_lockstep_chunk_of_8192_rows_equals_per_row_flights():
 def test_billiard_lockstep_corner_hits_equal_per_row_flights(scale):
     """The starts of test_billiard_corner_hits_reflect_at_every_table_scale,
     repeated across a full lockstep chunk."""
-    table = billiard_system(scale, scale, [], 1.0)
+    table = BilliardFlow(scale, scale, [], 1.0)
     starts = [(0.5 * scale, 0.5 * scale, (2 * corner + 1) * math.pi / 4 + offset)
               for corner in range(4) for offset in (0.0, 1e-15, -1e-15, 1e-13)]
     starts = (starts * LOCKSTEP_ROWS)[:LOCKSTEP_ROWS]
@@ -333,7 +328,7 @@ def test_billiard_rows_do_not_depend_on_the_grid(name, seed, m, shared, only_a, 
     """Two ascending grids that share some times give the same floats there,
     whichever kernel flies the chunk, and each is evolve(start, t): a point is
     read from the path's last event, not from the previous grid time."""
-    table = billiard_system(*_LOCKSTEP_TABLES[name])
+    table = BilliardFlow(*_LOCKSTEP_TABLES[name])
     grid_a, grid_b = sorted(shared + only_a), sorted(shared + only_b)
     rows_a = table.trajectories(grid_a, m, np.random.default_rng(seed))
     rows_b = table.trajectories(grid_b, m, np.random.default_rng(seed))
@@ -348,7 +343,7 @@ def test_billiard_rows_do_not_depend_on_the_grid(name, seed, m, shared, only_a, 
 def test_billiard_event_cap_is_the_same_in_lockstep(monkeypatch):
     """The lockstep kernel counts its passes per increment, the largest event
     count of any row: it raises at the caps where the per-row kernel does."""
-    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    table = BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
     starts, grid = table._starts(LOCKSTEP_ROWS, np.random.default_rng(0)).tolist(), [0.0, 1.0, 2.0]
     kernels = {"lockstep": lambda: table._flights(starts, grid),
                "per row": lambda: [table._flight(start, grid) for start in starts]}
@@ -378,7 +373,7 @@ def test_billiard_event_cap_is_the_same_in_lockstep(monkeypatch):
 def test_billiard_phase_space_chunks_are_pinned(seed, grid, digest, next_draw):
     """A 2,000-path chunk on each phase-space grid, each point read from
     its path's last event."""
-    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    table = BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
     rng = np.random.default_rng(seed)
     rows = table.trajectories(list(grid), 2000, rng)
     assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
@@ -388,7 +383,7 @@ def test_billiard_phase_space_chunks_are_pinned(seed, grid, digest, next_draw):
 def test_trajectory_symbols_on_a_shared_generator_are_pinned():
     """Three paths and one more draw from one generator, as computed by the
     scalar kernel with one rng.random() call per uniform."""
-    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    table = BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
     obs = observation_from_partition(grid_partition(2, 2, space=table.space))
     rng = np.random.default_rng(2024)
     grid = [0.5 * i for i in range(40)]
@@ -406,7 +401,7 @@ def test_billiard_floats_are_pinned():
     """Exact results of the event arithmetic: regrouping the hit time, the
     wall time or the reflection moves them (a one-ulp move of the graze
     threshold is not reached by these states)."""
-    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    table = BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
     state = table.sample_initial(spawn_rngs(191, 1)[0])  # criterion 10's state
     assert state == BilliardState(0.7315562929147993, 0.8429089167748404, 4.000538507142786)
     assert table.speed_drift(state, 10_000) == 1.0194067812108187e-12
@@ -417,7 +412,7 @@ def test_billiard_floats_are_pinned():
         BilliardState(0.9378611580003174, 0.8594174587278736, 2.1290008157646043),
         BilliardState(0.6586077623781712, 0.20706832013195775, 2.470840310553112),
     ]
-    empty = billiard_system(1.0, 1.0, [], 1.0)
+    empty = BilliardFlow(1.0, 1.0, [], 1.0)
     assert empty.evolve(BilliardState(0.5, 0.5, math.pi / 4), 1.0) == BilliardState(
         0.7928932188134523, 0.7928932188134525, 3.9269908169872414
     )
@@ -431,7 +426,7 @@ def test_billiard_events_count_in_the_size_bound(within_a_second, speed, t_max):
     """A path flies about speed * max grid * perimeter / (pi * free area)
     events, so a fast billiard is refused before anything is drawn; at
     1e300 * 1e10 the count is an infinite float, not an OverflowError."""
-    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], speed)
+    table = BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], speed)
     message = f"more than the {MAX_PATH_STEPS} one sampling call may draw"
     with pytest.raises(ProcessError, match=message):
         observe_trajectories(table, lambda c: c, [0.0, t_max], 1, 0)
@@ -443,7 +438,7 @@ def test_billiard_events_count_in_the_size_bound(within_a_second, speed, t_max):
 def test_thin_table_is_refused_by_its_collision_count(within_a_second):
     """A 1 x 1e-6 table hits a wall about 6,366 times per path to t = 0.01,
     so 2^22 paths are refused before any flies."""
-    thin = billiard_system(1.0, 1e-6, [], 1.0)
+    thin = BilliardFlow(1.0, 1e-6, [], 1.0)
     with pytest.raises(ProcessError, match=f"more than the {MAX_PATH_STEPS} one sampling"):
         observe_trajectories(thin, lambda c: c, [0.0, 0.01], 2**22, 0)
 
@@ -453,7 +448,7 @@ def test_size_bound_counts_the_events_a_path_flies():
     measure, speed * t over Santalo's mean free path pi * free area /
     perimeter: on the unit table with an r = 0.2 obstacle, 8 paths to
     t = 2,000 fly within 2% of it."""
-    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    table = BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
     flown = 0
     for x, y, theta in table._starts(8, np.random.default_rng(1)).tolist():
         vx, vy, te = math.cos(theta), math.sin(theta), 0.0
@@ -469,7 +464,7 @@ def test_size_bound_counts_the_events_a_path_flies():
 def test_long_billiard_flight_runs_no_garbage_collection():
     """A 20,000-point row keeps bare floats, so the flight never reaches the
     collector's allocation threshold (a tuple per point would, about 28 times)."""
-    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    table = BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
     grid = (np.arange(20_000) * 0.5).tolist()
     runs = []
 
@@ -533,13 +528,13 @@ def test_billiard_time_additivity(table):
 
 
 def test_baker_step_values():
-    bk = baker_system()
+    bk = BakerMap()
     assert bk.step((0.25, 0.5)) == (0.5, 0.25)
     assert bk.step((0.75, 0.5)) == (0.5, 0.75)
 
 
 def test_baker_inverse_round_trip():
-    bk = baker_system()
+    bk = BakerMap()
     for rng in spawn_rngs(1, 10):
         p = bk.sample_initial(rng)
         q = bk.inverse(bk.step(p))
@@ -548,7 +543,7 @@ def test_baker_inverse_round_trip():
 
 
 def test_baker_preserves_lebesgue_empirically():
-    bk = baker_system()
+    bk = BakerMap()
     inside = 0
     n = 20_000
     for rng in spawn_rngs(2, n):
@@ -561,7 +556,7 @@ def test_baker_preserves_lebesgue_empirically():
 def test_baker_paths_on_a_fractional_grid_are_read_at_the_floor():
     # the path at t is evolve(start, t), floor(t) map steps, also when the
     # grid increments are not whole
-    bk = baker_system()
+    bk = BakerMap()
     grid = (0.0, 0.5, 1.0, 1.5, 2.0, 2.7, 4.2)
     coords = observe_trajectories(bk, lambda c: c, grid, 3, 1)
     for row in coords:
@@ -648,7 +643,7 @@ def test_suspension_flow_refuses_more_roofs_than_the_step_cap(within_a_second):
 
 
 def test_trajectory_symbols_rotation_exact():
-    rot = rotation_system(0.25)
+    rot = RotationFlow(0.25)
     obs = observation_from_partition(interval_partition([0.0, 0.5, 1.0], ["L", "R"]))
 
     rng = np.random.default_rng(0)
@@ -659,7 +654,7 @@ def test_trajectory_symbols_rotation_exact():
 
 
 def test_trajectory_symbols_requires_sorted_grid():
-    rot = rotation_system(0.5)
+    rot = RotationFlow(0.5)
     obs = observation_from_partition(interval_partition([0.0, 0.5, 1.0], ["L", "R"]))
     for grid, message in [
         ([1.0, 0.0], "ascending and nonnegative"),
@@ -672,7 +667,7 @@ def test_trajectory_symbols_requires_sorted_grid():
 
 
 def test_trajectory_symbols_on_billiard_grid_partition():
-    table = billiard_system(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
+    table = BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
     obs = observation_from_partition(grid_partition(2, 2, space=table.space))
     path = trajectory_symbols(table, obs, [0.0, 0.5, 1.0], spawn_rngs(8, 1)[0])
     assert len(path) == 3
