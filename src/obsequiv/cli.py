@@ -16,14 +16,8 @@ def main(argv=None) -> int:
     parser.add_argument("scenario", help="path to a JSON scenario file")
     parser.add_argument("--out", default="out", help="output directory (default: out)")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
-    parser.add_argument(
-        "--format",
-        choices=["json", "csv", "both"],
-        default="json",
-        help="report format (default: json)",
-    )
     args = parser.parse_args(argv)
-    return run_scenario(args.scenario, args.out, args.seed, args.format)
+    return run_scenario(args.scenario, args.out, args.seed)
 
 
 if __name__ == "__main__":

@@ -55,13 +55,6 @@ class EntropyTrend:
             return self.increments[-1]
         return self.estimates[0].bits
 
-    def to_csv(self):
-        lines = ["L,H_L,increment"]
-        for i, e in enumerate(self.estimates):
-            inc = self.increments[i - 1] if i > 0 else ""
-            lines.append(f"{e.block_length},{e.bits},{inc}")
-        return "\n".join(lines) + "\n"
-
 
 def _encode(sequences):
     """All rows' codes over 0..k-1 laid end to end in the narrowest dtype, the

@@ -6,8 +6,6 @@ Bonferroni correction over the entries of a comparison table.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -86,14 +84,6 @@ class EmpiricalFDD:
 
     def total_mass(self):
         return sum(self.counts) / self.n_samples
-
-    def to_csv(self):
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["times", "symbols", "count", "estimate", "stderr"])
-        for e, c, p, s in zip(self.events, self.counts, self.estimates, self.stderrs):
-            w.writerow([";".join(str(t) for t in self.grid), ";".join(map(str, e)), c, p, s])
-        return buf.getvalue()
 
     def to_json_obj(self):
         return {

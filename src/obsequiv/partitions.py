@@ -282,8 +282,7 @@ class ObservationFunction:
     def __call__(self, point):
         """Symbol of one point, or an object array (...) of the symbols of an
         array (..., d) of points."""
-        index = self.partition.cell_index(point)
-        return self.symbols[index] if isinstance(index, int) else self._symbols[index]
+        return self._symbols[self.partition.cell_index(point)]
 
     def codes(self, point):
         """Alphabet indices of the symbols of the point(s), as cell_index

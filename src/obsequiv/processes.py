@@ -435,14 +435,8 @@ def sample_chain(spec: MarkovChainSpec, length, seed_or_rng):
     """Stationary sample path of the chain as a tuple of symbols."""
     if length < 0:
         raise ProcessError(f"chain length must be nonnegative, got {length}")
-    codes = _chain_lockstep(spec, int(length), 1, _as_rng(seed_or_rng))[0]
+    codes = _chain_lockstep(spec, int(length), 1, np.random.default_rng(seed_or_rng))[0]
     return tuple(spec.states[c] for c in codes)
-
-
-def _as_rng(seed_or_rng):
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +577,7 @@ def sample_semi_markov(spec: SemiMarkovSpec, horizon, seed_or_rng) -> Realizatio
     """
     if not 0 < horizon < math.inf:
         raise ProcessError(f"horizon must be positive and finite, got {horizon}")
-    codes, ends = _semi_markov_lockstep(spec, horizon, 1, _as_rng(seed_or_rng))
+    codes, ends = _semi_markov_lockstep(spec, horizon, 1, np.random.default_rng(seed_or_rng))
     codes, ends = codes[0], ends[0]
     t0 = float(ends[0])
     breaks = (t0 - spec.u(spec.states[codes[0]]),) + tuple(ends)

@@ -1,7 +1,6 @@
 """Declarative scenario files: named systems, observations, processes, and
 a task list.  The runner executes tasks in order, writing one JSON report
-(and optional CSV) per task; identical input and seed give byte-identical
-JSON.
+per task; identical input and seed give byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -287,7 +286,7 @@ def _run_task(scn: Scenario, idx, task):
         src = scn.source(f, where)
         fdd = estimate_fdd(src.sample_codes(f["grid"], f["n"], seed), src.alphabet, f["grid"])
         obj = {"schema": REPORT_SCHEMA, "kind": kind, "fdd": fdd.to_json_obj()}
-        return obj, fdd.to_csv(), True
+        return obj, True
 
     if kind == "entropy":
         check_path_steps(f["sequences"], f["length"])
@@ -304,10 +303,10 @@ def _run_task(scn: Scenario, idx, task):
             "rate_estimate": trend.rate_estimate,
             "positive_rate": trend.positive_rate,
         }
-        return obj, trend.to_csv(), True
+        return obj, True
 
     report = _run_check(kind.removeprefix("check:"), f, where, seed)
-    return report.to_json_obj(), None, report.passed
+    return report.to_json_obj(), report.passed
 
 
 def _run_check(what, f, where, seed) -> CheckReport:
@@ -352,7 +351,7 @@ def _run_check(what, f, where, seed) -> CheckReport:
     )
 
 
-def run_scenario(path, out_dir="out", seed=None, fmt="json") -> int:
+def run_scenario(path, out_dir="out", seed=None) -> int:
     """Execute a scenario file; returns the process exit code.
 
     0: all checks passed; 1: at least one check failed; 2: configuration
@@ -368,19 +367,14 @@ def run_scenario(path, out_dir="out", seed=None, fmt="json") -> int:
         all_ok = True
         for idx, task in enumerate(scn.tasks):
             try:
-                obj, csv_text, ok = _run_task(scn, idx, task)
+                obj, ok = _run_task(scn, idx, task)
             except ScenarioError:
                 raise
             except ValueError as exc:  # every package error is a ValueError
                 raise ScenarioError(f"tasks[{idx}] ({task.get('kind')}): {exc}") from exc
             all_ok = all_ok and ok
-            base = target / f"{idx}-{task['kind'].replace(':', '_')}"
-            if fmt in ("json", "both"):
-                base.with_suffix(".json").write_text(
-                    json.dumps(obj, sort_keys=True, indent=2) + "\n"
-                )
-            if fmt in ("csv", "both") and csv_text is not None:
-                base.with_suffix(".csv").write_text(csv_text)
+            name = f"{idx}-{task['kind'].replace(':', '_')}.json"
+            (target / name).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
         return 0 if all_ok else 1
     except ScenarioError as exc:
         print(f"configuration error: {exc}")

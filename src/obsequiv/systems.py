@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partitions import Box, PhaseSpace, UNIT_INTERVAL, UNIT_SQUARE
-from .processes import (MAX_PATH_STEPS, ProcessError, _as_rng, as_grid, check_path_steps,
+from .processes import (MAX_PATH_STEPS, ProcessError, as_grid, check_path_steps,
                         sample_in_chunks)
 
 __all__ = [
@@ -516,5 +516,5 @@ def trajectory_symbols(system, obs, grid, seed_or_rng) -> tuple:
         check_path_steps(1, _path_steps(system, grid))
     except ProcessError as exc:
         raise SystemError(str(exc)) from None
-    (symbols,) = obs(_coordinates(system, grid, 1, _as_rng(seed_or_rng)))
+    (symbols,) = obs(_coordinates(system, grid, 1, np.random.default_rng(seed_or_rng)))
     return tuple(symbols.tolist())

@@ -137,14 +137,6 @@ def test_rotation_block_entropy_matches_exact_oracle():
     assert abs(est.bits - _exact_rotation_block_entropy(alpha, L)) < 0.02
 
 
-def test_trend_csv_format():
-    rng = np.random.default_rng(10)
-    trend = entropy_rate([rng.integers(0, 2, 10_000)], 3)
-    lines = trend.to_csv().strip().splitlines()
-    assert lines[0] == "L,H_L,increment"
-    assert len(lines) == 4
-
-
 def test_entropy_rate_equals_block_entropy_at_every_length():
     """One encoding for all L gives each L's block entropy bit for bit, also
     for tuple symbols over several sequences."""

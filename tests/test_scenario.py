@@ -580,14 +580,6 @@ def test_seed_override_changes_reports(tmp_path):
     assert a != b
 
 
-def test_csv_format_written_for_simulate(tmp_path):
-    scn = _write(tmp_path, "csv.json", PASSING)
-    run_scenario(scn, out_dir=tmp_path / "out", fmt="both")
-    csv_path = tmp_path / "out" / "csv" / "0-simulate.csv"
-    assert csv_path.exists()
-    assert csv_path.read_text().startswith("times,symbols,count,estimate,stderr")
-
-
 def test_scenario_with_system_and_observation(tmp_path):
     doc = {
         "seed": 5,
@@ -624,11 +616,11 @@ def test_entropy_task_serializes(tmp_path):
         ],
     }
     scn = _write(tmp_path, "ent.json", doc)
-    assert run_scenario(scn, out_dir=tmp_path / "o", fmt="both") == 0
+    assert run_scenario(scn, out_dir=tmp_path / "o") == 0
     obj = json.loads((tmp_path / "o" / "ent" / "0-entropy.json").read_text())
     assert obj["positive_rate"] is True
     assert len(obj["block_entropies"]) == 3
-    assert (tmp_path / "o" / "ent" / "0-entropy.csv").read_text().startswith("L,H_L")
+    assert [p.name for p in (tmp_path / "o").rglob("*") if p.is_file()] == ["0-entropy.json"]
 
 
 def test_entropy_task_at_one_block_length_rates_by_its_entropy(tmp_path):
@@ -652,8 +644,8 @@ def test_scenario_object_validates_structure():
 def test_cli_main_runs_and_maps_exit_codes(tmp_path, monkeypatch):
     scn = _write(tmp_path, "cli.json", PASSING)
     out = tmp_path / "cliout"
-    assert main([str(scn), "--out", str(out), "--format", "both"]) == 0
-    assert (out / "cli" / "0-simulate.csv").exists()
+    assert main([str(scn), "--out", str(out)]) == 0
+    assert {p.suffix for p in out.rglob("*") if p.is_file()} == {".json"}
     assert main([str(tmp_path / "missing.json")]) == 2
 
 
@@ -674,7 +666,7 @@ def test_measure_outside_the_unit_interval_exits_two_without_a_report(
         {"kind": "check:measure_preservation", "system": "rot", "times": [1.0], "n": 10**6,
          "sets": [{"label": "h", "box": {"lo": [0.0], "hi": [0.5]}, "measure": measure}]}])
     out = tmp_path / "o"
-    assert run_scenario(_write(tmp_path, "mu.json", doc), out_dir=out, fmt="both") == 2
+    assert run_scenario(_write(tmp_path, "mu.json", doc), out_dir=out) == 2
     assert capsys.readouterr().out == (
         "configuration error: tasks[0] (check:measure_preservation): "
         f"set 'h' has measure {measure}, outside [0, 1]\n")
@@ -686,6 +678,16 @@ def test_cli_rejects_removed_jobs_flag(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main([str(scn), "--out", str(tmp_path / "o"), "--jobs", "2"])
     assert exc.value.code == 2
+
+
+def test_cli_rejects_removed_format_flag(tmp_path, capsys):
+    """JSON is the one report format: --format is an unknown argument."""
+    scn = _write(tmp_path, "fmt.json", PASSING)
+    with pytest.raises(SystemExit) as exc:
+        main([str(scn), "--out", str(tmp_path / "o"), "--format", "both"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_seed_override(tmp_path):

@@ -192,13 +192,11 @@ def test_one_mutated_field_exits_cleanly(tmp_path_factory, doc):
         assert LOCATION.match(out), out
 
 
-# sha256 of every report (--format both), and the exit code, of the demo
-# scenario and of each workload's scenario at seed 2; a change that alters
-# these bytes on purpose updates them and says why
+# sha256 of every report, and the exit code, of the demo scenario and of
+# each workload's scenario at seed 2; a change that alters these bytes on
+# purpose updates them and says why
 PINNED_REPORTS = {
     "ensemble": (1, {
-        "0-simulate.csv":
-            "e205141fe10a0836bb9bba3ce0e4fbbf00583d5cd71587251b4a3504cded6663",
         "0-simulate.json":
             "7a39f1fa0fdcb0721107d20dfbd3fb3ad24851f8a2d018159a1ed76600d48fe4",
         "1-check_observational_equivalence.json":
@@ -211,12 +209,8 @@ PINNED_REPORTS = {
             "40eec66bce83d74bc26a8995802d99fdb029c88ed9b7ceb8dc7c485fab97f292",
     }),
     "long-path": (0, {
-        "0-entropy.csv":
-            "2f35f110a6fcbe321314cba65cba1ae42c2f85cc4c733b4b55f2d8b3f4cefa51",
         "0-entropy.json":
             "a5edd3429f4d5b1477582ee476aca3e1bb82a00c16fe2783115367ffd7ddfb77",
-        "1-entropy.csv":
-            "b4973fbaa51c01e91b08758ffa262e499d189e82b1fb5e83486e45db786153b0",
         "1-entropy.json":
             "17aff8ae8f40e0d3fa76b394f6e1df7472f1f996e9cef8ac8b300506b0cdbdc2",
     }),
@@ -235,16 +229,12 @@ PINNED_REPORTS = {
             "324b824f9a44d20eb669b9ebfecb0eb0ef2a9b469ae3168eaa4075f0069d6ece",
     }),
     "scenario_basic": (0, {
-        "0-simulate.csv":
-            "40c7950eed6ecc07ab7aab249337931b5bd50ad46cb457dc5c823e65eddbb0bc",
         "0-simulate.json":
             "4787ba237c081f292461170fe56ebbf7e1f2ec460c2969cf6a9b458d0d71a77f",
         "1-check_observational_equivalence.json":
             "d1c73a5c50ece9a905c33c2eba29830621d50acefee514db801a29a2a01a6810",
         "2-check_nontriviality.json":
             "6ce066537f830d304fd718b901983503b463bbdec093297f57d0cfb01a13a6dc",
-        "3-entropy.csv":
-            "00cf43d4af97ca6b69e0dd302148edf3bb6eb2c86ed7f6bb94860a3b210175fb",
         "3-entropy.json":
             "563385e6fc607f06584e9714d441b90bae1a75930f6e83a977b47b7f6349cd4a",
     }),
@@ -259,7 +249,7 @@ def test_full_size_reports_are_pinned(tmp_path, stem):
         scenario = tmp_path / f"{stem}.json"
         scenario.write_text(json.dumps(_workloads.build(stem, 2)[0]))
     with redirect_stdout(io.StringIO()):
-        code = run_scenario(scenario, out_dir=tmp_path / "reports", fmt="both")
+        code = run_scenario(scenario, out_dir=tmp_path / "reports")
     reports = sorted((tmp_path / "reports" / stem).iterdir())
     digests = {r.name: hashlib.sha256(r.read_bytes()).hexdigest() for r in reports}
     assert (code, digests) == PINNED_REPORTS[stem]
