@@ -15,8 +15,10 @@ from obsequiv import (
     HoldingTime,
     MarkovChainSpec,
     SemiMarkovSpec,
+    irrationally_related,
     sample_semi_markov,
     spawn_rngs,
+    validate_markov_spec,
 )
 
 chain = MarkovChainSpec(("s1", "s2"), np.full((2, 2), 0.5))
@@ -24,9 +26,9 @@ spec = SemiMarkovSpec(
     chain, {"s1": HoldingTime(Fraction(1)), "s2": HoldingTime(Fraction(1), 2)}
 )
 
-print("embedded chain marginal:", chain.validate().marginal)
+print("embedded chain marginal:", validate_markov_spec(chain).marginal)
 print("time-weighted marginal: ", spec.time_weighted_marginal())
-print("holding times irrationally related:", spec.irrationally_related())
+print("holding times irrationally related:", irrationally_related(spec.holding.values()))
 
 n = 20_000
 hits = sum(

@@ -10,18 +10,18 @@ import math
 
 from obsequiv import (
     BakerMap,
+    ObservationFunction,
     RotationFlow,
     check_epsilon_congruence,
     check_simulation,
     grid_partition,
     interval_partition,
-    observation_from_partition,
 )
 
 bk = BakerMap()
 
 for bits, (nx, ny) in (("4-bit", (16, 16)), ("1-bit", (2, 1))):
-    obs = observation_from_partition(grid_partition(nx, ny))
+    obs = ObservationFunction(grid_partition(nx, ny))
     centers = {
         sym: tuple((lo + hi) / 2 for lo, hi in zip(cell[0].lo, cell[0].hi))
         for sym, cell in zip(obs.symbols, obs.partition.cells)
@@ -34,8 +34,8 @@ for bits, (nx, ny) in (("4-bit", (16, 16)), ("1-bit", (2, 1))):
 print(f"4-bit geometric bound: sqrt(2)/32 = {math.sqrt(2) / 32:.4f}")
 
 rot = RotationFlow(math.sqrt(2) - 1)
-halves = observation_from_partition(interval_partition([0.0, 0.5, 1.0], ["a", "b"]))
-quarters = observation_from_partition(
+halves = ObservationFunction(interval_partition([0.0, 0.5, 1.0], ["a", "b"]))
+quarters = ObservationFunction(
     interval_partition([0.0, 0.25, 0.5, 0.75, 1.0], ["q0", "q1", "q2", "q3"])
 )
 gamma = {"q0": "a", "q1": "a", "q2": "b", "q3": "b"}.get

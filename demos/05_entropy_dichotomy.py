@@ -9,10 +9,10 @@ import numpy as np
 
 from obsequiv import (
     BilliardFlow,
+    ObservationFunction,
     RotationFlow,
     entropy_rate,
     grid_partition,
-    observation_from_partition,
     spawn_rngs,
     trajectory_symbols,
 )
@@ -32,7 +32,7 @@ trend = entropy_rate(seqs, 12)
 print(f"rotation:      last increment {trend.increments[-1]:.4f} bits, positive={trend.positive_rate}")
 
 table = BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
-obs = observation_from_partition(grid_partition(2, 2, space=table.space))
+obs = ObservationFunction(grid_partition(2, 2, space=table.space))
 grid = [0.5 * i for i in range(2000)]
 bseqs = [trajectory_symbols(table, obs, grid, r) for r in spawn_rngs(2, 6)]
 trend = entropy_rate(bseqs, 3)

@@ -8,7 +8,6 @@ from .partitions import (
     PhaseSpace,
     grid_partition,
     interval_partition,
-    observation_from_partition,
     refine,
 )
 from .fdd import (

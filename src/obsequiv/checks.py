@@ -101,8 +101,6 @@ class ObservedSystemSource:
 def _as_source(side):
     if hasattr(side, "sample_codes") and hasattr(side, "alphabet"):
         return side
-    if isinstance(side, tuple) and len(side) == 2:
-        return ObservedSystemSource(*side)
     if isinstance(side, (MarkovChainSpec, SemiMarkovSpec)):
         return ShiftRepresentation(side)
     raise CheckError(f"cannot interpret {type(side).__name__} as a symbol source")
@@ -195,7 +193,7 @@ def check_nontriviality(system, obs, lags, n, seed) -> CheckReport:
     property.  Only the observed (from, to) pairs are counted: an unobserved
     pair estimates 0, so it is never a witness.
     """
-    if hasattr(obs, "nontrivial") and not obs.nontrivial:
+    if len(obs.alphabet) < 2:
         raise CheckError("trivial observation function rejected")
     _require_items(lags=lags)
     if any(k <= 0 for k in lags):

@@ -32,10 +32,6 @@ class EntropyEstimate:
     n_blocks: int
     alphabet_size: int
 
-    @property
-    def rate(self):
-        return self.bits / self.block_length
-
 
 @dataclass
 class EntropyTrend:

@@ -73,6 +73,12 @@ class EmpiricalFDD:
         for e in self.events:
             if len(e) != len(self.grid):
                 raise FDDError("event tuple length must match grid length")
+        if len(set(self.events)) != len(self.events):
+            raise FDDError("each event may have only one count")
+        low, total = min(self.counts, default=0), sum(self.counts)
+        if low < 0 or total > self.n_samples:
+            raise FDDError(f"counts must be nonnegative with a sum of at most n_samples = "
+                           f"{self.n_samples}, got least count {low} and sum {total}")
 
     @property
     def estimates(self):

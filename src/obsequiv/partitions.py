@@ -19,7 +19,6 @@ __all__ = [
     "Partition",
     "ObservationFunction",
     "refine",
-    "observation_from_partition",
     "interval_partition",
     "grid_partition",
 ]
@@ -275,10 +274,6 @@ class ObservationFunction:
         alphabet = {s: i for i, s in enumerate(self.alphabet)}
         object.__setattr__(self, "_codes", np.array([alphabet[s] for s in symbols]))
 
-    @property
-    def nontrivial(self):
-        return len(self.alphabet) >= 2
-
     def __call__(self, point):
         """Symbol of one point, or an object array (...) of the symbols of an
         array (..., d) of points."""
@@ -288,11 +283,6 @@ class ObservationFunction:
         """Alphabet indices of the symbols of the point(s), as cell_index
         returns cell indices."""
         return self._codes[self.partition.cell_index(point)]
-
-
-def observation_from_partition(p: Partition, labels=None) -> ObservationFunction:
-    """Observation function reading off the cell label of the state."""
-    return ObservationFunction(p, tuple(labels) if labels is not None else None)
 
 
 def interval_partition(breaks, labels, space=UNIT_INTERVAL) -> Partition:

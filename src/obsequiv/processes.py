@@ -134,8 +134,12 @@ class MarkovChainSpec:
             raise ProcessError("order must be >= 1")
         if len(set(self.states)) != k:
             raise ProcessError(f"duplicate states in {self.states!r}")
-        if table.shape != (k**n, k):
-            raise ProcessError(f"table must have shape ({k**n}, {k})")
+        rows = len(table) if table.ndim else 0
+        # k^n rows outgrow the table once n passes its bit length: refuse
+        # before computing a power that may have millions of digits
+        if (k > 1 and n > rows.bit_length()) or table.shape != (k**n, k):
+            raise ProcessError(f"order {n} needs a table of shape ({k}^{n}, {k}), "
+                               f"got {table.shape}")
         if not np.all(np.isfinite(table)):
             raise ProcessError("transition probabilities must be finite")
         if np.any(table < -ROW_SUM_TOL):
@@ -157,9 +161,6 @@ class MarkovChainSpec:
         for s in ctx:
             idx = idx * k + self.states.index(s)
         return idx
-
-    def validate(self) -> "MarkovDiagnostics":
-        return validate_markov_spec(self)
 
 
 def _cached(spec, key, build):
@@ -210,18 +211,13 @@ def _stationary_of(Q):
     return pi
 
 
-def validate_markov_spec(spec_or_matrix) -> MarkovDiagnostics:
+def validate_markov_spec(spec: MarkovChainSpec) -> MarkovDiagnostics:
     """Irreducibility, aperiodicity, and stationary distribution of a chain.
 
-    Accepts a MarkovChainSpec, or a raw row-stochastic matrix (order 1, states
-    s1, s2, ...).  The diagnostics are computed once per spec and cached on
-    it, so the samplers and a direct call share one validation.
+    The diagnostics are computed once per spec and cached on it, so the
+    samplers and a direct call share one validation.
     """
-    if not isinstance(spec_or_matrix, MarkovChainSpec):
-        table = np.asarray(spec_or_matrix, dtype=float)
-        states = tuple(f"s{i+1}" for i in range(table.shape[1]))
-        spec_or_matrix = MarkovChainSpec(states, table)
-    return _cached(spec_or_matrix, "_diag", lambda: _diagnose(spec_or_matrix))
+    return _cached(spec, "_diag", lambda: _diagnose(spec))
 
 
 def _diagnose(spec):
@@ -281,7 +277,7 @@ def block_embedding(spec: MarkovChainSpec) -> MarkovChainSpec:
     For order 1 this is the identity embedding up to relabeling states by
     singleton blocks.
     """
-    if not spec.validate().valid:
+    if not validate_markov_spec(spec).valid:
         raise ProcessError("cannot embed an invalid chain")
     keep, blocks = _recurrent_blocks(spec)
     Q = _closed_matrix(spec, keep)
@@ -291,7 +287,7 @@ def block_embedding(spec: MarkovChainSpec) -> MarkovChainSpec:
 def _recurrent_blocks(spec: MarkovChainSpec):
     """(indices, labels) of the contexts of positive stationary mass, in
     context order; a label is the state at order 1, the tuple of states above."""
-    keep = np.flatnonzero(spec.validate().stationary > 0)
+    keep = np.flatnonzero(validate_markov_spec(spec).stationary > 0)
     contexts = spec.contexts()
     return keep, tuple(contexts[i][0] if spec.order == 1 else contexts[i] for i in keep)
 
@@ -368,7 +364,7 @@ def _draw(cum, u):
 
 def _chain_tables(spec: MarkovChainSpec):
     """(cumulative stationary law over contexts, cumulative table rows)."""
-    diag = spec.validate()
+    diag = validate_markov_spec(spec)
     if not diag.valid:
         raise ProcessError("invalid chain spec")
     return _cached(
@@ -464,12 +460,9 @@ class SemiMarkovSpec:
     def u(self, state):
         return self.holding[state].value
 
-    def irrationally_related(self):
-        return irrationally_related(list(self.holding.values()))
-
     def time_weighted_marginal(self):
         """P(Z_0 = s_i) = p_i u_i / sum_j p_j u_j (the sojourn-length bias)."""
-        diag = self.chain.validate()
+        diag = validate_markov_spec(self.chain)
         if not diag.valid:
             raise ProcessError("invalid embedded chain")
         w = {s: diag.marginal[s] * self.u(s) for s in self.states}
@@ -515,7 +508,7 @@ def _semi_markov_tables(spec: SemiMarkovSpec):
         k = spec.chain.n_states
         # the context ending in s_i, weighted by u(s_i): length-biases only
         # the sojourn straddling time 0
-        weights = spec.chain.validate().stationary * hold[np.arange(len(cum)) % k]
+        weights = validate_markov_spec(spec.chain).stationary * hold[np.arange(len(cum)) % k]
         return _inverse_cdf(weights / weights.sum())[0], hold
 
     start, hold = _cached(spec, "_tables", build)

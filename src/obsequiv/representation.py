@@ -23,9 +23,11 @@ from .processes import (
     chain_codes,
     chain_steps,
     check_path_steps,
+    irrationally_related,
     sample_in_chunks,
     semi_markov_codes,
     sojourn_steps,
+    validate_markov_spec,
 )
 from .systems import RoofFunction, SuspensionFlow
 
@@ -44,7 +46,7 @@ class ShiftRepresentation:
     def __init__(self, spec):
         if not isinstance(spec, (SemiMarkovSpec, MarkovChainSpec)):
             raise ProcessError(f"unsupported process spec {type(spec).__name__}")
-        if not getattr(spec, "chain", spec).validate().valid:
+        if not validate_markov_spec(getattr(spec, "chain", spec)).valid:
             raise ProcessError("invalid process spec")
         self.spec = spec
 
@@ -130,7 +132,7 @@ class SemiMarkovFlowRep(SuspensionFlow):
     def __init__(self, spec: SemiMarkovSpec):
         if not isinstance(spec, SemiMarkovSpec):
             raise ProcessError(f"a flow needs a semi-Markov process, got {type(spec).__name__}")
-        if not spec.irrationally_related():
+        if not irrationally_related(spec.holding.values()):
             raise ProcessError("holding-time set is not irrationally related")
         self.spec = spec
         chain = spec.chain

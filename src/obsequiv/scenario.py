@@ -17,10 +17,10 @@ from .checks import REPORT_SCHEMA, CheckReport, ObservedSystemSource
 from .fdd import estimate_fdd
 from .partitions import (
     Box,
+    ObservationFunction,
     Partition,
     grid_partition,
     interval_partition,
-    observation_from_partition,
 )
 from .processes import HoldingTime, MarkovChainSpec, SemiMarkovSpec, check_path_steps
 from .representation import SemiMarkovFlowRep, ShiftRepresentation
@@ -193,7 +193,7 @@ def _build_observation(f, where):
         cells = tuple(tuple(_box(b, f"{where}.cells[{i}][{j}]") for j, b in enumerate(cell))
                       for i, cell in enumerate(f["cells"]))
         part = Partition(space, cells, tuple(f["labels"]))
-    return observation_from_partition(part, f["symbols"])
+    return ObservationFunction(part, f["symbols"])
 
 
 def _build_process(f, where):

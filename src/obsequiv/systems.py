@@ -394,10 +394,6 @@ class RoofFunction:
     def __call__(self, symbol):
         return self.heights[symbol]
 
-    @property
-    def max_height(self):
-        return max(self.heights.values())
-
 
 class SuspensionFlow:
     """Unit-rate vertical motion under a roof, jumping by the base map.
@@ -414,7 +410,7 @@ class SuspensionFlow:
         self.label = base.label
 
     def sample_initial(self, rng):
-        umax = self.roof.max_height
+        umax = max(self.roof.heights.values())
         while True:
             k = self.base.sample_initial(rng)
             u = self.roof(self.label(k))

@@ -28,7 +28,6 @@ from obsequiv.partitions import (
     UNIT_INTERVAL,
     grid_partition,
     interval_partition,
-    observation_from_partition,
 )
 from obsequiv.processes import (
     HoldingTime,
@@ -37,6 +36,7 @@ from obsequiv.processes import (
     block_embedding,
     sample_chain,
     sample_semi_markov,
+    validate_markov_spec,
 )
 from obsequiv.representation import SemiMarkovFlowRep, ShiftRepresentation
 from obsequiv.systems import (
@@ -132,7 +132,7 @@ def test_criterion_04_representation_fidelity(sm_spec):
 
 def test_criterion_05_transition_nontriviality():
     table = BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
-    obs = observation_from_partition(grid_partition(2, 2, space=table.space))
+    obs = ObservationFunction(grid_partition(2, 2, space=table.space))
     ok = True
     timings = {}
     for i, k in enumerate((0.3, 1.0, 2.0)):
@@ -140,7 +140,7 @@ def test_criterion_05_transition_nontriviality():
         rep = check_nontriviality(table, obs, [k], 4000, 127 + i)
         timings[k] = time.perf_counter() - t0
         ok = ok and rep.passed and timings[k] < 60.0
-    halves = observation_from_partition(interval_partition([0.0, 0.5, 1.0], ["L", "R"]))
+    halves = ObservationFunction(interval_partition([0.0, 0.5, 1.0], ["L", "R"]))
     trivial = check_nontriviality(RotationFlow(1.0), halves, [1.0], 4000, 131)
     ok = ok and trivial.verdict == "fail"
     assert _verdict(5, "transition nontriviality", ok), (timings, trivial.verdict)
@@ -178,7 +178,7 @@ def test_criterion_06_block_embedding():
     # (b) block-chain stationary marginals match joint 2-block frequencies;
     # independent draws keep the 3-sigma Wald band valid
     emb = block_embedding(spec)
-    diag = emb.validate()
+    diag = validate_markov_spec(emb)
     n_ind = 50_000
     draws = [tuple(sample_chain(spec, 2, rng)) for rng in spawn_rngs(1009, n_ind)]
     marg_ok = True
@@ -192,7 +192,7 @@ def test_criterion_06_block_embedding():
 
 def test_criterion_07_epsilon_congruence():
     bk = BakerMap()
-    fine = observation_from_partition(grid_partition(16, 16))
+    fine = ObservationFunction(grid_partition(16, 16))
     centers = {
         sym: tuple((lo + hi) / 2 for lo, hi in zip(cell[0].lo, cell[0].hi))
         for sym, cell in zip(fine.symbols, fine.partition.cells)
@@ -202,7 +202,7 @@ def test_criterion_07_epsilon_congruence():
     )
     # geometric bound: half-diagonal of a 1/16 cell is sqrt(2)/32 < 0.1
     bound_ok = good.items[0]["max_distance_seen"] <= SQRT2 / 32 + 1e-12
-    coarse = observation_from_partition(interval_partition([0.0, 0.5, 1.0], ["L", "R"]))
+    coarse = ObservationFunction(interval_partition([0.0, 0.5, 1.0], ["L", "R"]))
     coarse_centers = {"L": (0.25, 0.5), "R": (0.75, 0.5)}
     bad = check_epsilon_congruence(
         bk, lambda c: coarse(c[..., :1]), lambda s: coarse_centers[s], 0.1, 10_000, 149
@@ -213,7 +213,7 @@ def test_criterion_07_epsilon_congruence():
 
 def test_criterion_08_simulation():
     rot = RotationFlow(SQRT2 - 1.0)
-    halves = observation_from_partition(interval_partition([0.0, 0.5, 1.0], ["a", "b"]))
+    halves = ObservationFunction(interval_partition([0.0, 0.5, 1.0], ["a", "b"]))
     identity_ok = all(
         check_simulation("strong", rot, halves, halves, eps, [], 5000, 151).passed
         for eps in (0.001, 0.01, 0.1, 0.5)
@@ -232,7 +232,7 @@ def test_criterion_08_simulation():
     )  # disagrees with halves exactly on [0, 0.01)
     loose = check_simulation("strong", rot, halves, perturbed, 0.05, [], 20_000, 157)
     tight = check_simulation("strong", rot, halves, perturbed, 0.005, [], 20_000, 163)
-    quarters = observation_from_partition(
+    quarters = ObservationFunction(
         interval_partition([0.0, 0.25, 0.5, 0.75, 1.0], ["q0", "q1", "q2", "q3"])
     )
     gamma = {"q0": "a", "q1": "a", "q2": "b", "q3": "b"}.get
@@ -287,7 +287,7 @@ def test_criterion_09_entropy_dichotomy():
     ) < 0.02
 
     table = BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
-    obs = observation_from_partition(grid_partition(2, 2, space=table.space))
+    obs = ObservationFunction(grid_partition(2, 2, space=table.space))
     grid = [0.5 * i for i in range(4000)]
     bseqs = [
         trajectory_symbols(table, obs, grid, rng)

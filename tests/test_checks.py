@@ -27,7 +27,6 @@ from obsequiv.partitions import (
     UNIT_INTERVAL,
     grid_partition,
     interval_partition,
-    observation_from_partition,
 )
 from obsequiv.fdd import wald
 from obsequiv.processes import MarkovChainSpec
@@ -35,7 +34,7 @@ from obsequiv.representation import SemiMarkovFlowRep
 from obsequiv.systems import BakerMap, BilliardFlow, RotationFlow
 
 P2 = np.array([[0.5, 0.5], [0.75, 0.25]])
-HALVES = observation_from_partition(interval_partition([0.0, 0.5, 1.0], ["a", "b"]))
+HALVES = ObservationFunction(interval_partition([0.0, 0.5, 1.0], ["a", "b"]))
 
 
 def _symbol_paths(source, grid, n, seed):
@@ -103,7 +102,7 @@ def test_nontriviality_rejects_trivial_observation():
 
 def _billiard_grid(nx):
     table = BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
-    return table, observation_from_partition(grid_partition(nx, nx, space=table.space))
+    return table, ObservationFunction(grid_partition(nx, nx, space=table.space))
 
 
 def test_nontriviality_pair_counts_match_brute_force():
@@ -117,7 +116,7 @@ def test_nontriviality_pair_counts_match_brute_force():
     cases = [
         (*_billiard_grid(2), [0.3, 1.0], 600, True),
         (*_billiard_grid(6), [0.05, 0.3], 600, True),
-        (BakerMap(), observation_from_partition(grid_partition(8, 8)), [1.0], 20, False),
+        (BakerMap(), ObservationFunction(grid_partition(8, 8)), [1.0], 20, False),
         (RotationFlow(1.0), HALVES, [1.0, 2.0], 300, False),
     ]
     for system, obs, lags, n, witnessed in cases:
@@ -150,7 +149,7 @@ def test_nontriviality_counts_only_the_observed_pairs(within_a_second):
     pairs, and those are all that is counted."""
     import tracemalloc
 
-    coding = observation_from_partition(grid_partition(64, 64))
+    coding = ObservationFunction(grid_partition(64, 64))
     tracemalloc.start()
     try:
         rep = check_nontriviality(BakerMap(), coding, [1.0], 2000, 3)
@@ -164,7 +163,7 @@ def test_nontriviality_counts_only_the_observed_pairs(within_a_second):
 def test_simulation_maps_images_in_one_pass(within_a_second):
     """psi's images reach phi's codes through one dict, not one alphabet
     scan per symbol, on the baker's 4,096-symbol coding."""
-    coding = observation_from_partition(grid_partition(64, 64))
+    coding = ObservationFunction(grid_partition(64, 64))
     rep = check_simulation("strong", BakerMap(), coding, coding, 0.01, [], 2000, 3)
     assert rep.passed
 
@@ -341,7 +340,7 @@ def test_bad_tolerance_is_rejected_not_passed(check, value):
 
 def test_epsilon_congruence_fine_coding_passes():
     bk = BakerMap()
-    obs = observation_from_partition(grid_partition(16, 16))
+    obs = ObservationFunction(grid_partition(16, 16))
     centers = {
         sym: tuple((lo + hi) / 2 for lo, hi in zip(cell[0].lo, cell[0].hi))
         for sym, cell in zip(obs.symbols, obs.partition.cells)
@@ -356,7 +355,7 @@ def test_epsilon_congruence_fine_coding_passes():
 
 def test_epsilon_congruence_coarse_coding_fails():
     bk = BakerMap()
-    obs = observation_from_partition(interval_partition([0.0, 0.5, 1.0], ["L", "R"]))
+    obs = ObservationFunction(interval_partition([0.0, 0.5, 1.0], ["L", "R"]))
     centers = {"L": (0.25, 0.5), "R": (0.75, 0.5)}
     rep = check_epsilon_congruence(
         bk, lambda c: obs(c[..., :1]), lambda s: centers[s], 0.1, 2000, 47
@@ -401,7 +400,7 @@ def test_simulation_strong_perturbation_thresholds(perturbed_halves):
 
 def test_simulation_weak_merge_passes():
     rot = RotationFlow(math.sqrt(2) - 1)
-    quarters = observation_from_partition(
+    quarters = ObservationFunction(
         interval_partition([0.0, 0.25, 0.5, 0.75, 1.0], ["q0", "q1", "q2", "q3"])
     )
     gamma = {"q0": "a", "q1": "a", "q2": "b", "q3": "b"}.get
@@ -422,7 +421,7 @@ def test_simulation_weak_requires_gamma():
 
 def test_simulation_alphabet_mismatch_fails():
     rot = RotationFlow(0.3)
-    other = observation_from_partition(
+    other = ObservationFunction(
         interval_partition([0.0, 0.5, 1.0], ["x", "y"])
     )
     rep = check_simulation("strong", rot, HALVES, other, 0.5, [], 100, 71)

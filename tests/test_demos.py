@@ -1,4 +1,4 @@
-"""Every narrative demo runs to completion."""
+"""Every narrative demo, and the README quick start, runs to completion."""
 
 import os
 import subprocess
@@ -11,18 +11,32 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 
+def _run(args, cwd):
+    """Run python with args on the checkout's src, RuntimeWarnings as errors
+    (as pyproject.toml sets them for the tests)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", *args], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 def test_demos_found():
     assert len(DEMOS) >= 5
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_exits_zero(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = _run([str(demo)], tmp_path)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_quick_start_prints_pass(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = _run(["-c", block], tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "pass\n"

@@ -31,7 +31,6 @@ def test_fair_coin_eight_blocks():
     seq = rng.integers(0, 2, 400_000)
     est = block_entropy([seq], 8)
     assert abs(est.bits - 8.0) < 0.05  # analytic: H_L = L for i.i.d.(1/2,1/2)
-    assert est.rate == pytest.approx(est.bits / 8)
 
 
 def test_biased_coin_single_symbol_entropy():

@@ -241,6 +241,22 @@ def test_compare_fdd_bonferroni_widens_with_entries():
     assert c4.tolerances["z"] > c1.tolerances["z"]
 
 
+@pytest.mark.parametrize(
+    "events, counts, message",
+    [
+        ((("a",), ("a",)), (1, 2), "only one count"),
+        ((("a",), ("b",)), (-1, 3), "least count -1 and sum 2"),
+        ((("a",), ("b",)), (2, 2), "least count 2 and sum 4"),
+    ],
+    ids=["duplicate_event", "negative_count", "counts_above_n"],
+)
+def test_empirical_fdd_refuses_tables_compare_fdd_would_misread(events, counts, message):
+    """compare_fdd would keep only the last count of a repeated event, and
+    take the square root of a negative variance for a share outside [0, 1]."""
+    with pytest.raises(FDDError, match=message):
+        EmpiricalFDD((0.0,), events, counts, 3)
+
+
 def test_compare_fdd_close_sampled_tables_pass():
     rng = np.random.default_rng(7)
     n = 20_000

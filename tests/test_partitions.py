@@ -20,7 +20,6 @@ from obsequiv.partitions import (
     _cells_overlap,
     grid_partition,
     interval_partition,
-    observation_from_partition,
     refine,
 )
 
@@ -156,13 +155,13 @@ def test_grid_partition_with_extra_trailing_dims():
 
 def test_observation_function_symbols_and_alphabet():
     p = interval_partition([0.0, 0.5, 1.0], ["left", "right"])
-    obs = observation_from_partition(p)
+    obs = ObservationFunction(p)
     assert obs((0.2,)) == "left"
     assert obs((0.7,)) == "right"
-    assert obs.nontrivial
+    assert len(obs.alphabet) == 2
     relabeled = ObservationFunction(p, symbols=("x", "x"))
     assert relabeled.alphabet == ("x",)
-    assert not relabeled.nontrivial  # collapsed symbols make it trivial
+    assert len(relabeled.alphabet) < 2  # collapsed symbols make it trivial
 
 
 def test_observation_symbol_count_must_match():

@@ -187,7 +187,7 @@ def test_one_dimensional_draws_allocate_no_n_by_m_array():
 
 
 def test_stationary_distribution_exact():
-    diag = validate_markov_spec(P2)
+    diag = validate_markov_spec(MarkovChainSpec(("s1", "s2"), P2))
     assert diag.irreducible and diag.aperiodic and diag.valid
     # pi P = pi solved by hand: pi = (0.6, 0.4)
     assert diag.marginal["s1"] == pytest.approx(0.6)
@@ -203,14 +203,14 @@ def test_reducible_chain_flagged():
             [0.0, 0.0, 0.5, 0.5],
         ]
     )
-    diag = validate_markov_spec(P)
+    diag = validate_markov_spec(MarkovChainSpec(("a", "b", "c", "d"), P))
     assert not diag.irreducible
     assert not diag.valid
 
 
 def test_periodic_chain_flagged():
     P = np.array([[0.0, 1.0], [1.0, 0.0]])
-    diag = validate_markov_spec(P)
+    diag = validate_markov_spec(MarkovChainSpec(("a", "b"), P))
     assert diag.irreducible
     assert not diag.aperiodic
     assert diag.period == 2
@@ -291,8 +291,9 @@ def test_period_of_complete_bipartite_chain_is_fast():
     # K7,7: listing its simple cycles took about half a minute
     P = np.zeros((14, 14))
     P[:7, 7:] = P[7:, :7] = 1 / 7
+    spec = MarkovChainSpec(tuple(range(14)), P)
     t0 = time.perf_counter()
-    diag = validate_markov_spec(P)
+    diag = validate_markov_spec(spec)
     assert time.perf_counter() - t0 < 0.5
     assert diag.irreducible and not diag.aperiodic and diag.period == 2
 
@@ -301,7 +302,8 @@ def test_sticky_chain_keeps_its_stationary_law():
     """Exits of 1e-17 leave diagonal entries of exactly 1.0, so Q_jj - 1 would
     cancel to 0; taken as minus the row's other entries, it keeps them, and
     pi is in the ratio of the opposite exits."""
-    diag = validate_markov_spec(np.array([[1 - 1e-17, 1e-17], [2e-17, 1 - 2e-17]]))
+    P = np.array([[1 - 1e-17, 1e-17], [2e-17, 1 - 2e-17]])
+    diag = validate_markov_spec(MarkovChainSpec(("a", "b"), P))
     assert diag.valid
     assert diag.stationary == pytest.approx([2 / 3, 1 / 3], rel=1e-12)
 
@@ -346,7 +348,7 @@ def test_recurrent_class_above_the_solve_budget_is_refused():
 
 def test_validate_is_cached_on_spec():
     spec = MarkovChainSpec(("s1", "s2"), P2)
-    assert spec.validate() is spec.validate()
+    assert validate_markov_spec(spec) is validate_markov_spec(spec)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -361,7 +363,7 @@ def test_direct_validation_fills_the_cache(monkeypatch, order):
     diag = validate_markov_spec(spec)
     ShiftRepresentation(spec).sample_codes((0.0, 1.0, 2.0), 50, 1)
     block_embedding(spec)
-    assert spec.validate() is diag
+    assert validate_markov_spec(spec) is diag
     assert calls == [spec]
 
 
@@ -388,8 +390,8 @@ def test_block_embedding_order2_structure():
             if b[1] != c[0]:
                 assert emb.table[i, j] == 0.0
     # block-chain marginal over last symbol equals the 2-step chain's marginal
-    diag2 = spec.validate()
-    diag1 = emb.validate()
+    diag2 = validate_markov_spec(spec)
+    diag1 = validate_markov_spec(emb)
     last = {"a": 0.0, "b": 0.0}
     for b, p in zip(emb.states, diag1.stationary):
         last[b[1]] += p

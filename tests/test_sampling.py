@@ -21,12 +21,7 @@ from obsequiv.checks import (
     check_stationarity,
 )
 from obsequiv.fdd import compare_fdd, estimate_fdd
-from obsequiv.partitions import (
-    Partition,
-    grid_partition,
-    interval_partition,
-    observation_from_partition,
-)
+from obsequiv.partitions import ObservationFunction, Partition, grid_partition, interval_partition
 from obsequiv.processes import (
     CHUNK,
     WALK_CELLS,
@@ -42,6 +37,7 @@ from obsequiv.processes import (
     _semi_markov_tables,
     sample_chain,
     sample_semi_markov,
+    validate_markov_spec,
 )
 from obsequiv.representation import SemiMarkovFlowRep, ShiftRepresentation
 from obsequiv.systems import (
@@ -55,7 +51,7 @@ from obsequiv.systems import (
 )
 
 P2 = np.array([[0.5, 0.5], [0.75, 0.25]])
-HALVES = observation_from_partition(interval_partition([0.0, 0.5, 1.0], ["a", "b"]))
+HALVES = ObservationFunction(interval_partition([0.0, 0.5, 1.0], ["a", "b"]))
 ORDER2_TABLE = np.array([[0.9, 0.1], [0.3, 0.7], [0.6, 0.4], [0.2, 0.8]])  # aa ab ba bb
 
 
@@ -122,8 +118,8 @@ def _observed_systems():
     table = BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
     return [
         (RotationFlow(math.sqrt(2) - 1), HALVES),
-        (table, observation_from_partition(grid_partition(2, 2, space=table.space))),
-        (BakerMap(), observation_from_partition(grid_partition(4, 2))),
+        (table, ObservationFunction(grid_partition(2, 2, space=table.space))),
+        (BakerMap(), ObservationFunction(grid_partition(4, 2))),
     ]
 
 
@@ -221,7 +217,7 @@ def _reference_semi_markov(spec, horizon, rng):
     """Per-path sampler with Generator.choice, one draw per decision."""
     chain = spec.chain
     ctxs = chain.contexts()
-    weights = chain.validate().stationary * np.array([spec.u(c[-1]) for c in ctxs])
+    weights = validate_markov_spec(chain).stationary * np.array([spec.u(c[-1]) for c in ctxs])
     ctx = ctxs[rng.choice(len(ctxs), p=weights / weights.sum())]
     t = spec.u(ctx[-1]) * (1.0 - rng.random())
     breaks, symbols = [t - spec.u(ctx[-1]), t], [ctx[-1]]
@@ -246,7 +242,7 @@ def test_one_path_kernels_match_per_path_reference(fair_semi_markov):
             assert r.breaks == pytest.approx(breaks, abs=1e-12)
     spec = _order2_chain()
     rng = np.random.default_rng(9)
-    ctx = spec.contexts()[rng.choice(4, p=spec.validate().stationary)]
+    ctx = spec.contexts()[rng.choice(4, p=validate_markov_spec(spec).stationary)]
     path = list(ctx)
     for _ in range(40):
         s = spec.states[rng.choice(2, p=spec.table[spec.context_index(tuple(path[-2:]))])]
@@ -301,7 +297,7 @@ def _random_semi_markov(rng):
             table[table.sum(axis=1) == 0, int(rng.integers(k))] = 1.0
             table /= table.sum(axis=1, keepdims=True)
         chain = MarkovChainSpec(states, table, order=order)
-        if chain.validate().valid:
+        if validate_markov_spec(chain).valid:
             break
     holding = {
         s: HoldingTime(Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 5))),
@@ -382,7 +378,7 @@ def test_order2_chain_marginal_at_every_time():
     spec = _order2_chain()
     n = 40_000
     codes = ShiftRepresentation(spec).sample_codes((0.0, 1.0, 5.0), n, 37)
-    marginal = spec.validate().marginal
+    marginal = validate_markov_spec(spec).marginal
     for col in codes.T:
         for i, s in enumerate(spec.states):
             p = marginal[s]
@@ -462,10 +458,11 @@ def test_process_checks_spawn_no_generators_and_read_no_paths(monkeypatch, fair_
     shift = check_observational_equivalence(chain, ShiftRepresentation(chain), grids, 2000, 5)
     assert flow.passed and shift.passed
     rot = RotationFlow(math.sqrt(2) - 1)
+    source = ObservedSystemSource(rot, HALVES)
     gamma = {"a": "a", "b": "b"}.get
     reports = [
-        check_observational_equivalence((rot, HALVES), (rot, HALVES), grids, 500, 7),
-        check_stationarity((rot, HALVES), (0.0, 1.0), [0.5], 500, 11),
+        check_observational_equivalence(source, source, grids, 500, 7),
+        check_stationarity(source, (0.0, 1.0), [0.5], 500, 11),
         check_nontriviality(rot, HALVES, [1.0], 500, 13),
         check_measure_preservation(rot, [("a", lambda c: c[..., 0] < 0.5, 0.5)], [1.0], 500, 17),
         check_invariant_union(rot, HALVES.partition, 1.0, 500, 19),

@@ -469,6 +469,20 @@ def test_oversized_chain_exit_two(tmp_path, capsys, within_a_second):
         "configuration error: tasks[0] (simulate): 16384 recurrent contexts need")
 
 
+@pytest.mark.parametrize("order", [100_000, 100_000_000])
+def test_huge_chain_order_exits_two_within_a_second(tmp_path, capsys, within_a_second, order):
+    """3^order rows are refused before the power is computed, and the
+    message writes it symbolically rather than as a number of order / 2
+    digits."""
+    chain = {"kind": "markov", "states": list("abc"), "order": order,
+             "matrix": np.full((3, 3), 1 / 3).tolist()}
+    doc = {"seed": 1, "processes": {"p": chain},
+           "tasks": [{"kind": "simulate", "process": "p", "grid": [0.0, 1.0], "n": 10}]}
+    assert run_scenario(_write(tmp_path, "order.json", doc), out_dir=tmp_path / "o") == 2
+    assert capsys.readouterr().out == (f"configuration error: processes.p: order {order} needs "
+                                       f"a table of shape (3^{order}, 3), got (3, 3)\n")
+
+
 @pytest.mark.parametrize(
     "holding, message",
     [

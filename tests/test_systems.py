@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from obsequiv import systems
-from obsequiv.partitions import grid_partition, interval_partition, observation_from_partition
+from obsequiv.partitions import ObservationFunction, grid_partition, interval_partition
 from obsequiv.processes import MAX_PATH_STEPS, ProcessError
 from obsequiv.systems import (
     LOCKSTEP_ROWS,
@@ -384,7 +384,7 @@ def test_trajectory_symbols_on_a_shared_generator_are_pinned():
     """Three paths and one more draw from one generator, as computed by the
     scalar kernel with one rng.random() call per uniform."""
     table = BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
-    obs = observation_from_partition(grid_partition(2, 2, space=table.space))
+    obs = ObservationFunction(grid_partition(2, 2, space=table.space))
     rng = np.random.default_rng(2024)
     grid = [0.5 * i for i in range(40)]
     cells = ["".join(str(2 * int(c[1]) + int(c[3])) for c in
@@ -430,7 +430,7 @@ def test_billiard_events_count_in_the_size_bound(within_a_second, speed, t_max):
     message = f"more than the {MAX_PATH_STEPS} one sampling call may draw"
     with pytest.raises(ProcessError, match=message):
         observe_trajectories(table, lambda c: c, [0.0, t_max], 1, 0)
-    obs = observation_from_partition(grid_partition(2, 2, space=table.space))
+    obs = ObservationFunction(grid_partition(2, 2, space=table.space))
     with pytest.raises(SystemError, match=message):
         trajectory_symbols(table, obs, [0.0, t_max], 0)
 
@@ -644,7 +644,7 @@ def test_suspension_flow_refuses_more_roofs_than_the_step_cap(within_a_second):
 
 def test_trajectory_symbols_rotation_exact():
     rot = RotationFlow(0.25)
-    obs = observation_from_partition(interval_partition([0.0, 0.5, 1.0], ["L", "R"]))
+    obs = ObservationFunction(interval_partition([0.0, 0.5, 1.0], ["L", "R"]))
 
     rng = np.random.default_rng(0)
     path = trajectory_symbols(rot, obs, [0.0, 1.0, 2.0, 3.0], rng)
@@ -655,7 +655,7 @@ def test_trajectory_symbols_rotation_exact():
 
 def test_trajectory_symbols_requires_sorted_grid():
     rot = RotationFlow(0.5)
-    obs = observation_from_partition(interval_partition([0.0, 0.5, 1.0], ["L", "R"]))
+    obs = ObservationFunction(interval_partition([0.0, 0.5, 1.0], ["L", "R"]))
     for grid, message in [
         ([1.0, 0.0], "ascending and nonnegative"),
         ([-1.0, 0.0], "ascending and nonnegative"),
@@ -668,7 +668,7 @@ def test_trajectory_symbols_requires_sorted_grid():
 
 def test_trajectory_symbols_on_billiard_grid_partition():
     table = BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
-    obs = observation_from_partition(grid_partition(2, 2, space=table.space))
+    obs = ObservationFunction(grid_partition(2, 2, space=table.space))
     path = trajectory_symbols(table, obs, [0.0, 0.5, 1.0], spawn_rngs(8, 1)[0])
     assert len(path) == 3
     assert all(s in obs.alphabet for s in path)
