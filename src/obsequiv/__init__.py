@@ -18,7 +18,6 @@ from .fdd import (
 from .systems import (
     BakerMap,
     BilliardFlow,
-    BilliardState,
     RoofFunction,
     RotationFlow,
     SuspensionFlow,

@@ -8,7 +8,6 @@ a fail always carries a concrete witnessing entry.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -72,9 +71,6 @@ class CheckReport:
             "notes": self.notes,
             "items": self.items,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_obj(), sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -55,15 +55,17 @@ class EntropyTrend:
 def _encode(sequences):
     """All rows' codes over 0..k-1 laid end to end in the narrowest dtype, the
     row lengths, and k, the observed symbol count: 1-D integer or bool array
-    rows are coded at once by _integer_codes, other rows by a dict."""
+    rows whose value range is shorter than their total length are coded at
+    once by _integer_codes, other rows by a dict."""
     if isinstance(sequences, str) or getattr(sequences, "ndim", 2) != 2:
         raise EntropyError("sequences must be a collection of 1-D sequences")
     rows = list(sequences)
     if rows and all(isinstance(r, np.ndarray) and r.ndim == 1 and r.dtype.kind in "biu"
                     for r in rows):
         flat = sequences.reshape(-1) if isinstance(sequences, np.ndarray) else np.concatenate(rows)
-        if flat.dtype.kind in "biu":  # int64 with uint64 would mix into float64
-            codes, k = _integer_codes(flat)
+        lo, hi = (int(flat.min()), int(flat.max())) if flat.size else (0, 0)
+        if flat.dtype.kind in "biu" and hi - lo < flat.size:  # int64 and uint64 mix into float64
+            codes, k = _integer_codes(flat, lo, hi)
             return codes, np.array([r.size for r in rows], np.int64), k
     # ndarray rows become lists first: the dict then hashes Python scalars
     try:
@@ -78,23 +80,17 @@ def _encode(sequences):
     return codes, sizes, len(alphabet)
 
 
-def _integer_codes(flat):
-    """Codes of an integer or bool array over its sorted distinct values, and
-    their count k: through a table of the values present when their range is
-    shorter than the array (so the table is too), otherwise by one sort."""
-    lo, hi = (int(flat.min()), int(flat.max())) if flat.size else (0, 0)
-    if hi - lo < flat.size:
-        # x - lo, wrapped in unsigned arithmetic as wide as hi - lo, is exact
-        narrow = np.min_scalar_type(hi - lo)
-        shifted = np.subtract(flat, lo % 256**narrow.itemsize, dtype=narrow, casting="unsafe")
-        present = np.zeros(hi - lo + 1, bool)
-        present[shifted] = True
-        code_of = np.cumsum(present) - 1
-        return code_of.astype(np.min_scalar_type(code_of[-1]))[shifted], int(code_of[-1]) + 1
-    values = np.sort(flat)
-    alphabet = np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
-    codes = np.searchsorted(alphabet, flat).astype(np.min_scalar_type(alphabet.size - 1))
-    return codes, alphabet.size
+def _integer_codes(flat, lo, hi):
+    """Codes of an integer or bool array of least value lo and greatest hi
+    over its sorted distinct values, and their count k, through a table of
+    the values present, as long as their range."""
+    # x - lo, wrapped in unsigned arithmetic as wide as hi - lo, is exact
+    narrow = np.min_scalar_type(hi - lo)
+    shifted = np.subtract(flat, lo % 256**narrow.itemsize, dtype=narrow, casting="unsafe")
+    present = np.zeros(hi - lo + 1, bool)
+    present[shifted] = True
+    code_of = np.cumsum(present) - 1
+    return code_of.astype(np.min_scalar_type(code_of[-1]))[shifted], int(code_of[-1]) + 1
 
 
 def block_entropy(sequences, L) -> EntropyEstimate:

@@ -88,9 +88,6 @@ class EmpiricalFDD:
     def stderrs(self):
         return stderr(self.estimates, self.n_samples)
 
-    def total_mass(self):
-        return sum(self.counts) / self.n_samples
-
     def to_json_obj(self):
         return {
             "grid": list(self.grid),

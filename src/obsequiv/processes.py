@@ -8,9 +8,9 @@ decidable instead of being guessed from floats.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -129,7 +129,11 @@ class MarkovChainSpec:
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
         table = np.asarray(self.table, dtype=float)
-        n, k = int(self.order), len(self.states)
+        try:
+            n = operator.index(self.order)
+        except TypeError:
+            raise ProcessError(f"order must be an integer, got {self.order!r}") from None
+        k = len(self.states)
         if n < 1:
             raise ProcessError("order must be >= 1")
         if len(set(self.states)) != k:
@@ -147,20 +151,11 @@ class MarkovChainSpec:
         if np.any(np.abs(table.sum(axis=1) - 1.0) > 1e-9):
             raise ProcessError("rows must sum to 1")
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "order", n)
 
     @property
     def n_states(self):
         return len(self.states)
-
-    def contexts(self):
-        return list(product(self.states, repeat=self.order))
-
-    def context_index(self, ctx):
-        k = self.n_states
-        idx = 0
-        for s in ctx:
-            idx = idx * k + self.states.index(s)
-        return idx
 
 
 def _cached(spec, key, build):
@@ -180,9 +175,14 @@ class MarkovDiagnostics:
     stationary: np.ndarray  # over contexts
     marginal: dict  # state -> P(S_0 = state)
     valid: bool = field(init=False)
+    fault: str | None = field(init=False)  # why the chain is not valid, None when it is
 
     def __post_init__(self):
-        self.valid = self.irreducible and self.aperiodic and min(self.marginal.values()) > 0
+        zero = [s for s, p in self.marginal.items() if p <= 0]
+        self.fault = ("reducible" if not self.irreducible
+                      else f"periodic with period {self.period}" if not self.aperiodic
+                      else f"state {zero[0]!r} has zero stationary probability" if zero else None)
+        self.valid = self.fault is None
 
 
 def _closed_matrix(spec: MarkovChainSpec, keep):
@@ -218,6 +218,14 @@ def validate_markov_spec(spec: MarkovChainSpec) -> MarkovDiagnostics:
     samplers and a direct call share one validation.
     """
     return _cached(spec, "_diag", lambda: _diagnose(spec))
+
+
+def require_valid(spec: MarkovChainSpec) -> MarkovDiagnostics:
+    """validate_markov_spec(spec), refusing an invalid chain with its fault."""
+    diag = validate_markov_spec(spec)
+    if not diag.valid:
+        raise ProcessError(f"invalid chain: {diag.fault}")
+    return diag
 
 
 def _diagnose(spec):
@@ -277,8 +285,7 @@ def block_embedding(spec: MarkovChainSpec) -> MarkovChainSpec:
     For order 1 this is the identity embedding up to relabeling states by
     singleton blocks.
     """
-    if not validate_markov_spec(spec).valid:
-        raise ProcessError("cannot embed an invalid chain")
+    require_valid(spec)
     keep, blocks = _recurrent_blocks(spec)
     Q = _closed_matrix(spec, keep)
     return MarkovChainSpec(blocks, Q / Q.sum(axis=1, keepdims=True), order=1)
@@ -288,8 +295,10 @@ def _recurrent_blocks(spec: MarkovChainSpec):
     """(indices, labels) of the contexts of positive stationary mass, in
     context order; a label is the state at order 1, the tuple of states above."""
     keep = np.flatnonzero(validate_markov_spec(spec).stationary > 0)
-    contexts = spec.contexts()
-    return keep, tuple(contexts[i][0] if spec.order == 1 else contexts[i] for i in keep)
+    k, order = spec.n_states, spec.order
+    digits = keep[:, None] // k ** np.arange(order - 1, -1, -1) % k  # context i's states
+    blocks = [tuple(spec.states[d] for d in row) for row in digits.tolist()]
+    return keep, tuple(b[0] if order == 1 else b for b in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +373,7 @@ def _draw(cum, u):
 
 def _chain_tables(spec: MarkovChainSpec):
     """(cumulative stationary law over contexts, cumulative table rows)."""
-    diag = validate_markov_spec(spec)
-    if not diag.valid:
-        raise ProcessError("invalid chain spec")
+    diag = require_valid(spec)
     return _cached(
         spec, "_tables", lambda: (_inverse_cdf(diag.stationary)[0], _inverse_cdf(spec.table))
     )
@@ -462,9 +469,7 @@ class SemiMarkovSpec:
 
     def time_weighted_marginal(self):
         """P(Z_0 = s_i) = p_i u_i / sum_j p_j u_j (the sojourn-length bias)."""
-        diag = validate_markov_spec(self.chain)
-        if not diag.valid:
-            raise ProcessError("invalid embedded chain")
+        diag = require_valid(self.chain)
         w = {s: diag.marginal[s] * self.u(s) for s in self.states}
         z = sum(w.values())
         return {s: v / z for s, v in w.items()}

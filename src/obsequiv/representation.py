@@ -24,10 +24,10 @@ from .processes import (
     chain_steps,
     check_path_steps,
     irrationally_related,
+    require_valid,
     sample_in_chunks,
     semi_markov_codes,
     sojourn_steps,
-    validate_markov_spec,
 )
 from .systems import RoofFunction, SuspensionFlow
 
@@ -46,8 +46,7 @@ class ShiftRepresentation:
     def __init__(self, spec):
         if not isinstance(spec, (SemiMarkovSpec, MarkovChainSpec)):
             raise ProcessError(f"unsupported process spec {type(spec).__name__}")
-        if not validate_markov_spec(getattr(spec, "chain", spec)).valid:
-            raise ProcessError("invalid process spec")
+        require_valid(getattr(spec, "chain", spec))
         self.spec = spec
 
     @property

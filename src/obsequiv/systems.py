@@ -36,7 +36,6 @@ __all__ = [
     "spawn_rngs",
     "RotationFlow",
     "BilliardFlow",
-    "BilliardState",
     "BakerMap",
     "SuspensionFlow",
     "RoofFunction",
@@ -104,16 +103,10 @@ class RotationFlow:
 # billiard with convex circular obstacles
 
 
-@dataclass(frozen=True)
-class BilliardState:
-    x: float
-    y: float
-    theta: float  # direction in [0, 2*pi)
-
-
 class BilliardFlow:
     """Free flight at constant speed with specular reflection.
 
+    A state is the tuple (x, y, theta), theta the direction in [0, 2*pi).
     Walls of a width x height table and circular obstacles reflect the
     velocity about the inward normal.  Grazing circle hits (a discriminant
     below GRAZE_GUARD r^2 |v|^2, at any table scale, or tangential
@@ -146,7 +139,7 @@ class BilliardFlow:
         self._diag = math.hypot(self.width, self.height)
 
     def sample_initial(self, rng):
-        return BilliardState(*self._starts(1, rng)[0].tolist())
+        return tuple(self._starts(1, rng)[0].tolist())
 
     def _starts(self, m, rng):
         """Starts (m, 3) of m paths, rows (x, y, theta): x and y drawn for all
@@ -164,7 +157,7 @@ class BilliardFlow:
     def evolve(self, state, t):
         if not 0 <= t < math.inf:
             raise SystemError(f"billiard flow runs forward only, for a finite time, got t={t}")
-        return BilliardState(*self._flight((state.x, state.y, state.theta), (float(t),)))
+        return tuple(self._flight(state, (float(t),)))
 
     def trajectories(self, grid, m, rng):
         """Each path started by _starts and flown along the grid: a chunk of
@@ -267,8 +260,8 @@ class BilliardFlow:
         Tracks the velocity through n_events reflections without
         renormalizing, so accumulated floating-point drift is visible.
         """
-        x, y, speed = state.x, state.y, self.speed
-        vx, vy = speed * math.cos(state.theta), speed * math.sin(state.theta)
+        (x, y, theta), speed = state, self.speed
+        vx, vy = speed * math.cos(theta), speed * math.sin(theta)
         drift = 0.0
         for _ in range(int(n_events)):
             nt, x, y, vx, vy = _event(self.width, self.height, self.obstacles, x, y, vx, vy)
@@ -278,7 +271,7 @@ class BilliardFlow:
         return drift
 
     def coords(self, state):
-        return (state.x, state.y, state.theta)
+        return state
 
     def metric(self, a, b):
         """Position distance plus the table diagonal times the angle

@@ -68,7 +68,7 @@ class DeterministicStartSource:
         k, s1 = chain.n_states, chain.states.index("s1")
         hold = np.array([self.spec.u(s) for s in chain.states])
         cum = np.cumsum(chain.table, axis=1)
-        ctx = np.full(m, chain.context_index(("s1",) * chain.order))
+        ctx = np.full(m, sum(s1 * k**j for j in range(chain.order)))  # context (s1, ..., s1)
         t = np.full(m, hold[s1])  # epoch of the next jump
         codes = np.full((m, len(grid)), s1)
         while (t <= grid[-1]).any():

@@ -51,8 +51,9 @@ def test_report_json_schema_and_determinism():
     assert obj["schema"] == 1
     assert obj["verdict"] in ("pass", "fail", "inconclusive")
     assert {"kind", "seed", "n_samples", "tolerances", "notes", "items"} <= set(obj)
-    assert rep1.to_json() == rep2.to_json()
-    json.loads(rep1.to_json())
+    text1, text2 = (json.dumps(r.to_json_obj(), sort_keys=True, indent=2) for r in (rep1, rep2))
+    assert text1 == text2
+    json.loads(text1)
 
 
 def test_equivalence_same_spec_passes():
@@ -67,6 +68,12 @@ def test_equivalence_different_alphabets_fail_fast():
     rep = check_observational_equivalence(a, b, [(0.0,)], 100, 1)
     assert rep.verdict == "fail"
     assert rep.items[0]["reason"] == "outcome sets differ"
+
+
+def test_side_that_is_neither_source_nor_spec_is_refused():
+    spec = MarkovChainSpec(("a", "b"), P2)
+    with pytest.raises(CheckError, match="cannot interpret RotationFlow as a symbol source"):
+        check_observational_equivalence(RotationFlow(0.3), spec, [(0.0,)], 10, 1)
 
 
 def test_equivalence_different_dynamics_fail():

@@ -58,6 +58,11 @@ def test_undersampling_guard():
         block_entropy([seq], 0)
 
 
+def test_rows_of_unhashable_symbols_are_refused():
+    with pytest.raises(EntropyError, match="must be a collection of 1-D sequences"):
+        entropy_rate([[[0], [1]] * 100], 1)
+
+
 def test_entropy_rate_without_a_full_block_raises():
     # 400 one-symbol sequences pass the undersampling guard at L=2 but hold no 2-block
     seqs = [[i % 2] for i in range(400)]

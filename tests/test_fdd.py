@@ -85,10 +85,10 @@ def test_stderr_is_the_wald_rule_on_floats_and_arrays():
     assert fdd.stderrs.tolist() == [stderr(2 / 3, 3), stderr(1 / 3, 3)]
 
 
-def test_estimate_fdd_total_mass_one_by_default():
+def test_estimate_fdd_counts_sum_to_n_samples_by_default():
     paths = [("a", "a"), ("a", "b"), ("a", "b"), ("b", "b")]
     fdd = estimate_fdd(_codes(paths, ["a", "b"]), ("a", "b"), (0.0, 1.0))
-    assert fdd.total_mass() == pytest.approx(1.0)
+    assert sum(fdd.counts) / fdd.n_samples == pytest.approx(1.0)
     assert fdd.events == (("a", "a"), ("a", "b"), ("b", "b"))
     assert fdd.counts == (1, 2, 1)
     assert fdd.n_samples == 4
@@ -207,7 +207,7 @@ def test_tables_and_a_stationarity_report_are_pinned(fair_semi_markov):
         "wide": "c36bb0ab6e3be0d1f5875cd449056769fa8c1c7c0b5c96e9174bcd7820310b14",
     }
     report = check_stationarity(fair_semi_markov, grid, [0.3, 1.0, 1.7], 2000, 103)
-    assert _sha256(report.to_json()) == (
+    assert _sha256(json.dumps(report.to_json_obj(), sort_keys=True, indent=2)) == (
         "5031fa7f04be7f58ff756e4b84c19173c2bcab925dda574d315f2da826f74de2"
     )
 
@@ -255,6 +255,21 @@ def test_empirical_fdd_refuses_tables_compare_fdd_would_misread(events, counts, 
     take the square root of a negative variance for a share outside [0, 1]."""
     with pytest.raises(FDDError, match=message):
         EmpiricalFDD((0.0,), events, counts, 3)
+
+
+@pytest.mark.parametrize(
+    "events, counts, n_samples, message",
+    [
+        ((("a",),), (0,), 0, "sample size must be positive"),
+        ((("a",),), (0,), -3, "sample size must be positive"),
+        ((("a",), ("b",)), (1,), 3, "one count per event required"),
+        ((("a", "b"),), (1,), 3, "event tuple length must match grid length"),
+    ],
+    ids=["zero_samples", "negative_samples", "count_missing", "long_event"],
+)
+def test_empirical_fdd_refuses_malformed_tables(events, counts, n_samples, message):
+    with pytest.raises(FDDError, match=message):
+        EmpiricalFDD((0.0,), events, counts, n_samples)
 
 
 def test_compare_fdd_close_sampled_tables_pass():

@@ -109,6 +109,12 @@ def test_refine_sizes_and_measures():
     assert set(r.labels) == {"L&x", "L&y", "R&y", "R&z"}
 
 
+def test_refine_refuses_partitions_of_two_phase_spaces():
+    halves = interval_partition([0.0, 0.5, 1.0], ["L", "R"])
+    with pytest.raises(PartitionError, match="partitions live on different phase spaces"):
+        refine(halves, grid_partition(2, 2))
+
+
 def test_refine_with_self_is_identity_in_measure():
     p = interval_partition([0.0, 0.3, 1.0], ["a", "b"])
     r = refine(p, p)

@@ -1,8 +1,11 @@
 """Markov and semi-Markov specs, holding times, sampling."""
 
+import json
 import math
+import re
 import time
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from obsequiv.processes import (
     validate_markov_spec,
 )
 from obsequiv.representation import SemiMarkovFlowRep, ShiftRepresentation
+from obsequiv.scenario import run_scenario
 from obsequiv.systems import spawn_rngs
 
 
@@ -103,6 +107,19 @@ def test_chain_spec_shape_checks():
         MarkovChainSpec(("a", "b"), np.array([[0.6, 0.5], [0.5, 0.5]]))
     with pytest.raises(ProcessError):
         MarkovChainSpec(("a", "b"), P2, order=0)
+
+
+@pytest.mark.parametrize("order", [1.7, 2.0, "2", None])
+def test_chain_order_must_be_an_integer(order):
+    """A non-integral order is refused when the spec is built, rather than
+    passing the shape check as int(order) and failing in the sampler; an
+    integral one is stored as a Python int."""
+    message = f"^order must be an integer, got {re.escape(repr(order))}$"
+    with pytest.raises(ProcessError, match=message):
+        MarkovChainSpec(("a", "b"), P2, order=order)
+    spec = MarkovChainSpec(("a", "b"), P2, order=np.int64(1))
+    assert type(spec.order) is int
+    assert len(sample_chain(spec, 3, 1)) == 3
 
 
 def test_chain_spec_rejects_non_finite_entries():
@@ -216,10 +233,40 @@ def test_periodic_chain_flagged():
     assert diag.period == 2
 
 
+@pytest.mark.parametrize(
+    "matrix, fault",
+    [
+        ([[1.0, 0.0], [0.0, 1.0]], "reducible"),
+        ([[0.0, 1.0], [1.0, 0.0]], "periodic with period 2"),
+        ([[1.0, 0.0], [1.0, 0.0]], "state 'b' has zero stationary probability"),
+    ],
+    ids=["reducible", "periodic", "zero_state"],
+)
+def test_invalid_chain_is_refused_with_its_fault(tmp_path, capsys, matrix, fault):
+    """Sampling, embedding, the time-weighted marginal, the flow
+    representation and a scenario task all refuse an invalid chain with one
+    message that says why."""
+    spec = MarkovChainSpec(("a", "b"), np.array(matrix))
+    assert validate_markov_spec(spec).fault == fault
+    message = f"invalid chain: {fault}"
+    semi = SemiMarkovSpec(spec, {"a": HoldingTime(Fraction(1)), "b": HoldingTime(Fraction(1), 2)})
+    for refuse in (lambda: sample_chain(spec, 5, 1), lambda: block_embedding(spec),
+                   lambda: SemiMarkovFlowRep(semi), semi.time_weighted_marginal):
+        with pytest.raises(ProcessError, match=f"^{re.escape(message)}$"):
+            refuse()
+    chain = {"kind": "markov", "states": ["a", "b"], "matrix": matrix}
+    doc = {"seed": 1, "processes": {"p": chain},
+           "tasks": [{"kind": "simulate", "process": "p", "grid": [0.0, 1.0], "n": 10}]}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    assert run_scenario(path, out_dir=tmp_path / "out") == 2
+    assert capsys.readouterr().out == f"configuration error: tasks[0] (simulate): {message}\n"
+
+
 def _reference_diagnostics(spec):
     """(irreducible, period, recurrent contexts) of the context chain by
     brute force: a boolean transitive closure and the gcd of return times."""
-    ctxs = spec.contexts()
+    ctxs = list(product(spec.states, repeat=spec.order))
     m = len(ctxs)
     step = np.zeros((m, m), dtype=bool)
     for i, ctx in enumerate(ctxs):
@@ -279,7 +326,7 @@ def test_validate_matches_brute_force_reference():
             assert np.flatnonzero(diag.stationary > 0).tolist() == recurrent
             assert diag.stationary.sum() == pytest.approx(1.0)
             seen["periodic" if period > 1 else "aperiodic"] += 1
-            seen["transient"] += len(recurrent) < len(spec.contexts())
+            seen["transient"] += len(recurrent) < len(spec.table)
         else:
             assert not diag.stationary.any()
             seen["reducible"] += 1
@@ -428,6 +475,11 @@ def test_realization_path_right_continuous():
     assert r.value(0.6999999) == "a"
     with pytest.raises(ProcessError):
         r.value(2.0)
+
+
+def test_realization_path_needs_one_more_break_than_symbols():
+    with pytest.raises(ProcessError, match="need one more break than symbols"):
+        RealizationPath((0.0, 1.0), ("a", "b"), 0.5)
 
 
 def test_realization_path_needs_increasing_breaks():

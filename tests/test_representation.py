@@ -15,7 +15,7 @@ from obsequiv.processes import (
     sample_semi_markov,
 )
 from obsequiv.representation import SemiMarkovFlowRep, ShiftRepresentation
-from obsequiv.systems import SystemError, spawn_rngs
+from obsequiv.systems import SystemError, observe_trajectories, spawn_rngs
 
 P2 = np.array([[0.5, 0.5], [0.75, 0.25]])
 GRID = (0.0, 0.3, 1.0, 2.7, 4.9)
@@ -130,6 +130,24 @@ def test_flow_rep_evolution_is_consistent(fair_semi_markov):
         b = flow.evolve(s, t1 + t2)
         assert flow.observe(a) == flow.observe(b)
         assert abs(a[1] - b[1]) < 1e-9
+
+
+def test_flow_rep_observed_as_a_system(fair_semi_markov):
+    """A flow point's coordinates are (block index, height), every height
+    under its block's roof; the metric is the height difference within one
+    block, and 1 more across blocks."""
+    flow = SemiMarkovFlowRep(fair_semi_markov)
+    rows = observe_trajectories(flow, lambda c: c, GRID, 50, 3)
+    assert rows.shape == (50, len(GRID), 2)
+    block, height = rows[..., 0], rows[..., 1]
+    assert set(block.ravel().tolist()) == {0.0, 1.0}
+    roofs = np.array([flow.roof(s) for s in flow.alphabet])
+    assert np.all((0.0 <= height) & (height < roofs[block.astype(int)]))
+    a, b = rows[:, 0], rows[:, 1]
+    same = a[:, 0] == b[:, 0]
+    assert same.any() and not same.all()
+    assert flow.metric(a, a).tolist() == [0.0] * 50
+    assert flow.metric(a, b).tolist() == (np.abs(a[:, 1] - b[:, 1]) + ~same).tolist()
 
 
 def test_flow_rep_order2_blocks():

@@ -4,6 +4,7 @@ laws, and the flow kernel against the scalar flow evolution."""
 import hashlib
 import math
 from fractions import Fraction
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -216,13 +217,13 @@ def test_one_cell_index_call_per_coded_chunk(monkeypatch):
 def _reference_semi_markov(spec, horizon, rng):
     """Per-path sampler with Generator.choice, one draw per decision."""
     chain = spec.chain
-    ctxs = chain.contexts()
+    ctxs = list(product(chain.states, repeat=chain.order))
     weights = validate_markov_spec(chain).stationary * np.array([spec.u(c[-1]) for c in ctxs])
     ctx = ctxs[rng.choice(len(ctxs), p=weights / weights.sum())]
     t = spec.u(ctx[-1]) * (1.0 - rng.random())
     breaks, symbols = [t - spec.u(ctx[-1]), t], [ctx[-1]]
     while t <= horizon:
-        row = chain.table[chain.context_index(ctx)]
+        row = chain.table[ctxs.index(ctx)]
         s = chain.states[rng.choice(chain.n_states, p=row)]
         ctx = ctx[1:] + (s,)
         t += spec.u(s)
@@ -242,10 +243,11 @@ def test_one_path_kernels_match_per_path_reference(fair_semi_markov):
             assert r.breaks == pytest.approx(breaks, abs=1e-12)
     spec = _order2_chain()
     rng = np.random.default_rng(9)
-    ctx = spec.contexts()[rng.choice(4, p=validate_markov_spec(spec).stationary)]
+    ctxs = list(product(spec.states, repeat=spec.order))
+    ctx = ctxs[rng.choice(4, p=validate_markov_spec(spec).stationary)]
     path = list(ctx)
     for _ in range(40):
-        s = spec.states[rng.choice(2, p=spec.table[spec.context_index(tuple(path[-2:]))])]
+        s = spec.states[rng.choice(2, p=spec.table[ctxs.index(tuple(path[-2:]))])]
         path.append(s)
     assert sample_chain(spec, 42, np.random.default_rng(9)) == tuple(path)
 

@@ -619,6 +619,26 @@ def test_scenario_with_system_and_observation(tmp_path):
     assert run_scenario(_write(tmp_path, "rot.json", doc), out_dir=tmp_path / "o") == 0
 
 
+@pytest.mark.parametrize(
+    "side, message",
+    [({"system": "rot"}, "observation required"),
+     ({}, "side needs 'system'+'observation' or 'process'")],
+    ids=["system_without_observation", "neither"],
+)
+def test_side_without_a_source_exits_two(tmp_path, capsys, side, message):
+    halves = {"kind": "intervals", "system": "rot", "breaks": [0.0, 0.5, 1.0], "labels": ["a", "b"]}
+    doc = {
+        "seed": 5,
+        "systems": {"rot": {"kind": "rotation", "alpha": 0.41421356237}},
+        "observations": {"halves": halves},
+        "tasks": [{"kind": "check:observational_equivalence", "a": side,
+                   "b": {"system": "rot", "observation": "halves"}, "grids": [[0.0]], "n": 10}],
+    }
+    assert run_scenario(_write(tmp_path, "side.json", doc), out_dir=tmp_path / "o") == 2
+    assert capsys.readouterr().out == (
+        f"configuration error: tasks[0] (check:observational_equivalence).a: {message}\n")
+
+
 def test_entropy_task_serializes(tmp_path):
     doc = {
         "seed": 3,

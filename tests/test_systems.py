@@ -17,7 +17,6 @@ from obsequiv.systems import (
     LOCKSTEP_ROWS,
     BakerMap,
     BilliardFlow,
-    BilliardState,
     RoofFunction,
     RotationFlow,
     SuspensionFlow,
@@ -107,18 +106,18 @@ def test_billiard_rejects_bad_table_size(width, height):
 def test_billiard_wall_reflection_exact():
     # no obstacle in the way: straight flight right, bounce off x=1
     sys = BilliardFlow(1.0, 1.0, [], 1.0)
-    s = sys.evolve(BilliardState(0.5, 0.25, 0.0), 1.0)
-    assert s.x == pytest.approx(0.5)
-    assert s.y == pytest.approx(0.25)
-    assert s.theta == pytest.approx(math.pi)
+    x, y, theta = sys.evolve((0.5, 0.25, 0.0), 1.0)
+    assert x == pytest.approx(0.5)
+    assert y == pytest.approx(0.25)
+    assert theta == pytest.approx(math.pi)
 
 
 def test_billiard_head_on_obstacle_reflection(table):
     # aimed at the obstacle center: hits at x=0.3 after t=0.2, reflects back
-    s = table.evolve(BilliardState(0.1, 0.5, 0.0), 0.4)
-    assert s.theta == pytest.approx(math.pi)
-    assert s.y == pytest.approx(0.5)
-    assert s.x == pytest.approx(0.1)
+    x, y, theta = table.evolve((0.1, 0.5, 0.0), 0.4)
+    assert theta == pytest.approx(math.pi)
+    assert y == pytest.approx(0.5)
+    assert x == pytest.approx(0.1)
 
 
 def _scaled_table(scale):
@@ -130,10 +129,10 @@ def _scaled_table(scale):
 def test_billiard_head_on_reflection_at_every_table_scale(scale):
     # the grazing guard is relative to r^2 |v|^2: with an absolute 1e-12 a
     # particle aimed at the centre flew through the obstacle of a 1e-6 table
-    s = _scaled_table(scale).evolve(BilliardState(0.1 * scale, 0.5 * scale, 0.0), 0.4 * scale)
-    assert s.theta == pytest.approx(math.pi)
-    assert s.y == pytest.approx(0.5 * scale)
-    assert s.x == pytest.approx(0.1 * scale)
+    x, y, theta = _scaled_table(scale).evolve((0.1 * scale, 0.5 * scale, 0.0), 0.4 * scale)
+    assert theta == pytest.approx(math.pi)
+    assert y == pytest.approx(0.5 * scale)
+    assert x == pytest.approx(0.1 * scale)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3])
@@ -145,15 +144,15 @@ def test_billiard_corner_hits_reflect_at_every_table_scale(scale, corner, offset
     # the particle fly out of the table, to (0.8, 1.2) * scale at t = scale
     table = BilliardFlow(scale, scale, [], 1.0)
     theta = (2 * corner + 1) * math.pi / 4 + offset
-    start = BilliardState(0.5 * scale, 0.5 * scale, theta)
+    start = (0.5 * scale, 0.5 * scale, theta)
     half_diagonal = math.sqrt(0.5) * scale
     for i in range(40):
         t = 0.25 * scale * i
-        s = table.evolve(start, t)
-        assert 0.0 <= s.x <= scale and 0.0 <= s.y <= scale
+        x, y, s_theta = table.evolve(start, t)
+        assert 0.0 <= x <= scale and 0.0 <= y <= scale
         # each corner hit reverses the direction: theta + pi on odd legs
         legs = math.floor((t + half_diagonal) / (2 * half_diagonal))
-        turn = abs(s.theta - theta - legs * math.pi) % (2 * math.pi)
+        turn = abs(s_theta - theta - legs * math.pi) % (2 * math.pi)
         assert min(turn, 2 * math.pi - turn) < 1e-9
 
 
@@ -182,7 +181,7 @@ def test_billiard_kernel_rows_are_evolve_from_the_start(seed, times, from_zero):
     kernel_rng = np.random.default_rng(seed)
     rows = table.trajectories(grid, 5, kernel_rng)
     rng = np.random.default_rng(seed)
-    starts = [BilliardState(*start) for start in table._starts(5, rng).tolist()]
+    starts = [tuple(start) for start in table._starts(5, rng).tolist()]
     assert rows.tolist() == [_evolved(table, start, grid) for start in starts]
     assert kernel_rng.random() == rng.random()
 
@@ -193,7 +192,7 @@ def _scalar_start(table, rng):
     while True:
         x, y = rng.random() * table.width, rng.random() * table.height
         if all(math.hypot(x - cx, y - cy) > r for cx, cy, r in table.obstacles):
-            return BilliardState(x, y, rng.random() * 2 * math.pi)
+            return (x, y, rng.random() * 2 * math.pi)
 
 
 def _layout_starts(table, m, rng):
@@ -209,7 +208,7 @@ def _layout_starts(table, m, rng):
             if not all(math.hypot(x - cx, y - cy) > r for cx, cy, r in table.obstacles):
                 redraw.append(i)
         left = redraw
-    return [BilliardState(x, y, u * 2 * math.pi)
+    return [(x, y, u * 2 * math.pi)
             for (x, y), u in zip(points, rng.random(m).tolist())]
 
 
@@ -332,7 +331,7 @@ def test_billiard_rows_do_not_depend_on_the_grid(name, seed, m, shared, only_a, 
     grid_a, grid_b = sorted(shared + only_a), sorted(shared + only_b)
     rows_a = table.trajectories(grid_a, m, np.random.default_rng(seed))
     rows_b = table.trajectories(grid_b, m, np.random.default_rng(seed))
-    starts = [BilliardState(*start)
+    starts = [tuple(start)
               for start in table._starts(m, np.random.default_rng(seed)).tolist()]
     for t in shared:
         at_a, at_b = rows_a[:, grid_a.index(t)], rows_b[:, grid_b.index(t)]
@@ -403,20 +402,19 @@ def test_billiard_floats_are_pinned():
     threshold is not reached by these states)."""
     table = BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
     state = table.sample_initial(spawn_rngs(191, 1)[0])  # criterion 10's state
-    assert state == BilliardState(0.7315562929147993, 0.8429089167748404, 4.000538507142786)
+    assert state == (0.7315562929147993, 0.8429089167748404, 4.000538507142786)
     assert table.speed_drift(state, 10_000) == 1.0194067812108187e-12
-    starts = [BilliardState(0.1, 0.2, 0.3), BilliardState(0.9, 0.75, 2.0),
-              BilliardState(0.25, 0.8, 4.5)]
+    starts = [(0.1, 0.2, 0.3), (0.9, 0.75, 2.0), (0.25, 0.8, 4.5)]
     assert [table.evolve(s, 7.3) for s in starts] == [
-        BilliardState(0.7114237562039347, 0.5166741813070619, 2.8747546367031),
-        BilliardState(0.9378611580003174, 0.8594174587278736, 2.1290008157646043),
-        BilliardState(0.6586077623781712, 0.20706832013195775, 2.470840310553112),
+        (0.7114237562039347, 0.5166741813070619, 2.8747546367031),
+        (0.9378611580003174, 0.8594174587278736, 2.1290008157646043),
+        (0.6586077623781712, 0.20706832013195775, 2.470840310553112),
     ]
     empty = BilliardFlow(1.0, 1.0, [], 1.0)
-    assert empty.evolve(BilliardState(0.5, 0.5, math.pi / 4), 1.0) == BilliardState(
+    assert empty.evolve((0.5, 0.5, math.pi / 4), 1.0) == (
         0.7928932188134523, 0.7928932188134525, 3.9269908169872414
     )
-    assert empty.evolve(BilliardState(0.5, 0.5, 5 * math.pi / 4), 1.0) == BilliardState(
+    assert empty.evolve((0.5, 0.5, 5 * math.pi / 4), 1.0) == (
         0.2071067811865477, 0.20710678118654746, 0.7853981633974482
     )
 
@@ -484,9 +482,9 @@ def test_long_billiard_flight_runs_no_garbage_collection():
 def test_billiard_stays_inside(table):
     for rng in spawn_rngs(3, 20):
         s = table.sample_initial(rng)
-        s = table.evolve(s, 7.3)
-        assert 0.0 <= s.x <= 1.0 and 0.0 <= s.y <= 1.0
-        assert math.hypot(s.x - 0.5, s.y - 0.5) >= 0.2 - 1e-9
+        x, y, _ = table.evolve(s, 7.3)
+        assert 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0
+        assert math.hypot(x - 0.5, y - 0.5) >= 0.2 - 1e-9
 
 
 def test_billiard_speed_drift_small(table):
@@ -496,7 +494,7 @@ def test_billiard_speed_drift_small(table):
 
 
 def test_forward_only_flows_reject_negative_time(table):
-    state = BilliardState(0.2, 0.3, 0.4)
+    state = (0.2, 0.3, 0.4)
     with pytest.raises(SystemError):
         table.evolve(state, -0.3)
     flow = SuspensionFlow(_TwoPointBase(), RoofFunction({"a": 1.0, "b": 2.0}))
@@ -508,7 +506,7 @@ def test_forward_only_flows_reject_negative_time(table):
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -0.3])
 def test_forward_only_flows_reject_a_non_finite_time(table, within_a_second, t):
-    state = BilliardState(0.2, 0.3, 0.4)
+    state = (0.2, 0.3, 0.4)
     with pytest.raises(SystemError, match=f"billiard flow runs forward only, .* got t={t}$"):
         table.evolve(state, t)
     flow = SuspensionFlow(_TwoPointBase(), RoofFunction({"a": 1.0, "b": 2.0}))
