@@ -45,6 +45,6 @@ for t in np.arange(0.0, 4.0, 0.5):
     print(f"  {t:4.1f}  {flow.observe(state)}")
 
 report = check_observational_equivalence(
-    spec, flow, grids=[(0.0, 1.1, 2.4)], n=20_000, seed=5
+    ShiftRepresentation(spec), flow, grids=[(0.0, 1.1, 2.4)], n=20_000, seed=5
 )
 print("\nprocess vs flow representation:", report.verdict)

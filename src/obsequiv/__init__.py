@@ -11,6 +11,7 @@ from .partitions import (
     refine,
 )
 from .fdd import (
+    CheckReport,
     EmpiricalFDD,
     compare_fdd,
     estimate_fdd,
@@ -41,7 +42,6 @@ from .representation import (
     ShiftRepresentation,
 )
 from .checks import (
-    CheckReport,
     ObservedSystemSource,
     check_epsilon_congruence,
     check_invariant_union,

@@ -9,17 +9,14 @@ a fail always carries a concrete witnessing entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fdd import bonferroni_z, compare_fdd, estimate_fdd, stderr, wald
-from .processes import MarkovChainSpec, SemiMarkovSpec, as_grid
-from .representation import ShiftRepresentation
+from .fdd import CheckReport, bonferroni_z, compare_fdd, estimate_fdd, stderr, wald
+from .processes import as_grid
 from .systems import observe_trajectories
 
 __all__ = [
-    "CheckReport",
     "ObservedSystemSource",
     "check_observational_equivalence",
     "check_nontriviality",
@@ -30,47 +27,11 @@ __all__ = [
     "check_simulation",
 ]
 
-REPORT_SCHEMA = 1
 FDD_POLICY = "3sigma Wald, Bonferroni over entries"
 
 
 class CheckError(ValueError):
     pass
-
-
-@dataclass
-class CheckReport:
-    """A checker's items; the verdict is "fail" iff some item fails."""
-
-    kind: str
-    items: list = field(default_factory=list)
-    seed: int = 0
-    n_samples: int = 0
-    tolerances: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
-
-    @property
-    def verdict(self):
-        return "fail" if self.witnesses() else "pass"
-
-    @property
-    def passed(self):
-        return self.verdict == "pass"
-
-    def witnesses(self):
-        return [it for it in self.items if not it.get("pass", True)]
-
-    def to_json_obj(self):
-        return {
-            "schema": REPORT_SCHEMA,
-            "kind": self.kind,
-            "verdict": self.verdict,
-            "seed": self.seed,
-            "n_samples": self.n_samples,
-            "tolerances": self.tolerances,
-            "notes": self.notes,
-            "items": self.items,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +46,7 @@ class ObservedSystemSource:
     def __init__(self, system, obs):
         self.system = system
         self.obs = obs
-
-    @property
-    def alphabet(self):
-        return tuple(self.obs.alphabet)
+        self.alphabet = tuple(obs.alphabet)
 
     def sample_codes(self, grid, n, seed):
         return observe_trajectories(self.system, self.obs.codes, grid, n, seed)
@@ -97,9 +55,8 @@ class ObservedSystemSource:
 def _as_source(side):
     if hasattr(side, "sample_codes") and hasattr(side, "alphabet"):
         return side
-    if isinstance(side, (MarkovChainSpec, SemiMarkovSpec)):
-        return ShiftRepresentation(side)
-    raise CheckError(f"cannot interpret {type(side).__name__} as a symbol source")
+    raise CheckError(f"cannot interpret {type(side).__name__} as a symbol source; "
+                     "pass a process spec as ShiftRepresentation(spec)")
 
 
 def _require_items(**families):

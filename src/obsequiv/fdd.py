@@ -1,4 +1,4 @@
-"""Empirical finite-dimensional distributions and their comparison.
+"""Empirical finite-dimensional distributions, their comparison and reports.
 
 The statistical policy throughout is 3-sigma Wald intervals, with a
 Bonferroni correction over the entries of a comparison table.
@@ -7,12 +7,13 @@ Bonferroni correction over the entries of a comparison table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
 
 __all__ = [
+    "CheckReport",
     "stderr",
     "wald",
     "EmpiricalFDD",
@@ -33,6 +34,44 @@ def bonferroni_z(k):
 
 class FDDError(ValueError):
     pass
+
+
+REPORT_SCHEMA = 1
+
+
+@dataclass
+class CheckReport:
+    """A checker's items; the verdict is "fail" iff some item fails."""
+
+    kind: str
+    items: list = field(default_factory=list)
+    seed: int = 0
+    n_samples: int = 0
+    tolerances: dict = field(default_factory=dict)
+    notes: list = field(default_factory=list)
+
+    @property
+    def verdict(self):
+        return "fail" if self.witnesses() else "pass"
+
+    @property
+    def passed(self):
+        return self.verdict == "pass"
+
+    def witnesses(self):
+        return [it for it in self.items if not it.get("pass", True)]
+
+    def to_json_obj(self):
+        return {
+            "schema": REPORT_SCHEMA,
+            "kind": self.kind,
+            "verdict": self.verdict,
+            "seed": self.seed,
+            "n_samples": self.n_samples,
+            "tolerances": self.tolerances,
+            "notes": self.notes,
+            "items": self.items,
+        }
 
 
 def stderr(p, n):
@@ -138,7 +177,7 @@ def estimate_fdd(codes, alphabet, grid) -> EmpiricalFDD:
     return EmpiricalFDD(grid, events, counts[seen], n)
 
 
-def compare_fdd(a: EmpiricalFDD, b: EmpiricalFDD, label="fdd") -> "CheckReport":
+def compare_fdd(a: EmpiricalFDD, b: EmpiricalFDD, label="fdd") -> CheckReport:
     """Entrywise comparison under 3-sigma tolerance, Bonferroni-corrected.
 
     The entries are the sorted union of the events of both tables, with
@@ -147,8 +186,6 @@ def compare_fdd(a: EmpiricalFDD, b: EmpiricalFDD, label="fdd") -> "CheckReport":
     entry's |difference| stays below z * combined standard error, where z
     is the 3-sigma quantile adjusted for the number of entries.
     """
-    from .checks import CheckReport  # checks imports this module
-
     if a.grid != b.grid:
         raise FDDError("mismatched time grids")
     events = sorted(set(a.events) | set(b.events))

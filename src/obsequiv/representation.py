@@ -44,14 +44,15 @@ class ShiftRepresentation:
     """
 
     def __init__(self, spec):
-        if not isinstance(spec, (SemiMarkovSpec, MarkovChainSpec)):
+        if isinstance(spec, SemiMarkovSpec):
+            shortest = min(map(spec.u, spec.states))
+            self._kernel, self._steps = semi_markov_codes, lambda g: sojourn_steps(g[-1], shortest)
+        elif isinstance(spec, MarkovChainSpec):
+            self._kernel, self._steps = chain_codes, chain_steps
+        else:
             raise ProcessError(f"unsupported process spec {type(spec).__name__}")
         require_valid(getattr(spec, "chain", spec))
-        self.spec = spec
-
-    @property
-    def alphabet(self):
-        return tuple(self.spec.states)
+        self.spec, self.alphabet = spec, tuple(spec.states)
 
     def sample_codes(self, grid, n, seed):
         """Alphabet indices (n, len(grid)) of n realizations read on the grid.
@@ -61,21 +62,12 @@ class ShiftRepresentation:
         once by the process kernel.
         """
         grid = as_grid(grid)
-        if isinstance(self.spec, SemiMarkovSpec):
-            steps = sojourn_steps(grid[-1], min(map(self.spec.u, self.spec.states)))
-        else:
-            steps = chain_steps(grid)
-        return sample_in_chunks(lambda m, rng: self._codes(grid, m, rng), n, seed, steps)
+        draw = lambda m, rng: self._kernel(self.spec, grid, m, rng)
+        return sample_in_chunks(draw, n, seed, self._steps(grid))
 
     def sample_path(self, grid, rng):
         """Symbols Phi_0(T_t(r)) for t in grid, for one sampled realization."""
-        return tuple(self.alphabet[c] for c in self._codes(grid, 1, rng)[0])
-
-    def _codes(self, grid, n, rng):
-        """State indices (n, len(grid)) from the process kernel of the spec."""
-        if isinstance(self.spec, SemiMarkovSpec):
-            return semi_markov_codes(self.spec, grid, n, rng)
-        return chain_codes(self.spec, grid, n, rng)
+        return tuple(self.alphabet[c] for c in self._kernel(self.spec, grid, 1, rng)[0])
 
 
 class _ContextShift:
@@ -133,7 +125,6 @@ class SemiMarkovFlowRep(SuspensionFlow):
             raise ProcessError(f"a flow needs a semi-Markov process, got {type(spec).__name__}")
         if not irrationally_related(spec.holding.values()):
             raise ProcessError("holding-time set is not irrationally related")
-        self.spec = spec
         chain = spec.chain
         self._start, self._cum = _chain_tables(chain)
         recurrent, self.alphabet = _recurrent_blocks(chain)

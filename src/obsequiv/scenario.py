@@ -1,20 +1,21 @@
 """Declarative scenario files: named systems, observations, processes, and
-a task list.  The runner executes tasks in order, writing one JSON report
-per task; identical input and seed give byte-identical JSON.
+a task list, all read on load.  The runner executes the tasks in order, writing
+one JSON report per task; identical input and seed give byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import checks, entropy as entropy_mod
-from .checks import REPORT_SCHEMA, CheckReport, ObservedSystemSource
-from .fdd import estimate_fdd
+from .checks import ObservedSystemSource
+from .fdd import REPORT_SCHEMA, CheckReport, estimate_fdd
 from .partitions import (
     Box,
     ObservationFunction,
@@ -138,7 +139,21 @@ def _field(cfg, key, where, type, default=REQUIRED):
     if digits.isdigit() and int(digits) > len(mantissa) + 2 * sys.float_info.max_10_exp:
         raise ScenarioError(
             f"{where}: field {key!r} has exponent {exponent}, far outside the float range")
-    return Fraction(str(value))
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise ScenarioError(f"{where}: field {key!r} must be a fraction, got {value!r}") from None
+
+
+@contextmanager
+def _at(where):
+    """Raise a package error of the block as a ScenarioError at where."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except ValueError as exc:  # every package error is a ValueError
+        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 def _read(cfg, where, table):
@@ -168,6 +183,11 @@ def _box(cfg, where):
     return Box(tuple(box["lo"]), tuple(box["hi"]))
 
 
+def _set(cfg, where):
+    s = _read(cfg, where, NESTED["set"])
+    return s["label"], _box(s["box"], where).contains, s["measure"]
+
+
 # ---------------------------------------------------------------------------
 # definition builders: each takes the fields read by its kind's table
 
@@ -176,9 +196,12 @@ def _build_system(f, where):
     if f["kind"] == "rotation":
         return RotationFlow(f["alpha"])
     if f["kind"] == "billiard":
-        obstacles = [_read(o, f"{where}.obstacles[{k}]", NESTED["obstacle"])
-                     for k, o in enumerate(f["obstacles"])]
-        obstacles = [(tuple(o["center"]), o["radius"]) for o in obstacles]
+        obstacles = []
+        for k, o in enumerate(f["obstacles"]):
+            o = _read(o, at := f"{where}.obstacles[{k}]", NESTED["obstacle"])
+            if len(o["center"]) != 2:
+                raise ScenarioError(f"{at}: the center needs 2 coordinates, got {o['center']}")
+            obstacles.append((tuple(o["center"]), o["radius"]))
         return BilliardFlow(f["width"], f["height"], obstacles, f["speed"])
     return BakerMap()
 
@@ -214,20 +237,36 @@ class Scenario:
         self.systems = self._build_all(top, "systems", _build_system)
         self.observations = self._build_all(top, "observations", _build_observation)
         self.processes = self._build_all(top, "processes", _build_process)
-        self.tasks = top["tasks"]
+        self.tasks = [self._read_task(idx, task) for idx, task in enumerate(top["tasks"])]
 
     def _build_all(self, top, section, build):
         """{name: build(fields, where)} over a section; errors name section.name."""
         built = {}
         for name, cfg in top[section].items():
             where = f"{section}.{name}"
-            try:
+            with _at(where):
                 built[name] = build(self.read(cfg, where, _kind_table(cfg, where, section)), where)
-            except ScenarioError:
-                raise
-            except ValueError as exc:
-                raise ScenarioError(f"{where}: {exc}") from exc
         return built
+
+    def _read_task(self, idx, task):
+        """(where, fields) of task idx (see read), with its own side, sets and gamma built."""
+        kind = _field(task, "kind", f"tasks[{idx}]", "string")
+        where = f"tasks[{idx}] ({kind})"
+        with _at(where):
+            f = self.read(task, where, _kind_table(task, where, "tasks"))
+            if kind == "simulate":
+                f["source"] = self.source(f, where)
+            if kind == "check:measure_preservation":
+                f["sets"] = [_set(s, f"{where}.sets[{i}]") for i, s in enumerate(f["sets"])]
+        gamma = f.get("gamma")  # simulation's images of psi's symbols
+        if gamma is not None:
+            if not all(isinstance(v, str) for v in gamma.values()):
+                raise ScenarioError(f"{where}: field 'gamma' must map symbols to strings")
+            missing = [str(s) for s in f["psi"].alphabet if str(s) not in gamma]
+            if missing:
+                raise ScenarioError(f"{where}: gamma has no image for psi symbols {missing}")
+            f["gamma"] = lambda s: gamma[str(s)]
+        return where, f
 
     @classmethod
     def load(cls, path):
@@ -276,17 +315,14 @@ class Scenario:
 # task execution
 
 
-def _run_task(scn: Scenario, idx, task):
-    kind = _field(task, "kind", f"tasks[{idx}]", "string")
-    where = f"tasks[{idx}] ({kind})"
-    f = scn.read(task, where, _kind_table(task, where, "tasks"))
+def _run_task(scn: Scenario, idx, f):
+    kind = f["kind"]
     seed = scn.seed + idx if f["seed"] is None else f["seed"]
 
     if kind == "simulate":
-        src = scn.source(f, where)
+        src = f["source"]
         fdd = estimate_fdd(src.sample_codes(f["grid"], f["n"], seed), src.alphabet, f["grid"])
-        obj = {"schema": REPORT_SCHEMA, "kind": kind, "fdd": fdd.to_json_obj()}
-        return obj, True
+        return {"schema": REPORT_SCHEMA, "kind": kind, "fdd": fdd.to_json_obj()}, True
 
     if kind == "entropy":
         check_path_steps(f["sequences"], f["length"])
@@ -294,7 +330,7 @@ def _run_task(scn: Scenario, idx, task):
         # block entropies do not depend on how the symbols are labelled
         codes = f["source"].sample_codes(grid, f["sequences"], seed)
         trend = entropy_mod.entropy_rate(codes, f["L_max"])
-        obj = {
+        return {
             "schema": REPORT_SCHEMA,
             "kind": kind,
             "step": f["step"],
@@ -302,14 +338,13 @@ def _run_task(scn: Scenario, idx, task):
             "increments": trend.increments,
             "rate_estimate": trend.rate_estimate,
             "positive_rate": trend.positive_rate,
-        }
-        return obj, True
+        }, True
 
-    report = _run_check(kind.removeprefix("check:"), f, where, seed)
+    report = _run_check(kind.removeprefix("check:"), f, seed)
     return report.to_json_obj(), report.passed
 
 
-def _run_check(what, f, where, seed) -> CheckReport:
+def _run_check(what, f, seed) -> CheckReport:
     n = f["n"]
     if what == "observational_equivalence":
         return checks.check_observational_equivalence(f["a"], f["b"], f["grids"], n, seed)
@@ -318,29 +353,14 @@ def _run_check(what, f, where, seed) -> CheckReport:
     if what == "stationarity":
         return checks.check_stationarity(f["source"], f["grid"], f["shifts"], n, seed)
     if what == "measure_preservation":
-        sets = []
-        for i, s in enumerate(f["sets"]):
-            at = f"{where}.sets[{i}]"
-            s = _read(s, at, NESTED["set"])
-            sets.append((s["label"], _box(s["box"], at).contains, s["measure"]))
-        return checks.check_measure_preservation(f["system"], sets, f["times"], n, seed)
+        return checks.check_measure_preservation(f["system"], f["sets"], f["times"], n, seed)
     if what == "invariant_union":
         return checks.check_invariant_union(
             f["system"], f["partition"].partition, f["horizon"], n, seed, tol=f["tol"]
         )
     if what == "simulation":
-        gamma_map, psi = f["gamma"], f["psi"]
-        gamma = None
-        if gamma_map is not None:
-            if not all(isinstance(v, str) for v in gamma_map.values()):
-                raise ScenarioError(f"{where}: field 'gamma' must map symbols to strings")
-            missing = [str(s) for s in psi.alphabet if str(s) not in gamma_map]
-            if missing:
-                raise ScenarioError(f"{where}: gamma has no image for psi symbols {missing}")
-            gamma = lambda s: gamma_map[str(s)]
-        return checks.check_simulation(
-            f["mode"], f["system"], f["phi"], psi, f["epsilon"], f["grids"], n, seed, gamma=gamma
-        )
+        return checks.check_simulation(f["mode"], f["system"], f["phi"], f["psi"], f["epsilon"],
+                                       f["grids"], n, seed, gamma=f["gamma"])
     system, obs = f["system"], f["coding"]  # epsilon_congruence
     centers = {
         sym: tuple((lo + hi) / 2.0 for lo, hi in zip(cell[0].lo, cell[0].hi))
@@ -361,19 +381,14 @@ def run_scenario(path, out_dir="out", seed=None) -> int:
         scn = Scenario.load(path)
         if seed is not None:
             scn.seed = int(seed)
-        stem = Path(path).stem
-        target = Path(out_dir) / stem
+        target = Path(out_dir) / Path(path).stem
         target.mkdir(parents=True, exist_ok=True)
         all_ok = True
-        for idx, task in enumerate(scn.tasks):
-            try:
-                obj, ok = _run_task(scn, idx, task)
-            except ScenarioError:
-                raise
-            except ValueError as exc:  # every package error is a ValueError
-                raise ScenarioError(f"tasks[{idx}] ({task.get('kind')}): {exc}") from exc
+        for idx, (where, f) in enumerate(scn.tasks):
+            with _at(where):
+                obj, ok = _run_task(scn, idx, f)
             all_ok = all_ok and ok
-            name = f"{idx}-{task['kind'].replace(':', '_')}.json"
+            name = f"{idx}-{f['kind'].replace(':', '_')}.json"
             (target / name).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
         return 0 if all_ok else 1
     except ScenarioError as exc:

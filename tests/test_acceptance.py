@@ -101,7 +101,7 @@ def test_criterion_02_first_jump_uniformity(stationary_ensemble, sm_spec):
 
 def test_criterion_03_stationarity(sm_spec, deterministic_start_source):
     rep = check_stationarity(
-        sm_spec, (0.0, 0.7, 1.9), [0.3, 1.0, 1.7], 20_000, 103
+        ShiftRepresentation(sm_spec), (0.0, 0.7, 1.9), [0.3, 1.0, 1.7], 20_000, 103
     )
     fixture = check_stationarity(
         deterministic_start_source, (0.0, 0.7, 1.9), [0.3, 1.0, 1.7], 20_000, 107
@@ -112,7 +112,7 @@ def test_criterion_03_stationarity(sm_spec, deterministic_start_source):
 
 def test_criterion_04_representation_fidelity(sm_spec):
     flow = check_observational_equivalence(
-        sm_spec,
+        ShiftRepresentation(sm_spec),
         SemiMarkovFlowRep(sm_spec),
         [(0.0,), (0.4, 1.1, 2.3)],
         N_LARGE,
@@ -120,7 +120,7 @@ def test_criterion_04_representation_fidelity(sm_spec):
     )
     chain = MarkovChainSpec(("a", "b"), np.array([[0.5, 0.5], [0.75, 0.25]]))
     shift = check_observational_equivalence(
-        chain,
+        ShiftRepresentation(chain),
         ShiftRepresentation(chain),
         [(0.0,), (0.0, 1.0, 2.0)],
         N_LARGE,

@@ -30,7 +30,7 @@ from obsequiv.partitions import (
 )
 from obsequiv.fdd import wald
 from obsequiv.processes import MarkovChainSpec
-from obsequiv.representation import SemiMarkovFlowRep
+from obsequiv.representation import SemiMarkovFlowRep, ShiftRepresentation
 from obsequiv.systems import BakerMap, BilliardFlow, RotationFlow
 
 P2 = np.array([[0.5, 0.5], [0.75, 0.25]])
@@ -44,7 +44,7 @@ def _symbol_paths(source, grid, n, seed):
 
 
 def test_report_json_schema_and_determinism():
-    spec = MarkovChainSpec(("a", "b"), P2)
+    spec = ShiftRepresentation(MarkovChainSpec(("a", "b"), P2))
     rep1 = check_observational_equivalence(spec, spec, [(0.0, 1.0)], 400, 5)
     rep2 = check_observational_equivalence(spec, spec, [(0.0, 1.0)], 400, 5)
     obj = rep1.to_json_obj()
@@ -57,14 +57,14 @@ def test_report_json_schema_and_determinism():
 
 
 def test_equivalence_same_spec_passes():
-    spec = MarkovChainSpec(("a", "b"), P2)
+    spec = ShiftRepresentation(MarkovChainSpec(("a", "b"), P2))
     rep = check_observational_equivalence(spec, spec, [(0.0,), (0.0, 1.0, 2.0)], 3000, 7)
     assert rep.passed
 
 
 def test_equivalence_different_alphabets_fail_fast():
-    a = MarkovChainSpec(("a", "b"), P2)
-    b = MarkovChainSpec(("x", "y"), P2)
+    a = ShiftRepresentation(MarkovChainSpec(("a", "b"), P2))
+    b = ShiftRepresentation(MarkovChainSpec(("x", "y"), P2))
     rep = check_observational_equivalence(a, b, [(0.0,)], 100, 1)
     assert rep.verdict == "fail"
     assert rep.items[0]["reason"] == "outcome sets differ"
@@ -76,9 +76,22 @@ def test_side_that_is_neither_source_nor_spec_is_refused():
         check_observational_equivalence(RotationFlow(0.3), spec, [(0.0,)], 10, 1)
 
 
+@pytest.mark.parametrize("bare", ["chain", "semi_markov"])
+def test_bare_process_spec_side_is_refused(bare, fair_semi_markov):
+    spec = MarkovChainSpec(("a", "b"), P2) if bare == "chain" else fair_semi_markov
+    message = (f"cannot interpret {type(spec).__name__} as a symbol source; "
+               r"pass a process spec as ShiftRepresentation\(spec\)")
+    with pytest.raises(CheckError, match=message):
+        check_observational_equivalence(spec, ShiftRepresentation(spec), [(0.0,)], 10, 1)
+    with pytest.raises(CheckError, match=message):
+        check_observational_equivalence(ShiftRepresentation(spec), spec, [(0.0,)], 10, 1)
+    with pytest.raises(CheckError, match=message):
+        check_stationarity(spec, (0.0,), [1.0], 10, 1)
+
+
 def test_equivalence_different_dynamics_fail():
-    a = MarkovChainSpec(("a", "b"), np.full((2, 2), 0.5))
-    b = MarkovChainSpec(("a", "b"), np.array([[0.95, 0.05], [0.05, 0.95]]))
+    a = ShiftRepresentation(MarkovChainSpec(("a", "b"), np.full((2, 2), 0.5)))
+    b = ShiftRepresentation(MarkovChainSpec(("a", "b"), np.array([[0.95, 0.05], [0.05, 0.95]])))
     rep = check_observational_equivalence(a, b, [(0.0, 1.0)], 20_000, 11)
     assert rep.verdict == "fail"
     assert rep.witnesses()
@@ -190,11 +203,13 @@ def test_simulation_maps_images_in_one_pass(within_a_second):
 )
 def test_empty_family_is_rejected_not_passed(call):
     with pytest.raises(CheckError):
-        call(MarkovChainSpec(("a", "b"), P2))
+        call(ShiftRepresentation(MarkovChainSpec(("a", "b"), P2)))
 
 
 def test_stationarity_semi_markov_passes(fair_semi_markov):
-    rep = check_stationarity(fair_semi_markov, (0.0, 0.7), [0.3, 1.7], 8000, 19)
+    rep = check_stationarity(
+        ShiftRepresentation(fair_semi_markov), (0.0, 0.7), [0.3, 1.7], 8000, 19
+    )
     assert rep.passed
 
 
@@ -440,6 +455,6 @@ def test_equivalence_flow_and_process_small(fair_semi_markov):
     """Cheap version of the representation-fidelity check."""
     flow = SemiMarkovFlowRep(fair_semi_markov)
     rep = check_observational_equivalence(
-        fair_semi_markov, flow, [(0.0, 1.1)], 6000, 73
+        ShiftRepresentation(fair_semi_markov), flow, [(0.0, 1.1)], 6000, 73
     )
     assert rep.passed

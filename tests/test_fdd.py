@@ -206,7 +206,7 @@ def test_tables_and_a_stationarity_report_are_pinned(fair_semi_markov):
         # 16 symbols over 17 times: the code is re-ranked
         "wide": "c36bb0ab6e3be0d1f5875cd449056769fa8c1c7c0b5c96e9174bcd7820310b14",
     }
-    report = check_stationarity(fair_semi_markov, grid, [0.3, 1.0, 1.7], 2000, 103)
+    report = check_stationarity(src, grid, [0.3, 1.0, 1.7], 2000, 103)
     assert _sha256(json.dumps(report.to_json_obj(), sort_keys=True, indent=2)) == (
         "5031fa7f04be7f58ff756e4b84c19173c2bcab925dda574d315f2da826f74de2"
     )
@@ -322,9 +322,10 @@ def test_compare_fdd_returns_a_check_report_whose_verdict_follows_its_items():
 
 def test_checker_does_not_load_numpy_ma():
     code = (
-        "import sys, numpy as np; from obsequiv import MarkovChainSpec, "
+        "import sys, numpy as np; from obsequiv import MarkovChainSpec, ShiftRepresentation, "
         "check_observational_equivalence as check; "
-        "spec = MarkovChainSpec(('a', 'b'), np.array([[0.5, 0.5], [0.75, 0.25]])); "
+        "spec = ShiftRepresentation(MarkovChainSpec(('a', 'b'), "
+        "np.array([[0.5, 0.5], [0.75, 0.25]]))); "
         "assert check(spec, spec, [(0.0, 1.0, 2.0)], 2000, 1).passed; "
         "print('numpy.ma' in sys.modules)"
     )

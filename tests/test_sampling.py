@@ -455,9 +455,11 @@ def test_process_checks_spawn_no_generators_and_read_no_paths(monkeypatch, fair_
     chain = MarkovChainSpec(("a", "b"), P2)
     grids = [(0.0,), (0.4, 1.1, 2.3)]
     flow = check_observational_equivalence(
-        fair_semi_markov, SemiMarkovFlowRep(fair_semi_markov), grids, 2000, 3
+        ShiftRepresentation(fair_semi_markov), SemiMarkovFlowRep(fair_semi_markov), grids, 2000, 3
     )
-    shift = check_observational_equivalence(chain, ShiftRepresentation(chain), grids, 2000, 5)
+    shift = check_observational_equivalence(
+        ShiftRepresentation(chain), ShiftRepresentation(chain), grids, 2000, 5
+    )
     assert flow.passed and shift.passed
     rot = RotationFlow(math.sqrt(2) - 1)
     source = ObservedSystemSource(rot, HALVES)

@@ -247,7 +247,7 @@ def test_bad_observation_exit_two(tmp_path, capsys, observation, message):
         ("processes", {"kind": "semi_markov", "states": ["a", "b"],
                        "matrix": [[0.5, 0.5], [0.5, 0.5]],
                        "holding": {"a": {"coeff": "1"}, "b": {"coeff": "one"}}},
-         "processes.d: Invalid literal for Fraction: 'one'"),
+         "processes.d.holding.b: field 'coeff' must be a fraction, got 'one'"),
         ("processes", {"kind": "markov", "states": "ab", "matrix": [[0.5, 0.5], [0.5, 0.5]]},
          "processes.d: field 'states' must be a list"),
         ("processes", {"kind": "markov", "states": 2, "matrix": [[0.5, 0.5], [0.5, 0.5]]},
@@ -285,6 +285,69 @@ def test_bad_definition_names_its_location(tmp_path, capsys, section, definition
     doc = {"seed": 1, section: {"d": definition}, "tasks": []}
     assert run_scenario(_write(tmp_path, "def.json", doc), out_dir=tmp_path / "o") == 2
     assert capsys.readouterr().out == f"configuration error: {message}\n"
+
+
+BILLIARD = {"kind": "billiard", "width": 1.0, "height": 1.0, "speed": 1.0}
+
+
+@pytest.mark.parametrize(
+    "section, definition, message",
+    [
+        ("processes", {"kind": "semi_markov", "states": ["a", "b"],
+                       "matrix": [[0.5, 0.5], [0.5, 0.5]],
+                       "holding": {"a": {"coeff": "1/0"}, "b": {"coeff": "1"}}},
+         "processes.d.holding.a: field 'coeff' must be a fraction, got '1/0'"),
+        ("processes", {"kind": "semi_markov", "states": ["a", "b"],
+                       "matrix": [[0.5, 0.5], [0.5, 0.5]],
+                       "holding": {"a": {"coeff": "1"}, "b": {"coeff": "nan"}}},
+         "processes.d.holding.b: field 'coeff' must be a fraction, got 'nan'"),
+        ("processes", {"kind": "semi_markov", "states": ["a", "b"],
+                       "matrix": [[0.5, 0.5], [0.5, 0.5]],
+                       "holding": {"a": {"coeff": "0x10"}, "b": {"coeff": "1"}}},
+         "processes.d.holding.a: field 'coeff' must be a fraction, got '0x10'"),
+        ("systems", dict(BILLIARD, obstacles=[{"center": [0.5], "radius": 0.1}]),
+         "systems.d.obstacles[0]: the center needs 2 coordinates, got [0.5]"),
+        ("systems", dict(BILLIARD, obstacles=[{"center": [0.2, 0.2], "radius": 0.1},
+                                              {"center": [0.5, 0.5, 0.5], "radius": 0.1}]),
+         "systems.d.obstacles[1]: the center needs 2 coordinates, got [0.5, 0.5, 0.5]"),
+    ],
+    ids=["coeff_divides_by_zero", "coeff_nan", "coeff_hex", "center_of_one_coordinate",
+         "center_of_three_coordinates"],
+)
+def test_bad_literal_names_its_field_without_a_traceback(
+        tmp_path, capsys, section, definition, message):
+    doc = {"seed": 1, section: {"d": definition}, "tasks": []}
+    assert run_scenario(_write(tmp_path, "def.json", doc), out_dir=tmp_path / "o") == 2
+    assert capsys.readouterr() == (f"configuration error: {message}\n", "")
+
+
+@pytest.mark.parametrize(
+    "task, message",
+    [
+        ({"kind": "simulate", "process": "p", "grid": [0.0], "bogus": 1},
+         "tasks[1] (simulate): unknown field 'bogus'"),
+        ({"kind": "check:nontriviality", "system": "nowhere", "observation": "halves",
+          "lags": [1.0]},
+         "tasks[1] (check:nontriviality): undefined system 'nowhere'"),
+        ({"kind": "simulate", "process": "p", "representation": "flow", "grid": [0.0]},
+         "tasks[1] (simulate): a flow needs a semi-Markov process, got MarkovChainSpec"),
+        ({"kind": "check:measure_preservation", "system": "rot", "times": [1.0],
+          "sets": [{"label": "h", "box": {"lo": [0.0]}, "measure": 0.5}]},
+         "tasks[1] (check:measure_preservation).sets[0]: missing field 'hi'"),
+        ({"kind": "check:simulation", "mode": "weak", "system": "rot", "phi": "halves",
+          "psi": "quarters", "epsilon": 0.1, "gamma": {"q0": "a", "q1": "a"}},
+         "tasks[1] (check:simulation): gamma has no image for psi symbols ['q2', 'q3']"),
+    ],
+    ids=["unknown_field", "undefined_system", "flow_of_a_chain", "set_box_without_hi",
+         "gamma_misses_symbols"],
+)
+def test_every_task_is_read_before_the_first_one_runs(tmp_path, capsys, task, message):
+    doc = dict(ROTATION, seed=1, processes=PASSING["processes"],
+               tasks=[PASSING["tasks"][0], task])
+    out = tmp_path / "o"
+    assert run_scenario(_write(tmp_path, "late.json", doc), out_dir=out) == 2
+    assert capsys.readouterr().out == f"configuration error: {message}\n"
+    assert not [p for p in out.rglob("*") if p.is_file()]
 
 
 def test_task_kind_not_a_string_exit_two(tmp_path, capsys):
