@@ -40,9 +40,7 @@ quarters = ObservationFunction(
 )
 gamma = {"q0": "a", "q1": "a", "q2": "b", "q3": "b"}.get
 
-strong = check_simulation("strong", rot, halves, halves, 0.01, [], 5000, seed=12)
-weak = check_simulation(
-    "weak", rot, halves, quarters, 0.01, [], 5000, seed=13, gamma=gamma
-)
+strong = check_simulation(rot, halves, halves, 0.01, 5000, seed=12)
+weak = check_simulation(rot, halves, quarters, 0.01, 5000, seed=13, gamma=gamma)
 print(f"\nstrong simulation (identical observation): {strong.verdict}")
 print(f"weak simulation (refine then merge):       {weak.verdict}")

@@ -89,8 +89,6 @@ def _union_draw(source, grids, n, seed):
     of Python floats: np.unique and np.union1d would import numpy.ma.
     """
     grids = [as_grid(grid).tolist() for grid in grids]
-    if not grids:
-        return []
     union = sorted({t for grid in grids for t in grid})
     codes = source.sample_codes(union, n, seed)
     return [codes[:, np.searchsorted(union, grid)] for grid in grids]
@@ -318,44 +316,25 @@ def _embedded(outcomes, embed):
     return points[index].reshape(outcomes.shape + points.shape[1:])
 
 
-def check_simulation(
-    mode, system, phi, psi, epsilon, grids, n, seed, gamma=None
-) -> CheckReport:
-    """Strong/weak simulation check: observation mismatch measure below eps.
+def check_simulation(system, phi, psi, epsilon, n, seed, gamma=None) -> CheckReport:
+    """Simulation check: observation mismatch measure below eps.
 
-    Strong: mu{m : psi(m) != phi(m)} < eps with matching alphabets.
-    Weak: gamma maps psi's alphabet onto phi's; mismatch of gamma(psi(m))
-    vs phi(m).  psi and phi are ObservationFunctions, each applied once per
-    chunk of sampled coordinates; gamma is applied once per symbol of psi.
-    Also reports the FDDs of the simulating symbol process.
+    Strong (no gamma): mu{m : psi(m) != phi(m)} < eps with matching
+    alphabets.  Weak: gamma maps psi's alphabet onto phi's; mismatch of
+    gamma(psi(m)) vs phi(m).  psi and phi are ObservationFunctions, each
+    applied once per chunk of sampled coordinates; gamma is applied once per
+    symbol of psi.
     """
-    if mode not in ("strong", "weak"):
-        raise CheckError("mode must be 'strong' or 'weak'")
-    if mode == "weak" and gamma is None:
-        raise CheckError("weak mode requires a gamma observation")
     _require_positive(epsilon=epsilon)
-    sim = gamma if mode == "weak" else (lambda s: s)
-    images = tuple(map(sim, psi.alphabet))  # psi's codes index their images
+    images = psi.alphabet if gamma is None else tuple(map(gamma, psi.alphabet))
     items = _alphabet_items(set(images), set(phi.alphabet), "simulating", "target")
-    report = CheckReport(f"simulation_{mode}", items, seed, n, {"epsilon": epsilon})
+    kind = "simulation_strong" if gamma is None else "simulation_weak"
+    report = CheckReport(kind, items, seed, n, {"epsilon": epsilon})
     if items:
         return report
     code = {s: i for i, s in enumerate(phi.alphabet)}
-    image_code = np.array([code[s] for s in images])
+    image_code = np.array([code[s] for s in images])  # psi's codes index their images
     differ = lambda c: image_code[psi.codes(c)] != phi.codes(c)
     mismatch = observe_trajectories(system, differ, (0.0,), n, seed)
     report.items.append(_one_sided_item("mismatch_measure", mismatch, n, epsilon))
-    # report the simulating process' FDDs on the supplied grids
-    src = ObservedSystemSource(system, psi)
-    child = np.random.SeedSequence(seed).spawn(2)[1]
-    for gi, (grid, codes) in enumerate(zip(grids, _union_draw(src, grids, min(n, 10_000), child))):
-        fdd = estimate_fdd(codes, images, grid)
-        report.items.append(
-            {
-                "label": f"simulating_fdd_grid{gi}",
-                "pass": True,
-                "fdd": fdd.to_json_obj(),
-            }
-        )
     return report
-

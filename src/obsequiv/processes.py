@@ -454,6 +454,9 @@ class SemiMarkovSpec:
     holding: dict  # state -> HoldingTime
 
     def __post_init__(self):
+        for s in self.holding:
+            if s not in self.chain.states:
+                raise ProcessError(f"holding time for {s!r}, which is not a state of the chain")
         for s in self.chain.states:
             if s not in self.holding:
                 raise ProcessError(f"no holding time for state {s!r}")

@@ -52,7 +52,7 @@ _SECTION_OF = {"system": "systems", "observation": "observations", "process": "p
 N = ("integer", 1000)  # the Monte Carlo sample size of a task
 SCENARIO = {"seed": ("integer",), "systems": ("object", {}), "observations": ("object", {}),
             "processes": ("object", {}), "tasks": ("[object]", [])}
-SIDE = {"process": ("process", None), "representation": ("string", "shift"),
+SIDE = {"process": ("process", None), "representation": ("string", None),
         "system": ("system", None), "observation": ("observation", None)}
 # the fields every kind of a section has
 COMMON = {
@@ -90,9 +90,8 @@ KINDS = {
                                        "times": ("[number]",), "n": N},
         "check:invariant_union": {"system": ("system",), "partition": ("observation",),
                                   "horizon": ("number",), "tol": ("number", 0.01), "n": N},
-        "check:simulation": {"mode": ("string",), "system": ("system",),
-                             "phi": ("observation",), "psi": ("observation",),
-                             "epsilon": ("number",), "grids": ("[[number]]", []),
+        "check:simulation": {"system": ("system",), "phi": ("observation",),
+                             "psi": ("observation",), "epsilon": ("number",),
                              "gamma": ("object", None), "n": N},
         "check:epsilon_congruence": {"system": ("system",), "coding": ("observation",),
                                      "epsilon": ("number",), "n": N},
@@ -128,6 +127,9 @@ def _field(cfg, key, where, type, default=REQUIRED):
     if any(isinstance(x, bool) or not isinstance(x, classes) for x in items):
         what = f"hold {what.split()[-1]}s" if depth else f"be {what}"
         raise ScenarioError(f"{where}: field {key!r} must {what}, got {value!r}")
+    if classes == (int, float) and any(isinstance(x, int) and abs(x) > sys.float_info.max
+                                       for x in items):  # float(x) would overflow
+        raise ScenarioError(f"{where}: field {key!r} holds an integer beyond the float range")
     if type == "number":
         return float(value)
     if type != "fraction":
@@ -143,6 +145,13 @@ def _field(cfg, key, where, type, default=REQUIRED):
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError):
         raise ScenarioError(f"{where}: field {key!r} must be a fraction, got {value!r}") from None
+
+
+def _seed(seed, where):
+    """A master or task seed, which SeedSequence needs non-negative."""
+    if seed is not None and seed < 0:
+        raise ScenarioError(f"{where} must be non-negative, got {seed}")
+    return seed
 
 
 @contextmanager
@@ -183,9 +192,12 @@ def _box(cfg, where):
     return Box(tuple(box["lo"]), tuple(box["hi"]))
 
 
-def _set(cfg, where):
+def _set(cfg, where, space):
     s = _read(cfg, where, NESTED["set"])
-    return s["label"], _box(s["box"], where).contains, s["measure"]
+    box = _box(s["box"], where)
+    if box.dim != space.dim:
+        raise ScenarioError(f"{where}: a {box.dim}-d box in the {space.dim}-d space {space.name!r}")
+    return s["label"], box.contains, s["measure"]
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +245,7 @@ def _build_process(f, where):
 class Scenario:
     def __init__(self, doc, path="<scenario>"):
         top = _read(doc, path, SCENARIO)
-        self.seed = top["seed"]
+        self.seed = _seed(top["seed"], f"{path}: field 'seed'")
         self.systems = self._build_all(top, "systems", _build_system)
         self.observations = self._build_all(top, "observations", _build_observation)
         self.processes = self._build_all(top, "processes", _build_process)
@@ -254,10 +266,12 @@ class Scenario:
         where = f"tasks[{idx}] ({kind})"
         with _at(where):
             f = self.read(task, where, _kind_table(task, where, "tasks"))
+            _seed(f["seed"], f"{where}: field 'seed'")
             if kind == "simulate":
                 f["source"] = self.source(f, where)
             if kind == "check:measure_preservation":
-                f["sets"] = [_set(s, f"{where}.sets[{i}]") for i, s in enumerate(f["sets"])]
+                space = f["system"].space
+                f["sets"] = [_set(s, f"{where}.sets[{i}]", space) for i, s in enumerate(f["sets"])]
         gamma = f.get("gamma")  # simulation's images of psi's symbols
         if gamma is not None:
             if not all(isinstance(v, str) for v in gamma.values()):
@@ -297,13 +311,17 @@ class Scenario:
         return f
 
     def source(self, side, where):
-        """A symbol source from the read fields of a side."""
+        """A symbol source from the read fields of a side; a process reads as "shift" by default."""
         if side["process"] is not None:
+            if side["system"] is not None or side["observation"] is not None:
+                raise ScenarioError(f"{where}: a side names a process or a system, not both")
             if side["representation"] == "flow":
                 return SemiMarkovFlowRep(side["process"])
-            if side["representation"] == "shift":
+            if side["representation"] in (None, "shift"):
                 return ShiftRepresentation(side["process"])
             raise ScenarioError(f"{where}: unknown representation {side['representation']!r}")
+        if side["representation"] is not None:
+            raise ScenarioError(f"{where}: field 'representation' needs a process side")
         if side["system"] is not None:
             if side["observation"] is None:
                 raise ScenarioError(f"{where}: observation required")
@@ -359,8 +377,8 @@ def _run_check(what, f, seed) -> CheckReport:
             f["system"], f["partition"].partition, f["horizon"], n, seed, tol=f["tol"]
         )
     if what == "simulation":
-        return checks.check_simulation(f["mode"], f["system"], f["phi"], f["psi"], f["epsilon"],
-                                       f["grids"], n, seed, gamma=f["gamma"])
+        return checks.check_simulation(f["system"], f["phi"], f["psi"], f["epsilon"], n, seed,
+                                       gamma=f["gamma"])
     system, obs = f["system"], f["coding"]  # epsilon_congruence
     centers = {
         sym: tuple((lo + hi) / 2.0 for lo, hi in zip(cell[0].lo, cell[0].hi))
@@ -380,7 +398,7 @@ def run_scenario(path, out_dir="out", seed=None) -> int:
     try:
         scn = Scenario.load(path)
         if seed is not None:
-            scn.seed = int(seed)
+            scn.seed = _seed(int(seed), "--seed")
         target = Path(out_dir) / Path(path).stem
         target.mkdir(parents=True, exist_ok=True)
         all_ok = True

@@ -215,7 +215,7 @@ def test_criterion_08_simulation():
     rot = RotationFlow(SQRT2 - 1.0)
     halves = ObservationFunction(interval_partition([0.0, 0.5, 1.0], ["a", "b"]))
     identity_ok = all(
-        check_simulation("strong", rot, halves, halves, eps, [], 5000, 151).passed
+        check_simulation(rot, halves, halves, eps, 5000, 151).passed
         for eps in (0.001, 0.01, 0.1, 0.5)
     )
     perturbed = ObservationFunction(
@@ -230,16 +230,14 @@ def test_criterion_08_simulation():
         ),
         symbols=("b", "a", "b"),
     )  # disagrees with halves exactly on [0, 0.01)
-    loose = check_simulation("strong", rot, halves, perturbed, 0.05, [], 20_000, 157)
-    tight = check_simulation("strong", rot, halves, perturbed, 0.005, [], 20_000, 163)
+    loose = check_simulation(rot, halves, perturbed, 0.05, 20_000, 157)
+    tight = check_simulation(rot, halves, perturbed, 0.005, 20_000, 163)
     quarters = ObservationFunction(
         interval_partition([0.0, 0.25, 0.5, 0.75, 1.0], ["q0", "q1", "q2", "q3"])
     )
     gamma = {"q0": "a", "q1": "a", "q2": "b", "q3": "b"}.get
     weak_ok = all(
-        check_simulation(
-            "weak", rot, halves, quarters, eps, [(0.0, 1.0)], 5000, 167, gamma=gamma
-        ).passed
+        check_simulation(rot, halves, quarters, eps, 5000, 167, gamma=gamma).passed
         for eps in (0.001, 0.01, 0.1, 0.5)
     )
     ok = identity_ok and loose.passed and tight.verdict == "fail" and weak_ok

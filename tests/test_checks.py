@@ -35,6 +35,9 @@ from obsequiv.systems import BakerMap, BilliardFlow, RotationFlow
 
 P2 = np.array([[0.5, 0.5], [0.75, 0.25]])
 HALVES = ObservationFunction(interval_partition([0.0, 0.5, 1.0], ["a", "b"]))
+QUARTERS = ObservationFunction(
+    interval_partition([0.0, 0.25, 0.5, 0.75, 1.0], ["q0", "q1", "q2", "q3"])
+)
 
 
 def _symbol_paths(source, grid, n, seed):
@@ -184,7 +187,7 @@ def test_simulation_maps_images_in_one_pass(within_a_second):
     """psi's images reach phi's codes through one dict, not one alphabet
     scan per symbol, on the baker's 4,096-symbol coding."""
     coding = ObservationFunction(grid_partition(64, 64))
-    rep = check_simulation("strong", BakerMap(), coding, coding, 0.01, [], 2000, 3)
+    rep = check_simulation(BakerMap(), coding, coding, 0.01, 2000, 3)
     assert rep.passed
 
 
@@ -343,7 +346,7 @@ def _congruence_at(epsilon):
 
 
 def _simulation_at(epsilon):
-    return check_simulation("strong", RotationFlow(0.3), HALVES, HALVES, epsilon, [], 400, 5)
+    return check_simulation(RotationFlow(0.3), HALVES, HALVES, epsilon, 400, 5)
 
 
 @pytest.mark.parametrize(
@@ -408,15 +411,15 @@ def perturbed_halves():
 def test_simulation_strong_identity_passes_every_epsilon():
     rot = RotationFlow(math.sqrt(2) - 1)
     for eps in (0.005, 0.05, 0.5):
-        rep = check_simulation("strong", rot, HALVES, HALVES, eps, [], 2000, 53)
+        rep = check_simulation(rot, HALVES, HALVES, eps, 2000, 53)
         assert rep.passed
 
 
 def test_simulation_strong_perturbation_thresholds(perturbed_halves):
     rot = RotationFlow(math.sqrt(2) - 1)
-    ok = check_simulation("strong", rot, HALVES, perturbed_halves, 0.05, [], 20_000, 59)
+    ok = check_simulation(rot, HALVES, perturbed_halves, 0.05, 20_000, 59)
     assert ok.passed
-    bad = check_simulation("strong", rot, HALVES, perturbed_halves, 0.005, [], 20_000, 61)
+    bad = check_simulation(rot, HALVES, perturbed_halves, 0.005, 20_000, 61)
     assert bad.verdict == "fail"
 
 
@@ -427,18 +430,21 @@ def test_simulation_weak_merge_passes():
     )
     gamma = {"q0": "a", "q1": "a", "q2": "b", "q3": "b"}.get
     for eps in (0.005, 0.05, 0.5):
-        rep = check_simulation(
-            "weak", rot, HALVES, quarters, eps, [(0.0, 1.0)], 2000, 67, gamma=gamma
-        )
+        rep = check_simulation(rot, HALVES, quarters, eps, 2000, 67, gamma=gamma)
         assert rep.passed
 
 
-def test_simulation_weak_requires_gamma():
-    rot = RotationFlow(0.3)
-    with pytest.raises(CheckError):
-        check_simulation("weak", rot, HALVES, HALVES, 0.1, [], 10, 1)
-    with pytest.raises(CheckError):
-        check_simulation("sideways", rot, HALVES, HALVES, 0.1, [], 10, 1)
+def test_simulation_never_ignores_gamma():
+    """A given gamma makes the check weak; without one it is strong, and the
+    quarters' outcome set differs from the halves'."""
+    rot = RotationFlow(math.sqrt(2) - 1)
+    merge = {"q0": "a", "q1": "a", "q2": "b", "q3": "b"}.get
+    weak = check_simulation(rot, HALVES, QUARTERS, 0.05, 2000, 73, gamma=merge)
+    assert weak.passed and weak.kind == "simulation_weak"
+    assert [item["label"] for item in weak.items] == ["mismatch_measure"]
+    strong = check_simulation(rot, HALVES, QUARTERS, 0.05, 2000, 73)
+    assert strong.kind == "simulation_strong" and strong.verdict == "fail"
+    assert strong.items[0]["reason"] == "outcome sets differ"
 
 
 def test_simulation_alphabet_mismatch_fails():
@@ -446,7 +452,7 @@ def test_simulation_alphabet_mismatch_fails():
     other = ObservationFunction(
         interval_partition([0.0, 0.5, 1.0], ["x", "y"])
     )
-    rep = check_simulation("strong", rot, HALVES, other, 0.5, [], 100, 71)
+    rep = check_simulation(rot, HALVES, other, 0.5, 100, 71)
     assert rep.verdict == "fail"
     assert rep.items[0]["reason"] == "outcome sets differ"
 

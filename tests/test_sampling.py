@@ -210,8 +210,8 @@ def test_one_cell_index_call_per_coded_chunk(monkeypatch):
     check_invariant_union(rot, HALVES.partition, 1.0, 300, 5)
     check_epsilon_congruence(rot, HALVES, lambda s: (0.25,) if s == "a" else (0.75,),
                              0.5, 300, 7)
-    check_simulation("strong", rot, HALVES, HALVES, 0.1, [(0.0, 1.0)], 300, 9)
-    assert len(calls) == 1 + 1 + 1 + (2 + 1)
+    check_simulation(rot, HALVES, HALVES, 0.1, 300, 9)
+    assert len(calls) == 1 + 1 + 1 + 2
 
 
 def _reference_semi_markov(spec, horizon, rng):
@@ -471,7 +471,7 @@ def test_process_checks_spawn_no_generators_and_read_no_paths(monkeypatch, fair_
         check_measure_preservation(rot, [("a", lambda c: c[..., 0] < 0.5, 0.5)], [1.0], 500, 17),
         check_invariant_union(rot, HALVES.partition, 1.0, 500, 19),
         check_epsilon_congruence(rot, HALVES, lambda s: 0.5, 0.9, 500, 23),
-        check_simulation("weak", rot, HALVES, HALVES, 0.1, grids, 500, 29, gamma=gamma),
+        check_simulation(rot, HALVES, HALVES, 0.1, 500, 29, gamma=gamma),
     ]
     assert all(r.verdict == "pass" for r in reports), [r.kind for r in reports if not r.passed]
     assert calls == {"spawn_rngs": 0, "value": 0}

@@ -127,58 +127,91 @@ ROTATION = {
 
 
 @pytest.mark.parametrize(
-    "task",
+    "task, message",
     [
-        {"kind": "simulate", "system": "rot", "observation": "halves", "grid": [1.0, 0.0]},
-        {"kind": "check:nontriviality", "system": "rot", "observation": "halves",
-         "lags": [0]},
-        {"kind": "entropy", "source": {"system": "rot", "observation": "halves"},
-         "length": 100, "L_max": 4},
-        {"kind": "check:simulation", "mode": "weak", "system": "rot", "phi": "halves",
-         "psi": "quarters", "epsilon": 0.1, "gamma": {"q0": "a", "q1": "a", "q2": "b"}},
-        {"kind": "check:nontriviality", "system": "rot", "observation": "halves", "lags": 5},
-        {"kind": "check:stationarity", "source": {"system": "rot", "observation": "halves"},
-         "grid": [0.0], "shifts": 1.0},
-        {"kind": "check:measure_preservation", "system": "rot", "times": 1.0,
-         "sets": [{"label": "h", "box": {"lo": [0.0], "hi": [0.5]}, "measure": 0.5}]},
-        {"kind": "check:measure_preservation", "system": "rot", "sets": [5], "times": [1.0]},
-        {"kind": "check:measure_preservation", "system": "rot", "times": [1.0],
-         "sets": [{"label": "h", "box": {"lo": [0.0, 0.0], "hi": [0.5, 1.0]}, "measure": 0.5}]},
-        {"kind": "simulate", "system": "rot", "observation": "halves", "grid": [0.0], "n": [5]},
-        {"kind": "simulate", "system": "rot", "observation": "halves", "grid": [0.0], "n": True},
-        {"kind": "simulate", "system": "rot", "observation": "halves", "grid": [0.0], "n": 5.5},
-        {"kind": "check:nontriviality", "system": "rot", "observation": "halves",
-         "lags": [[1]]},
-        {"kind": "simulate", "system": "rot", "observation": "halves", "grid": ["0"]},
-        {"kind": "check:stationarity", "source": {"system": "rot", "observation": "halves"},
-         "grid": [0.0], "shifts": [None]},
-        {"kind": "check:observational_equivalence", "a": {"system": "rot", "observation": "halves"},
-         "b": {"system": "rot", "observation": "halves"}, "grids": [[0.0, [1.0]]]},
-        {"kind": "check:measure_preservation", "system": "rot", "times": [False],
-         "sets": [{"label": "h", "box": {"lo": [0.0], "hi": [0.5]}, "measure": 0.5}]},
-        {"kind": "entropy", "source": {"system": "rot", "observation": "halves"},
-         "length": 1000, "L_max": "2"},
-        {"kind": "check:invariant_union", "system": "rot", "partition": "halves",
-         "horizon": 2.0, "tol": -1},
-        {"kind": "check:simulation", "mode": "strong", "system": "rot", "phi": "halves",
-         "psi": "halves", "epsilon": "0.1"},
-        {"kind": "check:stationarity", "source": 5, "grid": [0.0], "shifts": [1.0]},
-        {"kind": "check:observational_equivalence", "a": "process", "b": {"process": "p"},
-         "grids": [[0.0]]},
-        {"kind": "check:nontriviality", "system": ["rot"], "observation": "halves",
-         "lags": [1.0]},
-        {"kind": "check:nontriviality", "system": "rot", "observation": {"name": "halves"},
-         "lags": [1.0]},
-        {"kind": "check:simulation", "mode": "weak", "system": "rot", "phi": "halves",
-         "psi": "quarters", "epsilon": 0.1, "gamma": 5},
-        {"kind": "check:simulation", "mode": "weak", "system": "rot", "phi": "halves",
-         "psi": "quarters", "epsilon": 0.1,
-         "gamma": {"q0": ["a"], "q1": "a", "q2": "b", "q3": "b"}},
-        {"kind": "simulate", "process": "p", "representation": "spin", "grid": [0.0]},
-        {"kind": "check:invariant_union", "system": "baker", "partition": "one_cell",
-         "horizon": 1.0},
-        {"kind": "entropy", "source": {"system": "rot", "observation": "halves"},
-         "length": 1000, "L_max": 0},
+        ({"kind": "simulate", "system": "rot", "observation": "halves", "grid": [1.0, 0.0]},
+         "tasks[0] (simulate): time grid must be ascending and nonnegative"),
+        ({"kind": "check:nontriviality", "system": "rot", "observation": "halves",
+          "lags": [0]},
+         "tasks[0] (check:nontriviality): lags must be positive"),
+        ({"kind": "entropy", "source": {"system": "rot", "observation": "halves"},
+          "length": 100, "L_max": 4},
+         "tasks[0] (entropy): undersampled: need >= 200 symbols for L=1 over 2 symbols, got 100"),
+        ({"kind": "check:simulation", "system": "rot", "phi": "halves",
+          "psi": "quarters", "epsilon": 0.1, "gamma": {"q0": "a", "q1": "a", "q2": "b"}},
+         "tasks[0] (check:simulation): gamma has no image for psi symbols ['q3']"),
+        ({"kind": "check:nontriviality", "system": "rot", "observation": "halves", "lags": 5},
+         "tasks[0] (check:nontriviality): field 'lags' must be a list"),
+        ({"kind": "check:stationarity", "source": {"system": "rot", "observation": "halves"},
+          "grid": [0.0], "shifts": 1.0},
+         "tasks[0] (check:stationarity): field 'shifts' must be a list"),
+        ({"kind": "check:measure_preservation", "system": "rot", "times": 1.0,
+          "sets": [{"label": "h", "box": {"lo": [0.0], "hi": [0.5]}, "measure": 0.5}]},
+         "tasks[0] (check:measure_preservation): field 'times' must be a list"),
+        ({"kind": "check:measure_preservation", "system": "rot", "sets": [5], "times": [1.0]},
+         "tasks[0] (check:measure_preservation): field 'sets' must hold objects, got [5]"),
+        ({"kind": "check:measure_preservation", "system": "rot", "times": [1.0],
+          "sets": [{"label": "h", "box": {"lo": [0.0, 0.0], "hi": [0.5, 1.0]}, "measure": 0.5}]},
+         "tasks[0] (check:measure_preservation).sets[0]: "
+         "a 2-d box in the 1-d space 'unit_interval'"),
+        ({"kind": "simulate", "system": "rot", "observation": "halves", "grid": [0.0], "n": [5]},
+         "tasks[0] (simulate): field 'n' must be an integer, got [5]"),
+        ({"kind": "simulate", "system": "rot", "observation": "halves", "grid": [0.0], "n": True},
+         "tasks[0] (simulate): field 'n' must be an integer, got True"),
+        ({"kind": "simulate", "system": "rot", "observation": "halves", "grid": [0.0], "n": 5.5},
+         "tasks[0] (simulate): field 'n' must be an integer, got 5.5"),
+        ({"kind": "check:nontriviality", "system": "rot", "observation": "halves",
+          "lags": [[1]]},
+         "tasks[0] (check:nontriviality): field 'lags' must hold numbers, got [[1]]"),
+        ({"kind": "simulate", "system": "rot", "observation": "halves", "grid": ["0"]},
+         "tasks[0] (simulate): field 'grid' must hold numbers, got ['0']"),
+        ({"kind": "check:stationarity", "source": {"system": "rot", "observation": "halves"},
+          "grid": [0.0], "shifts": [None]},
+         "tasks[0] (check:stationarity): field 'shifts' must hold numbers, got [None]"),
+        ({"kind": "check:observational_equivalence",
+          "a": {"system": "rot", "observation": "halves"},
+          "b": {"system": "rot", "observation": "halves"}, "grids": [[0.0, [1.0]]]},
+         "tasks[0] (check:observational_equivalence): "
+         "field 'grids' must hold numbers, got [[0.0, [1.0]]]"),
+        ({"kind": "check:measure_preservation", "system": "rot", "times": [False],
+          "sets": [{"label": "h", "box": {"lo": [0.0], "hi": [0.5]}, "measure": 0.5}]},
+         "tasks[0] (check:measure_preservation): field 'times' must hold numbers, got [False]"),
+        ({"kind": "entropy", "source": {"system": "rot", "observation": "halves"},
+          "length": 1000, "L_max": "2"},
+         "tasks[0] (entropy): field 'L_max' must be an integer, got '2'"),
+        ({"kind": "check:invariant_union", "system": "rot", "partition": "halves",
+          "horizon": 2.0, "tol": -1},
+         "tasks[0] (check:invariant_union): tol must be finite and positive, got -1.0"),
+        ({"kind": "check:simulation", "system": "rot", "phi": "halves",
+          "psi": "halves", "epsilon": "0.1"},
+         "tasks[0] (check:simulation): field 'epsilon' must be a number, got '0.1'"),
+        ({"kind": "check:stationarity", "source": 5, "grid": [0.0], "shifts": [1.0]},
+         "tasks[0] (check:stationarity): field 'source' must be an object, got 5"),
+        ({"kind": "check:observational_equivalence", "a": "process", "b": {"process": "p"},
+          "grids": [[0.0]]},
+         "tasks[0] (check:observational_equivalence): field 'a' must be an object, got 'process'"),
+        ({"kind": "check:nontriviality", "system": ["rot"], "observation": "halves",
+          "lags": [1.0]},
+         "tasks[0] (check:nontriviality): field 'system' must be a name, got ['rot']"),
+        ({"kind": "check:nontriviality", "system": "rot", "observation": {"name": "halves"},
+          "lags": [1.0]},
+         "tasks[0] (check:nontriviality): "
+         "field 'observation' must be a name, got {'name': 'halves'}"),
+        ({"kind": "check:simulation", "system": "rot", "phi": "halves",
+          "psi": "quarters", "epsilon": 0.1, "gamma": 5},
+         "tasks[0] (check:simulation): field 'gamma' must be an object, got 5"),
+        ({"kind": "check:simulation", "system": "rot", "phi": "halves",
+          "psi": "quarters", "epsilon": 0.1,
+          "gamma": {"q0": ["a"], "q1": "a", "q2": "b", "q3": "b"}},
+         "tasks[0] (check:simulation): field 'gamma' must map symbols to strings"),
+        ({"kind": "simulate", "process": "p", "representation": "spin", "grid": [0.0]},
+         "tasks[0] (simulate): unknown representation 'spin'"),
+        ({"kind": "check:invariant_union", "system": "baker", "partition": "one_cell",
+          "horizon": 1.0},
+         "tasks[0] (check:invariant_union): partition must be nontrivial"),
+        ({"kind": "entropy", "source": {"system": "rot", "observation": "halves"},
+          "length": 1000, "L_max": 0},
+         "tasks[0] (entropy): L_max must be >= 1"),
     ],
     ids=["unsorted_system_grid", "zero_lag", "undersampled_entropy", "gamma_misses_symbol",
          "lags_not_a_list", "shifts_not_a_list", "times_not_a_list", "set_not_an_object",
@@ -189,13 +222,13 @@ ROTATION = {
          "gamma_a_number", "gamma_image_a_list", "unknown_representation",
          "one_cell_invariant_union", "L_max_zero"],
 )
-def test_bad_task_input_exit_two(tmp_path, capsys, task):
+def test_bad_task_input_exit_two(tmp_path, capsys, task, message):
     doc = dict(ROTATION, seed=1, tasks=[task], processes=PASSING["processes"])
     doc["systems"] = dict(ROTATION["systems"], baker={"kind": "baker"})
     doc["observations"] = dict(ROTATION["observations"],
                                one_cell={"kind": "grid", "system": "baker", "nx": 1, "ny": 1})
     assert run_scenario(_write(tmp_path, "bad.json", doc), out_dir=tmp_path / "o") == 2
-    assert capsys.readouterr().out.startswith(f"configuration error: tasks[0] ({task['kind']})")
+    assert capsys.readouterr().out == f"configuration error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -334,7 +367,7 @@ def test_bad_literal_names_its_field_without_a_traceback(
         ({"kind": "check:measure_preservation", "system": "rot", "times": [1.0],
           "sets": [{"label": "h", "box": {"lo": [0.0]}, "measure": 0.5}]},
          "tasks[1] (check:measure_preservation).sets[0]: missing field 'hi'"),
-        ({"kind": "check:simulation", "mode": "weak", "system": "rot", "phi": "halves",
+        ({"kind": "check:simulation", "system": "rot", "phi": "halves",
           "psi": "quarters", "epsilon": 0.1, "gamma": {"q0": "a", "q1": "a"}},
          "tasks[1] (check:simulation): gamma has no image for psi symbols ['q2', 'q3']"),
     ],
@@ -348,6 +381,74 @@ def test_every_task_is_read_before_the_first_one_runs(tmp_path, capsys, task, me
     assert run_scenario(_write(tmp_path, "late.json", doc), out_dir=out) == 2
     assert capsys.readouterr().out == f"configuration error: {message}\n"
     assert not [p for p in out.rglob("*") if p.is_file()]
+
+
+def _sm_holding_extra(doc):
+    holding = dict(SEMI_MARKOV["sm"]["holding"], zzz={"coeff": "5"})
+    doc["processes"]["sm"] = dict(SEMI_MARKOV["sm"], holding=holding)
+
+
+@pytest.mark.parametrize(
+    "edit, args, message",
+    [
+        (lambda d: d.update(seed=-1), [], "{path}: field 'seed' must be non-negative, got -1"),
+        (lambda d: d["tasks"].append(dict(d["tasks"][0], seed=-2)), [],
+         "tasks[1] (simulate): field 'seed' must be non-negative, got -2"),
+        (lambda d: None, ["--seed", "-3"], "--seed must be non-negative, got -3"),
+        (_sm_holding_extra, [],
+         "processes.sm: holding time for 'zzz', which is not a state of the chain"),
+        (lambda d: d["tasks"].append(
+            {"kind": "check:observational_equivalence", "grids": [[0.0]], "b": {"process": "p"},
+             "a": {"process": "p", "system": "rot", "observation": "halves"}}), [],
+         "tasks[1] (check:observational_equivalence).a: "
+         "a side names a process or a system, not both"),
+        (lambda d: d["tasks"].append({"kind": "simulate", "system": "rot", "observation": "halves",
+                                      "representation": "shift", "grid": [0.0]}), [],
+         "tasks[1] (simulate): field 'representation' needs a process side"),
+        (lambda d: d["tasks"].append(
+            {"kind": "check:measure_preservation", "system": "baker", "times": [1.0],
+             "sets": [{"label": "h", "box": {"lo": [0.0, 0.0, 0.0], "hi": [0.5, 1.0, 1.0]},
+                       "measure": 0.5}]}), [],
+         "tasks[1] (check:measure_preservation).sets[0]: "
+         "a 3-d box in the 2-d space 'unit_square'"),
+        (lambda d: d["systems"]["rot"].update(alpha=10**400), [],
+         "systems.rot: field 'alpha' holds an integer beyond the float range"),
+        (lambda d: d["tasks"].append(dict(d["tasks"][0], grid=[0.0, 10**400])), [],
+         "tasks[1] (simulate): field 'grid' holds an integer beyond the float range"),
+        (lambda d: d["observations"]["halves"].update(breaks=[0.0, 0.5, 10**400]), [],
+         "observations.halves: field 'breaks' holds an integer beyond the float range"),
+        (lambda d: d["processes"]["p"].update(matrix=[[0.5, 0.5], [-(10**400), 0.5]]), [],
+         "processes.p: field 'matrix' holds an integer beyond the float range"),
+    ],
+    ids=["negative_master_seed", "negative_task_seed", "negative_cli_seed", "holding_extra_state",
+         "side_of_process_and_system", "representation_of_system_side", "box_of_three_on_baker",
+         "alpha_beyond_float", "grid_beyond_float", "breaks_beyond_float", "matrix_beyond_float"],
+)
+def test_bad_seed_side_set_or_number_exits_two_without_a_report(
+        tmp_path, capsys, edit, args, message):
+    """Each seed is checked where it is read, a field the run would drop is
+    refused, a set's box must match the phase space before any path is
+    sampled, and an integer no float can hold is refused as the field's."""
+    doc = copy.deepcopy(dict(ROTATION, seed=1, tasks=[PASSING["tasks"][0]],
+                             processes={**PASSING["processes"], **SEMI_MARKOV}))
+    doc["systems"]["baker"] = {"kind": "baker"}
+    edit(doc)
+    path, out = _write(tmp_path, "bad.json", doc), tmp_path / "o"
+    assert main([str(path), "--out", str(out), *args]) == 2
+    assert capsys.readouterr() == (f"configuration error: {message}\n".replace("{path}", str(path)), "")
+    assert not [p for p in out.rglob("*") if p.is_file()]
+
+
+@pytest.mark.parametrize("field, value", [("mode", "strong"), ("grids", [[0.0, 1.0]])])
+def test_cli_rejects_removed_simulation_fields(tmp_path, capsys, field, value):
+    """gamma alone makes a simulation weak, and a simulate task draws the
+    simulating process's tables: mode and grids are unknown fields."""
+    task = {"kind": "check:simulation", "system": "rot", "phi": "halves", "psi": "halves",
+            "epsilon": 0.1, "n": 10, field: value}
+    doc = dict(ROTATION, seed=1, tasks=[task])
+    assert main([str(_write(tmp_path, "sim.json", doc)), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr() == (
+        f"configuration error: tasks[0] (check:simulation): unknown field {field!r}\n", "")
 
 
 def test_task_kind_not_a_string_exit_two(tmp_path, capsys):
@@ -394,10 +495,8 @@ def test_process_task_bad_times_exit_two(tmp_path, capsys, task, message):
          "b": {"process": "sm", "representation": "flow"}, "grids": [[0.0, 1.0], [2.0, 0.5]]},
         {"kind": "check:stationarity", "source": {"process": "sm"}, "grid": [0.0, 1.0],
          "shifts": [0.5, -0.5]},
-        {"kind": "check:simulation", "mode": "strong", "system": "rot", "phi": "halves",
-         "psi": "halves", "epsilon": 0.1, "grids": [[0.0], [1.0, 0.0]]},
     ],
-    ids=["grids", "shifts", "simulation_grids"],
+    ids=["grids", "shifts"],
 )
 def test_bad_table_grid_exits_two_through_the_cli(tmp_path, capsys, task):
     """A later table's grid that is unsorted, or negative after its shift, is
@@ -624,7 +723,8 @@ def test_flow_of_a_markov_chain_exit_two(tmp_path, capsys):
 def test_bad_master_seed_exit_two(tmp_path, capsys):
     doc = dict(PASSING, seed=[1])
     assert run_scenario(_write(tmp_path, "seed.json", doc), out_dir=tmp_path / "o") == 2
-    assert "field 'seed' must be an integer" in capsys.readouterr().out
+    assert capsys.readouterr().out == ("configuration error: "
+        f"{tmp_path / 'seed.json'}: field 'seed' must be an integer, got [1]\n")
 
 
 def test_demo_scenario_reports_share_the_schema(tmp_path):

@@ -92,8 +92,8 @@ EVERY_KIND = {
          "sets": [{"label": "h", "box": {"lo": [0.0], "hi": [0.5]}, "measure": 0.5}]},
         {"kind": "check:invariant_union", "system": "rot", "partition": "quarters",
          "horizon": 1.0, "tol": 0.01, "n": 50},
-        {"kind": "check:simulation", "mode": "weak", "system": "rot", "phi": "halves",
-         "psi": "quarters", "epsilon": 0.1, "grids": [[0.0, 1.0]], "n": 50,
+        {"kind": "check:simulation", "system": "rot", "phi": "halves",
+         "psi": "quarters", "epsilon": 0.1, "n": 50,
          "gamma": {"q0": "a", "q1": "a", "q2": "b", "q3": "b"}},
         {"kind": "check:epsilon_congruence", "system": "baker", "coding": "sides",
          "epsilon": 0.5, "n": 50},
