@@ -138,7 +138,7 @@ class Partition:
                     )
                 if not all(map(math.isfinite, box.lo + box.hi)):
                     raise PartitionError(f"cell {label!r} has a box with non-finite bounds")
-        measures = [self.cell_measure(c) for c in cells]
+        measures = self.measures().tolist()
         if min(measures) <= 0.0:
             raise PartitionError("zero-measure cell")
         total = sum(measures)
@@ -174,19 +174,15 @@ class Partition:
         # share a bin and in (i, j) order, so the first overlap reported is
         # the first of all pairs
         for i, j in sorted({(i, j) for g in groups.values() for i in g for j in g if i < j}):
-            if _cells_overlap(cells[i], cells[j]):
+            if _shared(cells[i], cells[j]):
                 raise PartitionError(f"cells {self.labels[i]!r} and {self.labels[j]!r} overlap")
-
-    @staticmethod
-    def cell_measure(cell):
-        return sum(b.volume() for b in cell)
 
     @property
     def size(self):
         return len(self.cells)
 
     def measures(self):
-        return np.array([self.cell_measure(c) for c in self.cells])
+        return np.array([sum(b.volume() for b in c) for c in self.cells])
 
     def cell_index(self, point):
         """Index of the first cell with a box holding the (wrapped) point: an
@@ -222,13 +218,11 @@ def _points(point, dim, where=""):
     return points
 
 
-def _cells_overlap(a, b, tol=1e-12):
-    for ba in a:
-        for bb in b:
-            inter = ba.intersect(bb)
-            if inter is not None and inter.volume() > tol:
-                return True
-    return False
+def _shared(a, b):
+    """The intersections of cell a's boxes with cell b's whose volume is
+    above 1e-12: the positive-volume rule of overlap and of refinement."""
+    inters = (x.intersect(y) for x in a for y in b)
+    return [box for box in inters if box is not None and box.volume() > 1e-12]
 
 
 def refine(a: Partition, b: Partition) -> Partition:
@@ -238,13 +232,7 @@ def refine(a: Partition, b: Partition) -> Partition:
     cells, labels = [], []
     for la, ca in zip(a.labels, a.cells):
         for lb, cb in zip(b.labels, b.cells):
-            boxes = []
-            for ba in ca:
-                for bb in cb:
-                    inter = ba.intersect(bb)
-                    if inter is not None and inter.volume() > 1e-12:
-                        boxes.append(inter)
-            if boxes:
+            if boxes := _shared(ca, cb):
                 cells.append(tuple(boxes))
                 labels.append(f"{la}&{lb}" if la != lb else la)
     # collapse duplicate labels from identical partitions refined with themselves

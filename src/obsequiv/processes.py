@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -337,9 +338,13 @@ def sample_in_chunks(draw, n, seed, steps):
 def check_path_steps(rows, steps):
     """Raise ProcessError, before anything is drawn, when rows paths of
     steps lockstep steps each exceed MAX_PATH_STEPS."""
-    if rows * steps > MAX_PATH_STEPS:
+    if any(isinstance(x, int) and x > sys.float_info.max for x in (rows, steps)):
+        raise ProcessError(f"a count of paths or steps above {sys.float_info.max:.3g} is more "
+                           f"than the {MAX_PATH_STEPS} path steps one sampling call may draw")
+    total = float(rows) * steps  # a float, inf past the float range, so :.3g formats it
+    if total > MAX_PATH_STEPS:
         raise ProcessError(
-            f"{rows} paths of {steps:.3g} steps each are {rows * steps:.3g} path steps, "
+            f"{rows} paths of {steps:.3g} steps each are {total:.3g} path steps, "
             f"more than the {MAX_PATH_STEPS} one sampling call may draw"
         )
 

@@ -68,7 +68,7 @@ class RotationFlow:
     """T_t(m) = (m + alpha*t) mod 1 on the circle [0,1), Lebesgue-invariant."""
 
     alpha: float
-    space: PhaseSpace = UNIT_INTERVAL
+    space = UNIT_INTERVAL
 
     def __post_init__(self):
         alpha = float(self.alpha)

@@ -436,6 +436,14 @@ def test_kernels_reject_bad_grids(fair_semi_markov):
             src.sample_codes((0.0,), 0, 1)
 
 
+def test_sample_size_beyond_the_float_range_is_refused(fair_semi_markov):
+    """An integer n no float can hold is refused by the size bound, not
+    overflowed on the way to it."""
+    for src in _sources(fair_semi_markov):
+        with pytest.raises(ProcessError, match="above 1.8e\\+308"):
+            src.sample_codes((0.0,), 10**400, 1)
+
+
 def test_process_checks_spawn_no_generators_and_read_no_paths(monkeypatch, fair_semi_markov):
     """Neither process nor system checks spawn per-path generators."""
     assert not hasattr(checks, "spawn_rngs") and not hasattr(scenario, "spawn_rngs")

@@ -602,6 +602,31 @@ def test_oversized_request_exits_two_within_a_second(tmp_path, capsys, within_a_
     assert f"more than the {MAX_PATH_STEPS} one sampling call may draw" in out
 
 
+@pytest.mark.parametrize(
+    "task",
+    [
+        {"kind": "simulate", "process": "chain", "grid": [0.0, 1.0], "n": 10**400},
+        {"kind": "simulate", "process": "sm", "grid": [0.0, 1.0], "n": 10**400},
+        {"kind": "check:stationarity", "source": {"process": "chain"}, "grid": [0.0],
+         "shifts": [1.0], "n": 10**400},
+        {"kind": "entropy", "source": {"process": "chain"}, "length": 10**400, "L_max": 2},
+        {"kind": "entropy", "source": {"process": "chain"}, "sequences": 10**400, "L_max": 2},
+    ],
+    ids=["chain_n", "semi_markov_n", "stationarity_n", "entropy_length", "entropy_sequences"],
+)
+def test_sample_size_beyond_the_float_range_exits_two(tmp_path, capsys, task):
+    """An integer sample size no float can hold is refused by the size bound
+    like any other oversized request, with no traceback and no report."""
+    doc = {"seed": 1, "processes": dict(SEMI_MARKOV, chain=PASSING["processes"]["p"]),
+           "tasks": [task]}
+    out = tmp_path / "o"
+    assert main([str(_write(tmp_path, "huge.json", doc)), "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        f"configuration error: tasks[0] ({task['kind']}): a count of paths or steps above "
+        f"1.8e+308 is more than the {MAX_PATH_STEPS} path steps one sampling call may draw\n", "")
+    assert not [p for p in out.rglob("*.json")]
+
+
 @pytest.mark.parametrize("speed", [1e6, 1e300], ids=["large", "inf"])
 def test_fast_billiard_exits_two_within_a_second(tmp_path, capsys, within_a_second, speed):
     """Billiard events count in the size bound: speed * max grid * perimeter

@@ -1,5 +1,6 @@
 """Deterministic systems: rotation, billiard, baker, suspension flows."""
 
+import dataclasses
 import gc
 import hashlib
 import math
@@ -11,7 +12,13 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from obsequiv import systems
-from obsequiv.partitions import ObservationFunction, grid_partition, interval_partition
+from obsequiv.partitions import (
+    UNIT_INTERVAL,
+    UNIT_SQUARE,
+    ObservationFunction,
+    grid_partition,
+    interval_partition,
+)
 from obsequiv.processes import MAX_PATH_STEPS, ProcessError
 from obsequiv.systems import (
     LOCKSTEP_ROWS,
@@ -58,6 +65,14 @@ def test_rotation_flow_takes_alpha_as_a_float():
     """The class converts alpha itself; alpha = 1 is the identity map."""
     assert RotationFlow("0.25").alpha == 0.25
     assert RotationFlow(1.0).evolve(0.25, 1.0) == 0.25
+
+
+def test_rotation_space_is_the_circle_and_no_field():
+    """(m + alpha t) mod 1 on one coordinate fixes the phase space."""
+    assert [f.name for f in dataclasses.fields(RotationFlow)] == ["alpha"]
+    assert RotationFlow(0.5).space is UNIT_INTERVAL
+    with pytest.raises(TypeError):
+        RotationFlow(0.5, UNIT_SQUARE)
 
 
 def test_rotation_metric_is_circle_distance():
