@@ -34,6 +34,7 @@ print(f"rotation:      last increment {trend.increments[-1]:.4f} bits, positive=
 table = BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0)
 obs = ObservationFunction(grid_partition(2, 2, space=table.space))
 grid = [0.5 * i for i in range(2000)]
-bseqs = [trajectory_symbols(table, obs, grid, r) for r in spawn_rngs(2, 6)]
+bseqs = [[obs.alphabet.index(s) for s in trajectory_symbols(table, obs, grid, r)]
+         for r in spawn_rngs(2, 6)]
 trend = entropy_rate(bseqs, 3)
 print(f"billiard:      last increment {trend.increments[-1]:.4f} bits, positive={trend.positive_rate}")

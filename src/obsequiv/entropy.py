@@ -7,8 +7,8 @@ information rate from below; no supremum over partitions is attempted.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -53,53 +53,45 @@ class EntropyTrend:
 
 
 def _encode(sequences):
-    """All rows' codes over 0..k-1 laid end to end in the narrowest dtype, the
-    row lengths, and k, the observed symbol count: 1-D integer or bool array
-    rows whose value range is shorter than their total length are coded at
-    once by _integer_codes, other rows by a dict."""
-    if isinstance(sequences, str) or getattr(sequences, "ndim", 2) != 2:
-        raise EntropyError("sequences must be a collection of 1-D sequences")
-    rows = list(sequences)
-    if rows and all(isinstance(r, np.ndarray) and r.ndim == 1 and r.dtype.kind in "biu"
-                    for r in rows):
-        flat = sequences.reshape(-1) if isinstance(sequences, np.ndarray) else np.concatenate(rows)
-        lo, hi = (int(flat.min()), int(flat.max())) if flat.size else (0, 0)
-        if flat.dtype.kind in "biu" and hi - lo < flat.size:  # int64 and uint64 mix into float64
-            codes, k = _integer_codes(flat, lo, hi)
-            return codes, np.array([r.size for r in rows], np.int64), k
-    # ndarray rows become lists first: the dict then hashes Python scalars
+    """Codes over 0..k-1 of an (n, len) integer or bool array in the narrowest
+    dtype, and k, the observed symbol count: through a table of the values
+    present if their range is shorter than the array, else by sorting."""
     try:
-        rows = [r.tolist() if isinstance(r, np.ndarray) else r for r in rows]
-        alphabet = sorted(set().union(*rows), key=str)
-        index = {s: i for i, s in enumerate(alphabet)}
-        sizes = np.array([len(row) for row in rows], np.int64)
-        codes = np.fromiter(map(index.__getitem__, chain.from_iterable(rows)),
-                            np.min_scalar_type(len(alphabet) - 1), int(sizes.sum()))
-    except TypeError:
-        raise EntropyError("sequences must be a collection of 1-D sequences") from None
-    return codes, sizes, len(alphabet)
-
-
-def _integer_codes(flat, lo, hi):
-    """Codes of an integer or bool array of least value lo and greatest hi
-    over its sorted distinct values, and their count k, through a table of
-    the values present, as long as their range."""
+        a = np.asarray(sequences)
+    except ValueError:  # rows of different lengths
+        a = None
+    if a is None or a.ndim != 2 or a.dtype.kind not in "biu" or a.size == 0:
+        raise EntropyError("sequences must be a nonempty (n, len) integer or bool array")
+    lo, hi = int(a.min()), int(a.max())
+    if hi - lo >= a.size:  # np.unique would import numpy.ma
+        values = np.sort(a, axis=None)
+        values = values[np.r_[True, values[1:] != values[:-1]]]
+        return np.searchsorted(values, a).astype(np.min_scalar_type(values.size - 1)), values.size
     # x - lo, wrapped in unsigned arithmetic as wide as hi - lo, is exact
     narrow = np.min_scalar_type(hi - lo)
-    shifted = np.subtract(flat, lo % 256**narrow.itemsize, dtype=narrow, casting="unsafe")
+    shifted = np.subtract(a, lo % 256**narrow.itemsize, dtype=narrow, casting="unsafe")
     present = np.zeros(hi - lo + 1, bool)
     present[shifted] = True
     code_of = np.cumsum(present) - 1
     return code_of.astype(np.min_scalar_type(code_of[-1]))[shifted], int(code_of[-1]) + 1
 
 
+def _length(value, name):
+    """value as an int, or an EntropyError that names it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise EntropyError(f"{name} must be an integer, got {value!r}") from None
+
+
 def block_entropy(sequences, L) -> EntropyEstimate:
-    """Miller-Madow corrected plug-in entropy of the empirical L-blocks.
+    """Miller-Madow corrected plug-in entropy of the empirical L-blocks of the
+    rows of an (n, len) integer or bool array.
 
     Rejects undersampled requests: the total symbol count must be at least
     100 * |alphabet|^L.
     """
-    return _block_entropies(sequences, [L])[0]
+    return _block_entropies(sequences, [_length(L, "block length")])[0]
 
 
 def entropy_rate(sequences, L_max) -> EntropyTrend:
@@ -108,6 +100,7 @@ def entropy_rate(sequences, L_max) -> EntropyTrend:
     The positive/vanishing flag compares the last increment against the
     0.05-bit threshold.
     """
+    L_max = _length(L_max, "L_max")
     if L_max < 1:
         raise EntropyError("L_max must be >= 1")
     return EntropyTrend(_block_entropies(sequences, range(1, L_max + 1)))
@@ -116,8 +109,8 @@ def entropy_rate(sequences, L_max) -> EntropyTrend:
 def _block_entropies(sequences, lengths):
     """block_entropy per length, counted at the longest and summed down: every
     L-block but each row's last is the prefix of an (L+1)-block."""
-    codes, sizes, k = _encode(sequences)
-    total, longest = codes.size, sizes.max(initial=0)
+    codes, k = _encode(sequences)
+    (rows, width), total = codes.shape, codes.size
     for L in lengths:
         if L < 1:
             raise EntropyError("block length must be >= 1")
@@ -126,30 +119,25 @@ def _block_entropies(sequences, lengths):
                 f"undersampled: need >= {UNDERSAMPLING_FACTOR * k ** L} symbols "
                 f"for L={L} over {k} symbols, got {total}"
             )
-        if longest < L:
+        if width < L:
             raise EntropyError(f"no sequence is as long as the block length L={L}")
     if k == 1:  # every block is the one constant block: nothing to count
-        return [EntropyEstimate(int(L), 0.0, int(np.maximum(sizes - L + 1, 0).sum()), 1)
-                for L in lengths]
-    # the guard keeps k^top, the extra bin, within 1% of the input
+        return [EntropyEstimate(int(L), 0.0, rows * (width - L + 1), 1) for L in lengths]
+    # the guard keeps k^top bins within 1% of the input
     top = max(lengths)
-    back = np.cumsum(sizes)[:, None] - np.arange(1, top)  # each row's last top-1 places
-    starts = total - top + 1
-    crossing = np.sort(back[(back >= 0) & (back < starts)])  # starts of blocks past a row end
-    c = np.zeros(k**top + 1, np.int64)
-    for s in range(0, starts, COUNT_BLOCK):
-        block = codes[s : min(s + COUNT_BLOCK, starts)].astype(np.min_scalar_type(k**top))
+    starts, step = width - top + 1, max(1, COUNT_BLOCK // rows)  # start columns: all, per pass
+    c = np.zeros(k**top, np.int64)
+    for s in range(0, starts, step):
+        block = codes[:, s : min(s + step, starts)].astype(np.min_scalar_type(k**top))
         for j in range(1, top):
             block *= k
-            block += codes[s + j : s + j + block.size]
-        first, last = np.searchsorted(crossing, (s, s + block.size))
-        block[crossing[first:last] - s] = k**top  # an extra bin
-        c += np.bincount(block, minlength=k**top + 1)
-    counts = {top: c[: k**top]}
-    tails = codes[np.maximum(back, 0)] @ k ** np.arange(top - 1)  # mod k^L: a row's last L-block
+            block += codes[:, s + j : s + j + block.shape[1]]
+        c += np.bincount(block.ravel(), minlength=k**top)
+    counts = {top: c}
+    tails = codes[:, starts:] @ k ** np.arange(top - 2, -1, -1)  # mod k^L: a row's last L-block
     for L in range(top - 1, min(lengths) - 1, -1):
         counts[L] = counts[L + 1].reshape(-1, k).sum(axis=1) + np.bincount(
-            tails[sizes >= L] % k**L, minlength=k**L)
+            tails % k**L, minlength=k**L)
     estimates = []
     for L in lengths:
         c = counts[L][counts[L] > 0]

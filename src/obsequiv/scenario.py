@@ -127,8 +127,8 @@ def _field(cfg, key, where, type, default=REQUIRED):
     if any(isinstance(x, bool) or not isinstance(x, classes) for x in items):
         what = f"hold {what.split()[-1]}s" if depth else f"be {what}"
         raise ScenarioError(f"{where}: field {key!r} must {what}, got {value!r}")
-    if classes == (int, float) and any(isinstance(x, int) and abs(x) > sys.float_info.max
-                                       for x in items):  # float(x) would overflow
+    if key != "seed" and any(isinstance(x, int) and abs(x) > sys.float_info.max
+                             for x in items):  # float(x) would overflow; SeedSequence takes any
         raise ScenarioError(f"{where}: field {key!r} holds an integer beyond the float range")
     if type == "number":
         return float(value)

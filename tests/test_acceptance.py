@@ -288,7 +288,7 @@ def test_criterion_09_entropy_dichotomy():
     obs = ObservationFunction(grid_partition(2, 2, space=table.space))
     grid = [0.5 * i for i in range(4000)]
     bseqs = [
-        trajectory_symbols(table, obs, grid, rng)
+        [obs.alphabet.index(s) for s in trajectory_symbols(table, obs, grid, rng)]
         for rng in spawn_rngs(181, 8)
     ]
     btrend = entropy_rate(bseqs, 3)

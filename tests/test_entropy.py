@@ -19,7 +19,7 @@ from obsequiv.systems import spawn_rngs
 
 
 def test_constant_process_zero_bits():
-    seq = ["a"] * 10_000
+    seq = [7] * 10_000
     for L in (1, 2, 5):
         est = block_entropy([seq], L)
         assert est.bits == 0.0
@@ -44,7 +44,7 @@ def test_markov_chain_rate_matches_formula():
     # pi=(0.6,0.4); rate = 0.6*H(0.5) + 0.4*H(0.75)
     spec = MarkovChainSpec(("s1", "s2"), np.array([[0.5, 0.5], [0.75, 0.25]]))
     rate = 0.6 * 1.0 + 0.4 * -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))
-    seq = sample_chain(spec, 300_000, spawn_rngs(7, 1)[0])
+    seq = [spec.states.index(s) for s in sample_chain(spec, 300_000, spawn_rngs(7, 1)[0])]
     trend = entropy_rate([seq], 4)
     assert abs(trend.rate_estimate - rate) < 0.05
 
@@ -58,8 +58,11 @@ def test_undersampling_guard():
         block_entropy([seq], 0)
 
 
+_FORM = "must be a nonempty \\(n, len\\) integer or bool array"
+
+
 def test_rows_of_unhashable_symbols_are_refused():
-    with pytest.raises(EntropyError, match="must be a collection of 1-D sequences"):
+    with pytest.raises(EntropyError, match=_FORM):
         entropy_rate([[[0], [1]] * 100], 1)
 
 
@@ -112,7 +115,7 @@ def test_positive_and_vanishing_flags():
     rng = np.random.default_rng(9)
     coin = rng.integers(0, 2, 100_000)
     assert entropy_rate([coin], 5).positive_rate
-    assert not entropy_rate([["a", "b"] * 20_000], 5).positive_rate
+    assert not entropy_rate([[0, 1] * 20_000], 5).positive_rate
 
 
 def _exact_rotation_block_entropy(alpha, L):
@@ -143,9 +146,9 @@ def test_rotation_block_entropy_matches_exact_oracle():
 
 def test_entropy_rate_equals_block_entropy_at_every_length():
     """One encoding for all L gives each L's block entropy bit for bit, also
-    for tuple symbols over several sequences."""
+    over several rows."""
     rng = np.random.default_rng(14)
-    seqs = [[("x", int(v)) for v in rng.integers(0, 3, 4000)] for _ in range(3)]
+    seqs = rng.integers(0, 3, (3, 4000))
     trend = entropy_rate(seqs, 3)
     assert trend.estimates == [block_entropy(seqs, L) for L in (1, 2, 3)]
     with pytest.raises(EntropyError, match="L=5"):  # needs 100 * 3^5 symbols
@@ -154,15 +157,30 @@ def test_entropy_rate_equals_block_entropy_at_every_length():
 
 @pytest.mark.parametrize(
     "bad",
-    [np.array([0, 1] * 5000), np.zeros((2, 3, 400), int), "01" * 2000],
-    ids=["bare-1d-array", "3d-array", "bare-str"],
+    [np.array([0, 1] * 5000), np.zeros((2, 3, 400), int), "01" * 2000,
+     [["a", "b"] * 500], [[("x", 0), ("x", 1)] * 500], [[0, 1] * 500, [1, 0] * 499],
+     np.zeros((2, 1000)), np.zeros((2, 0), np.int8), []],
+    ids=["bare-1d-array", "3d-array", "bare-str", "strings", "tuples", "ragged", "float-array",
+         "empty-array", "empty-list"],
 )
 def test_malformed_sequences_raise_entropy_error(bad):
-    # unchecked, a bare str reads as one-symbol rows, and a bare row or a 3-D
-    # array fails in the symbol dict with a TypeError
+    """Only an (n, len) integer or bool array is coded: symbols of any other
+    kind and ragged rows are one EntropyError, with no numpy ValueError or
+    TypeError behind it."""
     for call in (lambda: entropy_rate(bad, 2), lambda: block_entropy(bad, 1)):
-        with pytest.raises(EntropyError, match="must be a collection of 1-D sequences"):
+        with pytest.raises(EntropyError, match=_FORM) as caught:
             call()
+        assert caught.type is EntropyError
+        assert caught.value.__cause__ is None and caught.value.__context__ is None
+
+
+@pytest.mark.parametrize("length", [2.0, 2.5, "2", None])
+def test_non_integral_block_lengths_raise_entropy_error(length):
+    codes = np.random.default_rng(19).integers(0, 2, (2, 1000))
+    with pytest.raises(EntropyError, match=f"block length must be an integer, got {length!r}"):
+        block_entropy(codes, length)
+    with pytest.raises(EntropyError, match=f"L_max must be an integer, got {length!r}"):
+        entropy_rate(codes, length)
 
 
 # -- oracle: the dict coding and per-sequence np.unique merge the counter replaced
@@ -229,34 +247,29 @@ _LABELS = {
     "negative": lambda c: np.array([-5, -1, 3])[c],
     "sparse": lambda c: np.array([0, 10**12, 7])[c],
     "ints": lambda c: c.tolist(),
-    "strings": lambda c: [("a", "bb", "c")[v] for v in c],
-    "tuples": lambda c: [("x", v) for v in c.tolist()],
 }
 
 
-def _rows(kind, sizes, k, seed):
-    rng = np.random.default_rng(seed)
-    if kind == "2d":
-        return rng.integers(0, k, (len(sizes), sizes[0]))
-    codes = [rng.integers(0, k, size) for size in sizes]
-    if kind == "mixed":  # int64 and uint64 rows together
-        return [c if i % 2 else c.astype(np.uint64) for i, c in enumerate(codes)]
-    return [_LABELS[kind](c) for c in codes]
+def _rows(kind, shape, k, seed):
+    """Rows of the given shape over k values, labelled as kind: one integer
+    array, or a list of equal-length rows."""
+    codes = np.random.default_rng(seed).integers(0, k, shape)
+    return codes if kind == "2d" else [_LABELS[kind](c) for c in codes]
 
 
 @given(
-    st.sampled_from(sorted(_LABELS) + ["2d", "mixed"]),
-    st.lists(st.integers(0, 1500), min_size=1, max_size=4),
+    st.sampled_from(sorted(_LABELS) + ["2d"]),
+    st.tuples(st.integers(1, 4), st.integers(1, 1500)),
     st.integers(1, 3),
     st.integers(1, 4),
     st.integers(0, 2**32 - 1),
 )
-@example("int8", [1500, 2, 1500], 2, 4, 0)  # a middle row shorter than L=3 < L_max
-@example("strings", [900, 1, 900, 3], 3, 2, 1)
-@example("sparse", [1000, 2, 1000], 2, 3, 2)
+@example("int8", (1500, 2), 2, 4, 0)  # rows shorter than L=3 < L_max
+@example("ints", (3, 900), 3, 2, 1)
+@example("sparse", (3, 1000), 2, 3, 2)
 @settings(max_examples=80, deadline=None)
-def test_counter_matches_the_dict_and_unique_reference(kind, sizes, k, L_max, seed):
-    seqs = _rows(kind, sizes, k, seed)
+def test_counter_matches_the_dict_and_unique_reference(kind, shape, k, L_max, seed):
+    seqs = _rows(kind, shape, k, seed)
     assert _entropies_or_message(lambda: entropy_rate(seqs, L_max).estimates) == (
         _reference_entropies(seqs, range(1, L_max + 1))
     )
@@ -295,10 +308,9 @@ def _edge_rows(kind):
         "negative int16": ([draw([-1000, -7, -1], 4000, np.int16)], 3),
         "dense uint64 near 2^64": ([draw([2**64 - 4, 2**64 - 2, 2**64 - 1], 4000, np.uint64)], 3),
         "sparse uint64": ([draw([0, 2**40, 2**64 - 1], 4000, np.uint64)], 3),
-        "bool": ([coin(3000) == 1, coin(2000) == 0], 4),
+        "bool": (coin((2, 2500)) == 1, 4),
         "3000 x 5": (coin((3000, 5)), 5),
-        "empty and short rows between long": (
-            [coin(2000), coin(0), coin(2), coin(2000), coin(3), coin(0)], 4),
+        "many short rows": (coin((1000, 6)), 4),
         "rows of length L_max": ([coin(4) for _ in range(2000)], 4),
     }[kind]
 
@@ -306,7 +318,7 @@ def _edge_rows(kind):
 @pytest.mark.parametrize("kind", [
     "int8 -128..127", "int8 every value", "uint8 0..255", "negative int16",
     "dense uint64 near 2^64", "sparse uint64", "bool", "3000 x 5",
-    "empty and short rows between long", "rows of length L_max",
+    "many short rows", "rows of length L_max",
 ])
 def test_counter_matches_the_reference_on_edge_rows(kind):
     seqs, L_max = _edge_rows(kind)
@@ -317,19 +329,21 @@ def test_counter_matches_the_reference_on_edge_rows(kind):
 
 @pytest.mark.parametrize("count_block", [1, 2, 3, 5, 64])
 def test_counts_do_not_depend_on_the_pass_size(monkeypatch, count_block):
-    """Passes of a few block starts split rows, and the blocks that cross a
-    row end, at every offset."""
+    """Passes of a few block starts split the columns at every offset, and
+    take one column when the rows outnumber COUNT_BLOCK."""
     monkeypatch.setattr(entropy, "COUNT_BLOCK", count_block)
     rng = np.random.default_rng(18)
-    seqs = [rng.integers(0, 2, size) for size in (300, 0, 2, 1, 257, 3, 4, 250)]
-    assert _entropies_or_message(lambda: entropy_rate(seqs, 3).estimates) == (
-        _reference_entropies(seqs, range(1, 4))
-    )
+    for shape in ((2, 300), (8, 101)):
+        seqs = rng.integers(0, 2, shape)
+        assert _entropies_or_message(lambda: entropy_rate(seqs, 3).estimates) == (
+            _reference_entropies(seqs, range(1, 4))
+        )
 
 
 def test_bincount_calls_do_not_grow_with_the_row_count(monkeypatch):
-    """The same 100,000 symbols in 10 rows or in 10,000: one count per pass of
-    COUNT_BLOCK block starts and per shorter length, none per row."""
+    """The same 100,000 symbols in 10 rows or in 10,000: one count per pass
+    over the columns of every row, each pass at most COUNT_BLOCK block starts
+    and at least one column, and one per shorter length, none per row."""
     calls = []
     bincount = np.bincount
 
@@ -339,13 +353,16 @@ def test_bincount_calls_do_not_grow_with_the_row_count(monkeypatch):
 
     monkeypatch.setattr(np, "bincount", counting)
     rng = np.random.default_rng(17)
-    made = []
-    for rows in (rng.integers(0, 2, (10, 10_000)), rng.integers(0, 2, (10_000, 10))):
+    made, rule = [], []
+    for shape in ((10, 10_000), (10_000, 10)):
+        rows = rng.integers(0, 2, shape)
         calls.clear()
         entropy_rate(rows, 5)
         entropy_rate(list(rows), 5)
         made.append(len(calls))
-    assert made[0] == made[1]
+        step = max(1, entropy.COUNT_BLOCK // shape[0])  # columns per pass
+        rule.append(2 * (math.ceil((shape[1] - 4) / step) + 4))
+    assert made == rule == [12, 10]
 
 
 _PINNED_COIN_BITS = [
@@ -389,14 +406,14 @@ def test_coin_entropy_rate_peak_memory():
 
 
 def _one_symbol_rows():
-    """One 1,000-symbol constant row and 2,000 one-symbol rows: k = 1, which
-    the undersampling guard lets through at any L_max."""
-    return [np.zeros(1000, np.int8)] + [np.zeros(1, np.int8)] * 2000
+    """400 constant rows of 1,000 symbols: k = 1, which the undersampling
+    guard lets through at any L_max."""
+    return np.zeros((400, 1000), np.int8)
 
 
 def test_one_symbol_entropies_are_counted_without_blocks():
     rows = _one_symbol_rows()
-    expect = [(1, 0.0, 3000, 1)] + [(L, 0.0, 1001 - L, 1) for L in range(2, 1001)]
+    expect = [(L, 0.0, 400 * (1001 - L), 1) for L in range(1, 1001)]
     tracemalloc.start()
     try:
         got = _entropies_or_message(lambda: entropy_rate(rows, 1000).estimates)
@@ -404,7 +421,7 @@ def test_one_symbol_entropies_are_counted_without_blocks():
     finally:
         tracemalloc.stop()
     assert got == expect
-    assert peak < 2_000_000  # 46 MB when every row's last L_max - 1 places were gathered
+    assert peak < 2_000_000  # 3.6 MB when each row's last L_max - 1 columns were gathered
     assert _entropies_or_message(lambda: entropy_rate(rows, 5).estimates) == (
         _reference_entropies(rows, range(1, 6)))
 
@@ -412,5 +429,5 @@ def test_one_symbol_entropies_are_counted_without_blocks():
 def test_one_symbol_guards_still_fire():
     assert _entropies_or_message(lambda: entropy_rate(_one_symbol_rows(), 1001).estimates) == (
         "no sequence is as long as the block length L=1001")
-    assert _entropies_or_message(lambda: entropy_rate([np.zeros(50, np.int8)], 3).estimates) == (
+    assert _entropies_or_message(lambda: entropy_rate(np.zeros((1, 50), np.int8), 3).estimates) == (
         "undersampled: need >= 100 symbols for L=1 over 1 symbols, got 50")

@@ -615,15 +615,40 @@ def test_oversized_request_exits_two_within_a_second(tmp_path, capsys, within_a_
     ids=["chain_n", "semi_markov_n", "stationarity_n", "entropy_length", "entropy_sequences"],
 )
 def test_sample_size_beyond_the_float_range_exits_two(tmp_path, capsys, task):
-    """An integer sample size no float can hold is refused by the size bound
-    like any other oversized request, with no traceback and no report."""
+    """An integer sample size no float can hold is refused as its field's,
+    like any other integer beyond the float range, with no traceback and no
+    report."""
     doc = {"seed": 1, "processes": dict(SEMI_MARKOV, chain=PASSING["processes"]["p"]),
            "tasks": [task]}
+    field = next(k for k, v in task.items() if v == 10**400)
     out = tmp_path / "o"
     assert main([str(_write(tmp_path, "huge.json", doc)), "--out", str(out)]) == 2
     assert capsys.readouterr() == (
-        f"configuration error: tasks[0] ({task['kind']}): a count of paths or steps above "
-        f"1.8e+308 is more than the {MAX_PATH_STEPS} path steps one sampling call may draw\n", "")
+        f"configuration error: tasks[0] ({task['kind']}): field {field!r} holds an integer "
+        "beyond the float range\n", "")
+    assert not [p for p in out.rglob("*.json")]
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+@pytest.mark.parametrize("field", ["nx", "ny", "order", "radicand"])
+def test_integer_field_beyond_the_float_range_exits_two(tmp_path, capsys, field, sign):
+    """Every integer field but a seed refuses an integer no float can hold
+    with one short message, not one that prints its 401 digits."""
+    doc = {"seed": 1, "systems": {"baker": {"kind": "baker"}},
+           "observations": {"quad": {"kind": "grid", "system": "baker"}},
+           "processes": copy.deepcopy({**PASSING["processes"], **SEMI_MARKOV}),
+           "tasks": [PASSING["tasks"][0]]}
+    where, cfg = {"nx": ("observations.quad", doc["observations"]["quad"]),
+                  "ny": ("observations.quad", doc["observations"]["quad"]),
+                  "order": ("processes.p", doc["processes"]["p"]),
+                  "radicand": ("processes.sm.holding.s1",
+                               doc["processes"]["sm"]["holding"]["s1"])}[field]
+    cfg[field] = sign * 10**400
+    out = tmp_path / "o"
+    assert main([str(_write(tmp_path, "huge.json", doc)), "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        f"configuration error: {where}: field {field!r} holds an integer beyond the float "
+        "range\n", "")
     assert not [p for p in out.rglob("*.json")]
 
 
