@@ -22,13 +22,8 @@ bk = BakerMap()
 
 for bits, (nx, ny) in (("4-bit", (16, 16)), ("1-bit", (2, 1))):
     obs = ObservationFunction(grid_partition(nx, ny))
-    centers = {
-        sym: tuple((lo + hi) / 2 for lo, hi in zip(cell[0].lo, cell[0].hi))
-        for sym, cell in zip(obs.symbols, obs.partition.cells)
-    }
-    rep = check_epsilon_congruence(
-        bk, lambda m, o=obs: o(m), lambda s, c=centers: c[s], 0.1, 5000, seed=11
-    )
+    centers = dict(zip(obs.symbols, obs.partition.centers()))
+    rep = check_epsilon_congruence(bk, obs, centers.get, 0.1, 5000, seed=11)
     worst = rep.items[0]["max_distance_seen"]
     print(f"{bits} dyadic coding at eps=0.1: {rep.verdict} (max distance {worst:.4f})")
 print(f"4-bit geometric bound: sqrt(2)/32 = {math.sqrt(2) / 32:.4f}")

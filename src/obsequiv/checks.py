@@ -289,31 +289,23 @@ def _union_violations(joint):
     return cross
 
 
-def check_epsilon_congruence(system, encoder, embed, epsilon, n, seed) -> CheckReport:
-    """mu{m : d(m, embed(encoder(m))) >= eps} must be below eps.
+def check_epsilon_congruence(system, coding, embed, epsilon, n, seed) -> CheckReport:
+    """mu{m : d(m, embed(coding(m))) >= eps} must be below eps.
 
-    encoder maps a coordinate array (..., d) of states to the array (...) of
-    the time-zero outcomes of their encoded realizations; embed places one
-    outcome back into the phase space as a point of d coordinates, and is
-    called once per distinct outcome; d is the system's metric.
+    coding is an ObservationFunction, applied once per chunk of sampled
+    coordinates; embed places one symbol of its alphabet back into the phase
+    space as a point of d coordinates, and is called once per symbol; d is
+    the system's metric.
     """
     _require_positive(epsilon=epsilon)
-    distance = lambda c: system.metric(c, _embedded(encoder(c), embed))
+    k = len(coding.alphabet)
+    points = np.array([embed(s) for s in coding.alphabet], dtype=float).reshape(k, -1)
+    distance = lambda c: system.metric(c, points[coding.codes(c)])
     d = observe_trajectories(system, distance, (0.0,), n, seed)[:, 0]
     item = _one_sided_item(
         "violation_measure", d >= epsilon, n, epsilon, max_distance_seen=float(d.max())
     )
     return CheckReport("epsilon_congruence", [item], seed, n, {"epsilon": epsilon})
-
-
-def _embedded(outcomes, embed):
-    """Array (..., d) of the point embed(o) of each outcome o of the array
-    (...), with one embed call per distinct outcome."""
-    outcomes = np.asarray(outcomes)
-    rows = {}
-    index = [rows.setdefault(o, len(rows)) for o in outcomes.ravel().tolist()]
-    points = np.array([embed(o) for o in rows], dtype=float).reshape(len(rows), -1)
-    return points[index].reshape(outcomes.shape + points.shape[1:])
 
 
 def check_simulation(system, phi, psi, epsilon, n, seed, gamma=None) -> CheckReport:

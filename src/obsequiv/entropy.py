@@ -72,6 +72,8 @@ def _encode(sequences):
     shifted = np.subtract(a, lo % 256**narrow.itemsize, dtype=narrow, casting="unsafe")
     present = np.zeros(hi - lo + 1, bool)
     present[shifted] = True
+    if present.all():  # the table is the identity, and shifted its codes
+        return shifted, hi - lo + 1
     code_of = np.cumsum(present) - 1
     return code_of.astype(np.min_scalar_type(code_of[-1]))[shifted], int(code_of[-1]) + 1
 

@@ -8,7 +8,9 @@ cell measures exactly computable.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,10 +181,14 @@ class Partition:
 
     @property
     def size(self):
-        return len(self.cells)
+        return len(self.labels)
 
     def measures(self):
         return np.array([sum(b.volume() for b in c) for c in self.cells])
+
+    def centers(self):
+        """The centre of each cell's first box, an array (size, dim)."""
+        return np.array([[(a + b) / 2.0 for a, b in zip(c[0].lo, c[0].hi)] for c in self.cells])
 
     def cell_index(self, point):
         """Index of the first cell with a box holding the (wrapped) point: an
@@ -281,7 +287,13 @@ def interval_partition(breaks, labels, space=UNIT_INTERVAL) -> Partition:
 
 
 def grid_partition(nx, ny, space=UNIT_SQUARE) -> Partition:
-    """nx-by-ny rectangular grid partition of a 2-d rectangular domain."""
+    """nx-by-ny rectangular grid partition of a 2-d rectangular domain, cell
+    c{i}_{j} the box [x0 + i dx, x0 + (i+1) dx) x [y0 + j dy, y0 + (j+1) dy)
+    times the domain's trailing axes."""
+    try:
+        nx, ny = operator.index(nx), operator.index(ny)
+    except TypeError:
+        raise PartitionError(f"a grid needs integer cell counts, got {nx!r} x {ny!r}") from None
     if space.dim < 2:
         raise PartitionError(f"a grid needs a 2-d phase space; {space.name!r} is {space.dim}-d")
     if nx < 1 or ny < 1:
@@ -289,14 +301,40 @@ def grid_partition(nx, ny, space=UNIT_SQUARE) -> Partition:
     if nx * ny > MAX_BINS:
         raise PartitionError(f"a {nx} x {ny} grid cuts the space into {nx * ny} bins, "
                              f"more than the {MAX_BINS} a partition may hold")
-    (x0, y0), (x1, y1) = space.domain.lo[:2], space.domain.hi[:2]
-    extra_lo, extra_hi = space.domain.lo[2:], space.domain.hi[2:]
-    dx, dy = (x1 - x0) / nx, (y1 - y0) / ny
-    cells, labels = [], []
-    for i in range(nx):
-        for j in range(ny):
-            lo = (x0 + i * dx, y0 + j * dy) + extra_lo
-            hi = (x0 + (i + 1) * dx, y0 + (j + 1) * dy) + extra_hi
-            cells.append((Box(lo, hi),))
-            labels.append(f"c{i}_{j}")
-    return Partition(space, tuple(cells), tuple(labels))
+    lo, hi = space.domain.lo, space.domain.hi
+    dx, dy = (hi[0] - lo[0]) / nx, (hi[1] - lo[1]) / ny
+    edges = (np.array([lo[0] + i * dx for i in range(nx + 1)]),
+             np.array([lo[1] + j * dy for j in range(ny + 1)]),
+             *(np.array(ends) for ends in zip(lo[2:], hi[2:])))
+    labels = tuple(f"c{i}_{j}" for i in range(nx) for j in range(ny))
+    finite = [np.isfinite(e[:-1]) & np.isfinite(e[1:]) for e in edges]  # per axis, per bin
+    finite = finite[0][:, None] & finite[1] & all(f.all() for f in finite[2:])
+    if not finite.all():
+        raise PartitionError(f"cell {labels[finite.argmin()]!r} has a box with non-finite bounds")
+    # rounding is monotone, so the product of the narrowest widths is the least measure
+    if math.prod(max(float(np.diff(e).min()), 0.0) for e in edges) <= 0.0:
+        raise PartitionError("zero-measure cell")
+    table = np.arange(nx * ny, dtype=np.int16 if nx * ny < 2**15 else np.int32)
+    return _Grid(space, edges, labels, table.reshape((nx, ny) + (1,) * (space.dim - 2)))
+
+
+class _Grid(Partition):
+    """A grid, valid by construction: its bins are its cells, so its bin
+    table is read off its edges, and its boxes are made on the first read
+    of cells."""
+
+    def __init__(self, space, edges, labels, table):
+        for name, value in zip(("space", "labels", "_bounds", "_table"),
+                               (space, labels, edges, table)):
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def cells(self):
+        xs, ys = (e.tolist() for e in self._bounds[:2])
+        lo, hi = self.space.domain.lo[2:], self.space.domain.hi[2:]
+        return tuple((Box((xs[i], ys[j]) + lo, (xs[i + 1], ys[j + 1]) + hi),)
+                     for i in range(len(xs) - 1) for j in range(len(ys) - 1))
+
+    def centers(self):
+        mids = [(e[:-1] + e[1:]) / 2.0 for e in self._bounds]
+        return np.stack(np.meshgrid(*mids, indexing="ij"), axis=-1).reshape(self.size, -1)

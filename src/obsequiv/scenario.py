@@ -150,7 +150,8 @@ def _field(cfg, key, where, type, default=REQUIRED):
 def _seed(seed, where):
     """A master or task seed, which SeedSequence needs non-negative."""
     if seed is not None and seed < 0:
-        raise ScenarioError(f"{where} must be non-negative, got {seed}")
+        shown = seed if seed >= -sys.float_info.max else "an integer beyond the float range"
+        raise ScenarioError(f"{where} must be non-negative, got {shown}")
     return seed
 
 
@@ -380,13 +381,8 @@ def _run_check(what, f, seed) -> CheckReport:
         return checks.check_simulation(f["system"], f["phi"], f["psi"], f["epsilon"], n, seed,
                                        gamma=f["gamma"])
     system, obs = f["system"], f["coding"]  # epsilon_congruence
-    centers = {
-        sym: tuple((lo + hi) / 2.0 for lo, hi in zip(cell[0].lo, cell[0].hi))
-        for sym, cell in zip(obs.symbols, obs.partition.cells)
-    }
-    return checks.check_epsilon_congruence(
-        system, obs, lambda sym: centers[sym], f["epsilon"], n, seed
-    )
+    centers = dict(zip(obs.symbols, obs.partition.centers()))  # shared: the last cell's
+    return checks.check_epsilon_congruence(system, obs, centers.get, f["epsilon"], n, seed)
 
 
 def run_scenario(path, out_dir="out", seed=None) -> int:

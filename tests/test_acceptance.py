@@ -193,20 +193,13 @@ def test_criterion_06_block_embedding():
 def test_criterion_07_epsilon_congruence():
     bk = BakerMap()
     fine = ObservationFunction(grid_partition(16, 16))
-    centers = {
-        sym: tuple((lo + hi) / 2 for lo, hi in zip(cell[0].lo, cell[0].hi))
-        for sym, cell in zip(fine.symbols, fine.partition.cells)
-    }
-    good = check_epsilon_congruence(
-        bk, lambda m: fine(m), lambda s: centers[s], 0.1, 10_000, 139
-    )
+    centers = dict(zip(fine.symbols, fine.partition.centers()))
+    good = check_epsilon_congruence(bk, fine, centers.get, 0.1, 10_000, 139)
     # geometric bound: half-diagonal of a 1/16 cell is sqrt(2)/32 < 0.1
     bound_ok = good.items[0]["max_distance_seen"] <= SQRT2 / 32 + 1e-12
-    coarse = ObservationFunction(interval_partition([0.0, 0.5, 1.0], ["L", "R"]))
+    coarse = ObservationFunction(grid_partition(2, 1), ["L", "R"])
     coarse_centers = {"L": (0.25, 0.5), "R": (0.75, 0.5)}
-    bad = check_epsilon_congruence(
-        bk, lambda c: coarse(c[..., :1]), lambda s: coarse_centers[s], 0.1, 10_000, 149
-    )
+    bad = check_epsilon_congruence(bk, coarse, coarse_centers.get, 0.1, 10_000, 149)
     ok = good.passed and bound_ok and bad.verdict == "fail"
     assert _verdict(7, "epsilon congruence", ok), (good.verdict, bound_ok, bad.verdict)
 

@@ -340,9 +340,7 @@ def _invariant_union_at(tol):
 
 
 def _congruence_at(epsilon):
-    return check_epsilon_congruence(
-        RotationFlow(0.3), lambda m: 0, lambda s: (0.5,), epsilon, 400, 5
-    )
+    return check_epsilon_congruence(RotationFlow(0.3), HALVES, lambda s: (0.5,), epsilon, 400, 5)
 
 
 def _simulation_at(epsilon):
@@ -366,13 +364,8 @@ def test_bad_tolerance_is_rejected_not_passed(check, value):
 def test_epsilon_congruence_fine_coding_passes():
     bk = BakerMap()
     obs = ObservationFunction(grid_partition(16, 16))
-    centers = {
-        sym: tuple((lo + hi) / 2 for lo, hi in zip(cell[0].lo, cell[0].hi))
-        for sym, cell in zip(obs.symbols, obs.partition.cells)
-    }
-    rep = check_epsilon_congruence(
-        bk, lambda m: obs(m), lambda s: centers[s], 0.1, 2000, 43
-    )
+    centers = dict(zip(obs.symbols, obs.partition.centers()))
+    rep = check_epsilon_congruence(bk, obs, centers.get, 0.1, 2000, 43)
     assert rep.passed
     # every state is within the half-diagonal of its 1/16 cell
     assert rep.items[0]["max_distance_seen"] <= math.sqrt(2) / 32 + 1e-12
@@ -380,12 +373,21 @@ def test_epsilon_congruence_fine_coding_passes():
 
 def test_epsilon_congruence_coarse_coding_fails():
     bk = BakerMap()
-    obs = ObservationFunction(interval_partition([0.0, 0.5, 1.0], ["L", "R"]))
+    obs = ObservationFunction(grid_partition(2, 1), ["L", "R"])
     centers = {"L": (0.25, 0.5), "R": (0.75, 0.5)}
-    rep = check_epsilon_congruence(
-        bk, lambda c: obs(c[..., :1]), lambda s: centers[s], 0.1, 2000, 47
-    )
+    rep = check_epsilon_congruence(bk, obs, centers.get, 0.1, 2000, 47)
     assert rep.verdict == "fail"
+
+
+def test_epsilon_congruence_embeds_each_symbol_once():
+    """embed is called once per alphabet symbol, in alphabet order, however
+    many cells share a symbol or states are sampled."""
+    obs = ObservationFunction(grid_partition(4, 4), [f"s{i % 3}" for i in range(16)])
+    centers = dict(zip(obs.symbols, obs.partition.centers()))
+    calls = []
+    embed = lambda s: calls.append(s) or centers[s]
+    check_epsilon_congruence(BakerMap(), obs, embed, 0.5, 20_000, 53)
+    assert calls == ["s0", "s1", "s2"]
 
 
 def test_epsilon_congruence_rejects_bad_epsilon(contraction_map):

@@ -183,6 +183,22 @@ def test_non_integral_block_lengths_raise_entropy_error(length):
         entropy_rate(codes, length)
 
 
+@pytest.mark.parametrize(
+    "values",
+    [np.array([0, 1], np.int8), np.array([False, True]), np.array([-1, 0, 1]),
+     np.array([0, 10**9])],
+    ids=["int8_01", "bool", "minus_one_to_one", "sparse"],
+)
+def test_encode_gives_the_ranks_of_the_values_in_the_narrowest_dtype(values):
+    """Every value from the least to the greatest present, where the table
+    is the identity and its gather is skipped, or a sparse set of values."""
+    a = values[np.random.default_rng(5).integers(0, len(values), (3, 400))]
+    codes, k = entropy._encode(a)
+    assert k == len(values)
+    assert codes.dtype == np.min_scalar_type(k - 1)
+    assert codes.tolist() == np.searchsorted(np.sort(values), a).tolist()
+
+
 # -- oracle: the dict coding and per-sequence np.unique merge the counter replaced
 
 

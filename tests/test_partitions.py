@@ -21,6 +21,7 @@ from obsequiv.partitions import (
     interval_partition,
     refine,
 )
+from obsequiv.systems import BilliardFlow
 
 
 def test_box_volume_and_membership():
@@ -156,6 +157,79 @@ def test_grid_partition_with_extra_trailing_dims():
     assert p.size == 4
     assert sum(p.measures()) == pytest.approx(6.0)
     assert p.cell_index((0.9, 0.9, 5.5)) == p.cell_index((0.9, 0.9, 11.5))
+
+
+@pytest.mark.parametrize(
+    "nx, ny, space",
+    [(16, 16, UNIT_SQUARE), (1, 1, UNIT_SQUARE),
+     (7, 2, BilliardFlow(1.0, 1.0, [((0.5, 0.5), 0.2)], 1.0).space),
+     (3, 5, PhaseSpace("off_origin", Box((0.1, -2.3), (0.7, 4.1))))],
+    ids=["16x16", "1x1", "7x2_billiard", "3x5_off_origin"],
+)
+def test_edge_built_grid_is_the_general_constructors_partition(nx, ny, space):
+    """A grid read off its edges has the bin table, measures, centres and
+    codes that the general constructor builds from the same boxes."""
+    grid = grid_partition(nx, ny, space=space)
+    ref = Partition(space, grid.cells, grid.labels)
+    assert len(grid._bounds) == len(ref._bounds) == space.dim
+    for edges, expected in zip(grid._bounds, ref._bounds):
+        assert edges.dtype == expected.dtype and edges.tolist() == expected.tolist()
+    assert grid._table.dtype == ref._table.dtype
+    assert grid._table.tolist() == ref._table.tolist()
+    assert grid.measures().tolist() == ref.measures().tolist()
+    assert grid.centers().dtype == ref.centers().dtype
+    assert grid.centers().tolist() == ref.centers().tolist()
+    lo, hi = np.array(space.domain.lo), np.array(space.domain.hi)
+    inner = lo + (hi - lo) * np.random.default_rng(nx * ny).random((500, space.dim))
+    corners = np.array(np.meshgrid(*ref._bounds[:2], indexing="ij")).reshape(2, -1).T
+    # every edge point but those on the last edges, which no cell holds
+    corners = corners[(corners < [e[-1] for e in ref._bounds[:2]]).all(axis=1)]
+    edge_points = np.hstack([corners, np.tile(lo[2:], (len(corners), 1))])
+    for points in (inner, edge_points):
+        assert grid.cell_index(points).tolist() == ref.cell_index(points).tolist()
+
+
+def test_grid_partition_of_the_largest_tested_size_builds_and_codes_within_a_second(
+        within_a_second):
+    grid = grid_partition(256, 256)
+    x, y = np.random.default_rng(3).random((2, 10_000))
+    codes = grid.cell_index(np.stack([x, y], axis=-1))
+    assert codes.tolist() == (np.floor(x * 256) * 256 + np.floor(y * 256)).astype(int).tolist()
+    assert grid.centers()[codes[0]].tolist() == [(np.floor(x[0] * 256) + 0.5) / 256,
+                                                 (np.floor(y[0] * 256) + 0.5) / 256]
+    assert "cells" not in vars(grid)  # building, coding and centres made no Box
+
+
+def test_grid_builds_where_the_general_coverage_check_refuses_its_boxes():
+    """A grid is valid by construction; the general constructor's absolute
+    coverage tolerance still refuses the same boxes on a large domain."""
+    space = PhaseSpace("large", Box((0.0, 0.0), (1e6, 1e6)))
+    grid = grid_partition(3, 7, space=space)
+    assert grid.size == 21
+    assert grid.labels[grid.cell_index((9e5, 1.0))] == "c2_0"
+    with pytest.raises(PartitionError, match="cells cover measure"):
+        Partition(space, grid.cells, grid.labels)
+
+
+@pytest.mark.parametrize(
+    "domain, message",
+    [(Box((0.0, 0.0), (1.0, 0.0)), "zero-measure cell"),
+     (Box((0.0, 0.0, 0.0), (1.0, 1.0, 0.0)), "zero-measure cell"),
+     (Box((0.0, 0.0), (math.inf, 1.0)), "cell 'c0_0' has a box with non-finite bounds"),
+     (Box((0.0, 0.0, 0.0), (1.0, 1.0, math.nan)),
+      "cell 'c0_0' has a box with non-finite bounds")],
+    ids=["flat", "flat_trailing", "infinite", "nan_trailing"],
+)
+def test_grid_refusals_are_the_general_constructors(domain, message):
+    with pytest.raises(PartitionError, match=f"^{message}$"):
+        grid_partition(2, 3, space=PhaseSpace("bad", domain))
+
+
+@pytest.mark.parametrize("nx, ny", [(2.5, 2), (2, "3"), (None, 1)])
+def test_grid_partition_refuses_non_integral_counts(nx, ny):
+    with pytest.raises(PartitionError,
+                       match=f"a grid needs integer cell counts, got {nx!r} x {ny!r}"):
+        grid_partition(nx, ny)
 
 
 def test_observation_function_symbols_and_alphabet():

@@ -395,6 +395,13 @@ def _sm_holding_extra(doc):
         (lambda d: d["tasks"].append(dict(d["tasks"][0], seed=-2)), [],
          "tasks[1] (simulate): field 'seed' must be non-negative, got -2"),
         (lambda d: None, ["--seed", "-3"], "--seed must be non-negative, got -3"),
+        (lambda d: d.update(seed=-(10**400)), [],
+         "{path}: field 'seed' must be non-negative, got an integer beyond the float range"),
+        (lambda d: d["tasks"].append(dict(d["tasks"][0], seed=-(10**400))), [],
+         "tasks[1] (simulate): field 'seed' must be non-negative, "
+         "got an integer beyond the float range"),
+        (lambda d: None, ["--seed", str(-(10**400))],
+         "--seed must be non-negative, got an integer beyond the float range"),
         (_sm_holding_extra, [],
          "processes.sm: holding time for 'zzz', which is not a state of the chain"),
         (lambda d: d["tasks"].append(
@@ -420,7 +427,9 @@ def _sm_holding_extra(doc):
         (lambda d: d["processes"]["p"].update(matrix=[[0.5, 0.5], [-(10**400), 0.5]]), [],
          "processes.p: field 'matrix' holds an integer beyond the float range"),
     ],
-    ids=["negative_master_seed", "negative_task_seed", "negative_cli_seed", "holding_extra_state",
+    ids=["negative_master_seed", "negative_task_seed", "negative_cli_seed",
+         "huge_negative_master_seed", "huge_negative_task_seed", "huge_negative_cli_seed",
+         "holding_extra_state",
          "side_of_process_and_system", "representation_of_system_side", "box_of_three_on_baker",
          "alpha_beyond_float", "grid_beyond_float", "breaks_beyond_float", "matrix_beyond_float"],
 )
@@ -437,6 +446,20 @@ def test_bad_seed_side_set_or_number_exits_two_without_a_report(
     assert main([str(path), "--out", str(out), *args]) == 2
     assert capsys.readouterr() == (f"configuration error: {message}\n".replace("{path}", str(path)), "")
     assert not [p for p in out.rglob("*") if p.is_file()]
+
+
+@pytest.mark.parametrize("where", ["master", "task", "cli"])
+def test_seed_beyond_the_float_range_runs(tmp_path, capsys, where):
+    """SeedSequence takes a non-negative integer of any size: only a negative
+    seed is refused, beyond the float range or not."""
+    doc = copy.deepcopy(dict(PASSING, tasks=[PASSING["tasks"][0]]))
+    args = ["--seed", str(10**400)] if where == "cli" else []
+    if where != "cli":
+        (doc if where == "master" else doc["tasks"][0])["seed"] = 10**400
+    out = tmp_path / "o"
+    assert main([str(_write(tmp_path, "big.json", doc)), "--out", str(out), *args]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert [p.name for p in out.rglob("*.json")] == ["0-simulate.json"]
 
 
 @pytest.mark.parametrize("field, value", [("mode", "strong"), ("grids", [[0.0, 1.0]])])
